@@ -3,7 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_cache::LineAddr;
-use latte_compress::{Bdi, BitSink, Bpc, CacheLine, Compressor, CpackZ, Fpc, Sc, VftBuilder};
+use latte_compress::{
+    Bdi, BitSink, Bpc, CacheLine, Compressor, CpackZ, Fpc, Sc, VftBuilder, VFT_COUNTER_MAX,
+    VFT_ENTRIES,
+};
 use latte_workloads::ValueProfile;
 use std::hint::black_box;
 
@@ -219,11 +222,27 @@ fn bench_sc_training(c: &mut Criterion) {
     });
 }
 
+/// Freezing a full VFT into a codebook: what every SC training window
+/// pays at its end. 1024 distinct values (the VFT capacity) with skewed,
+/// partly saturated counters.
+fn bench_sc_codebook_build(c: &mut Criterion) {
+    let mut vft = VftBuilder::new();
+    for i in 0..VFT_ENTRIES as u32 {
+        let value = i.wrapping_mul(0x9e37_79b9);
+        for _ in 0..(1 + (i * i) % 97 + if i % 64 == 0 { VFT_COUNTER_MAX } else { 0 }) {
+            vft.observe(value);
+        }
+    }
+    assert_eq!(vft.len(), VFT_ENTRIES);
+    c.bench_function("sc_codebook_build", |b| b.iter(|| black_box(black_box(&vft).build())));
+}
+
 criterion_group!(
     benches,
     bench_compressors,
     bench_hot_path_stream,
     bench_size_probe_vs_encode,
-    bench_sc_training
+    bench_sc_training,
+    bench_sc_codebook_build
 );
 criterion_main!(benches);

@@ -1,10 +1,8 @@
 //! The compressed L1 data cache organisation of §IV-A.
-// latte-lint: allow-file(D3, reason = "the payload shadow and line-data maps are keyed-access only; validate() and drain_dirty() walk the deterministic tag arrays and consult the maps per key, so hash iteration order can never reach results or output")
 
-use crate::geometry::{CacheGeometry, LineAddr};
+use crate::geometry::{CacheGeometry, LineAddr, LineMap};
 use crate::stats::CacheStats;
 use latte_compress::{CacheLine, Compression, CompressionAlgo};
-use std::collections::HashMap;
 
 /// One allocated tag in a set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,13 +118,13 @@ pub struct CompressedCache {
     /// maintained in lockstep with the tag array (every eviction and
     /// invalidation path removes its entry). `None` in normal runs: the
     /// timing model needs no payloads and pays nothing for them.
-    payload_shadow: Option<HashMap<LineAddr, CacheLine>>,
+    payload_shadow: Option<LineMap<CacheLine>>,
     /// When enabled (the write-back data path), the *architectural* bytes
     /// of every resident line — the fill data as delivered, overlaid with
     /// every store since. Unlike the payload shadow this is part of the
     /// simulation proper: dirty evictions carry these bytes to the next
     /// level, and re-compression on write probes them.
-    line_data: Option<HashMap<LineAddr, CacheLine>>,
+    line_data: Option<LineMap<CacheLine>>,
 }
 
 impl CompressedCache {
@@ -148,7 +146,7 @@ impl CompressedCache {
     /// entered through a recorded fill.
     pub fn enable_data_tracking(&mut self) {
         self.invalidate_all();
-        self.line_data = Some(HashMap::new());
+        self.line_data = Some(LineMap::default());
     }
 
     /// Whether [`CompressedCache::enable_data_tracking`] was called.
@@ -219,7 +217,7 @@ impl CompressedCache {
     /// covers entered through a recorded fill.
     pub fn enable_payload_shadow(&mut self) {
         self.invalidate_all();
-        self.payload_shadow = Some(HashMap::new());
+        self.payload_shadow = Some(LineMap::default());
     }
 
     /// Whether [`CompressedCache::enable_payload_shadow`] was called.
@@ -379,8 +377,8 @@ impl CompressedCache {
         max_tags: usize,
         max_subblocks: u32,
         stats: &mut CacheStats,
-        payload_shadow: &mut Option<HashMap<LineAddr, CacheLine>>,
-        line_data: &mut Option<HashMap<LineAddr, CacheLine>>,
+        payload_shadow: &mut Option<LineMap<CacheLine>>,
+        line_data: &mut Option<LineMap<CacheLine>>,
     ) -> Vec<EvictedLine> {
         let mut evicted = Vec::new();
         loop {

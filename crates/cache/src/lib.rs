@@ -45,7 +45,7 @@ mod simple;
 mod stats;
 
 pub use compressed::{CompressedCache, EvictedLine, LookupOutcome};
-pub use geometry::{CacheGeometry, LineAddr, SUBBLOCK_BYTES};
+pub use geometry::{CacheGeometry, LineAddr, LineHasher, LineMap, LineSet, SUBBLOCK_BYTES};
 pub use mshr::{Mshr, MshrOutcome};
 pub use queue::DecompressionQueue;
 pub use sampler::{SetRole, SetSampler};

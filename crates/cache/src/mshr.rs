@@ -1,16 +1,7 @@
 //! Miss-status holding registers: outstanding misses to the same line are
 //! merged so the memory system sees one request per line.
 
-// Order-independence audit (2026-08): `entries` is accessed only through
-// keyed operations — get/get_mut/insert/remove/contains_key/len/clear —
-// with one exception: `validate()` folds the values into order-independent
-// aggregates (counts of out-of-bounds entries), so HashMap's
-// nondeterministic iteration order still cannot reach any observable
-// result. Guarded by the `iteration_order_cannot_leak` test below.
-// latte-lint: allow-file(D3, reason = "keyed access plus order-independent aggregation in validate(); see audit note above")
-
-use crate::geometry::LineAddr;
-use std::collections::HashMap;
+use crate::geometry::{LineAddr, LineMap};
 
 /// Outcome of reserving an MSHR for a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +31,7 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    entries: HashMap<LineAddr, u32>,
+    entries: LineMap<u32>,
     capacity: usize,
     max_merges: u32,
     peak_used: usize,
@@ -59,7 +50,7 @@ impl Mshr {
         assert!(capacity > 0, "MSHR needs at least one entry");
         assert!(max_merges > 0, "MSHR entries need at least one slot");
         Mshr {
-            entries: HashMap::new(),
+            entries: LineMap::default(),
             capacity,
             max_merges,
             peak_used: 0,
@@ -136,7 +127,7 @@ impl Mshr {
     /// Used by the shadow-verification checkpoints.
     ///
     /// The error message reports *how many* entries are out of bounds —
-    /// an order-independent aggregate — never *which* entry, so HashMap
+    /// an order-independent aggregate — never *which* entry, so map
     /// iteration order cannot leak into diagnostics.
     ///
     /// # Errors
@@ -250,11 +241,11 @@ mod tests {
 
     #[test]
     fn iteration_order_cannot_leak() {
-        // Backs the file's D3 allow marker: every observable output of an
-        // MSHR filled in two different insertion orders must be identical,
-        // because no API iterates the underlying HashMap. If someone adds
-        // an iterating accessor, this test is the reminder to make it
-        // order-stable (and to re-justify or drop the marker).
+        // Backs the `LineMap` keyed-access audit: every observable output
+        // of an MSHR filled in two different insertion orders must be
+        // identical, because no API iterates the underlying map. If
+        // someone adds an iterating accessor, this test is the reminder
+        // to make it order-stable (and to re-audit `LineMap`).
         let addrs: Vec<LineAddr> = (0..32).map(|i| LineAddr::new(i * 7 + 1)).collect();
         let mut fwd = Mshr::new(64, 4);
         for &a in &addrs {

@@ -13,18 +13,10 @@
 //!    plus an escape code for untabled values),
 //! 3. compress with [`Sc`] until the next retraining point.
 
-// Order-independence audit (2026-08): the three HashMaps here (VFT
-// counts, codebook encode/decode tables) are keyed lookups; the one
-// place a map is iterated — `ScCodebook::from_counts` — immediately
-// sorts by symbol ("deterministic tie-breaking independent of HashMap
-// order" below), so canonical code assignment cannot see map order.
-// latte-lint: allow-file(D3, reason = "keyed lookups; the single iteration site sorts by symbol before use")
-
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::DecodeError;
 use crate::line::CacheLine;
 use crate::{stats, Compression, Compressor, Cycles};
-use std::collections::HashMap;
 
 /// Capacity of the value-frequency table (§IV-C2).
 pub const VFT_ENTRIES: usize = 1024;
@@ -36,7 +28,29 @@ pub const VFT_COUNTER_MAX: u32 = (1 << 12) - 1;
 /// until all codes fit, which bounds decompressor pipeline depth.
 const MAX_CODE_LEN: u32 = 27;
 
+/// Length slots of the canonical decode tables (index = code length).
+const LEN_SLOTS: usize = MAX_CODE_LEN as usize + 1;
+
+/// Encode-table slots pack `code << LEN_BITS | len`; a zero length marks
+/// an empty slot.
+const LEN_BITS: u32 = 5;
+const _: () = assert!(MAX_CODE_LEN < 1 << LEN_BITS && MAX_CODE_LEN + LEN_BITS <= 32);
+
+/// Slots of the VFT's open-addressed index: twice its capacity, so the
+/// table is never more than half full and probe runs stay short.
+const VFT_SLOTS: usize = 2 * VFT_ENTRIES;
+
+/// Home slot of `value` in a table of `2^(32 - shift)` slots (Fibonacci
+/// hashing: the top bits of a multiplicative hash).
+fn home_slot(value: u32, shift: u32) -> usize {
+    (value.wrapping_mul(0x9e37_79b9) >> shift) as usize
+}
+
 /// Accumulates value frequencies from sampled cache lines.
+///
+/// A flat, fixed-capacity table like the hardware VFT: the distinct
+/// values and their counters in first-observation order, indexed by an
+/// open-addressed slot array.
 ///
 /// # Example
 ///
@@ -48,11 +62,24 @@ const MAX_CODE_LEN: u32 = 27;
 /// let codebook = vft.build();
 /// assert!(codebook.code_len(42).is_some());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct VftBuilder {
-    counts: HashMap<u32, u32>,
+    /// `(value, counter)` per distinct value, in first-observation order.
+    entries: Vec<(u32, u32)>,
+    /// Slot -> index into `entries` plus one; 0 marks an empty slot.
+    slots: Vec<u16>,
     /// Samples that arrived while the table was full (statistics only).
     overflowed: u64,
+}
+
+impl Default for VftBuilder {
+    fn default() -> VftBuilder {
+        VftBuilder {
+            entries: Vec::new(),
+            slots: vec![0; VFT_SLOTS],
+            overflowed: 0,
+        }
+    }
 }
 
 impl VftBuilder {
@@ -66,10 +93,20 @@ impl VftBuilder {
     /// holds [`VFT_ENTRIES`] distinct entries (a hardware VFT has fixed
     /// capacity); existing counters saturate at [`VFT_COUNTER_MAX`].
     pub fn observe(&mut self, value: u32) {
-        if let Some(c) = self.counts.get_mut(&value) {
-            *c = (*c + 1).min(VFT_COUNTER_MAX);
-        } else if self.counts.len() < VFT_ENTRIES {
-            self.counts.insert(value, 1);
+        const SHIFT: u32 = 32 - VFT_SLOTS.trailing_zeros();
+        let mut slot = home_slot(value, SHIFT);
+        while let Some(entry) = self.slots[slot].checked_sub(1) {
+            let (v, count) = &mut self.entries[usize::from(entry)];
+            if *v == value {
+                *count = (*count + 1).min(VFT_COUNTER_MAX);
+                return;
+            }
+            slot = (slot + 1) % VFT_SLOTS;
+        }
+        if self.entries.len() < VFT_ENTRIES {
+            self.entries.push((value, 1));
+            // At most VFT_ENTRIES (1024) entries, so the index fits.
+            self.slots[slot] = self.entries.len() as u16;
         } else {
             self.overflowed += 1;
         }
@@ -85,13 +122,13 @@ impl VftBuilder {
     /// Number of distinct values currently tracked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// `true` when no values have been observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries.is_empty()
     }
 
     /// Number of samples dropped because the table was full.
@@ -103,34 +140,19 @@ impl VftBuilder {
     /// Freezes the table into a canonical-Huffman codebook.
     #[must_use]
     pub fn build(&self) -> ScCodebook {
-        ScCodebook::from_counts(&self.counts)
+        ScCodebook::from_counts(&self.entries)
     }
 
-    /// Iterates the observed `(value, count)` pairs.
-    ///
-    /// Order is unspecified; callers must fold order-independently or
-    /// sort (codebook construction sorts by `(count desc, value)`).
+    /// Iterates the observed `(value, count)` pairs in first-observation
+    /// order.
     pub fn iter_counts(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        // latte-lint: allow(T1, reason = "documented unordered iterator; the only consumers sort by (count desc, value) or fold commutatively")
-        self.counts.iter().map(|(&v, &c)| (v, c))
-    }
-
-    /// Estimated cost, in bits, of encoding this table's sample stream
-    /// with `codebook` — used to judge whether a retrained codebook is
-    /// actually better than the incumbent.
-    #[must_use]
-    pub fn estimated_cost_bits(&self, codebook: &ScCodebook) -> u64 {
-        self.counts
-            // latte-lint: allow(T1, reason = "order-independent fold: a sum of per-entry costs is the same under any iteration order")
-            .iter()
-            .map(|(&v, &c)| u64::from(c) * u64::from(codebook.cost_bits(v)))
-            .sum()
+        self.entries.iter().copied()
     }
 }
 
 /// Symbols of the SC alphabet: tabled values plus the escape marker that
 /// prefixes a raw 32-bit literal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Symbol {
     Value(u32),
     Escape,
@@ -138,67 +160,147 @@ enum Symbol {
 
 /// An immutable canonical-Huffman codebook (the compressor's code-word
 /// table and the decompressor's lookup table, DeLUT, of §IV-C2).
-#[derive(Debug, Clone, Default)]
+///
+/// Encoding goes through an open-addressed `value -> (code, len)` table;
+/// decoding is canonical: codes of one length are consecutive integers,
+/// so per-length `(first, count, offset)` ranges map a `(len, code)` pair
+/// to its symbol without any table lookup.
+#[derive(Debug, Clone)]
 pub struct ScCodebook {
-    /// value -> code length in bits.
-    encode: HashMap<u32, (u32, u32)>, // value -> (code, len)
+    /// Encode table: `(value, code << LEN_BITS | len)`, a power-of-two
+    /// number of slots at most half full; `len == 0` marks an empty slot.
+    slots: Vec<(u32, u32)>,
+    /// Shift giving [`home_slot`] the table's index width.
+    shift: u32,
     escape: (u32, u32),
-    /// (len, code) -> symbol, for decoding.
-    decode: HashMap<(u32, u32), Symbol>,
+    /// Every symbol in canonical `(len, symbol)` order.
+    symbols: Vec<Symbol>,
+    /// Indexed by code length, `0..=max_len`.
+    lens: Vec<LenRange>,
     max_len: u32,
 }
 
+/// The canonical codes of one length: `count` consecutive codes from
+/// `first`, whose symbols start at `symbols[offset]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct LenRange {
+    first: u32,
+    count: u32,
+    offset: u32,
+}
+
+impl Default for ScCodebook {
+    /// The untrained codebook: no symbols at all, not even a decodable
+    /// escape. Every value costs a 32-bit literal.
+    fn default() -> ScCodebook {
+        ScCodebook {
+            slots: vec![(0, 0); 2],
+            shift: 31,
+            escape: (0, 0),
+            symbols: Vec::new(),
+            lens: Vec::new(),
+            max_len: 0,
+        }
+    }
+}
+
 impl ScCodebook {
-    /// Builds a codebook from raw value counts. An escape symbol is always
-    /// included so any line remains encodable.
+    /// Builds a codebook from raw `(value, count)` pairs. Zero counts are
+    /// ignored; a value listed twice keeps the sum of its counts. An
+    /// escape symbol is always included so any line remains encodable.
     #[must_use]
-    pub fn from_counts(counts: &HashMap<u32, u32>) -> ScCodebook {
-        let mut weights: Vec<(Symbol, u64)> = counts
+    pub fn from_counts(counts: &[(u32, u32)]) -> ScCodebook {
+        let mut values: Vec<(u32, u64)> = counts
             .iter()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(&v, &c)| (Symbol::Value(v), u64::from(c)))
+            .filter(|&&(_, c)| c > 0)
+            .map(|&(v, c)| (v, u64::from(c)))
             .collect();
-        // Deterministic tie-breaking independent of HashMap order.
-        weights.sort_unstable_by_key(|&(s, _)| s);
+        // Symbol order (values ascending, escape last) fixes the node
+        // indices and so every tie-break below.
+        values.sort_unstable_by_key(|&(v, _)| v);
+        values.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        let n = values.len();
+        let symbol = |i: usize| values.get(i).map_or(Symbol::Escape, |&(v, _)| Symbol::Value(v));
         // The escape symbol must stay cheap enough to be usable but should
         // not distort the tabled codes; weight 1 puts it at the bottom.
-        weights.push((Symbol::Escape, 1));
+        let mut weights: Vec<u64> = values.iter().map(|&(_, w)| w).collect();
+        weights.push(1);
 
         let mut lengths = huffman_code_lengths(&weights);
-        while lengths.iter().any(|&(_, l)| l > MAX_CODE_LEN) {
+        while lengths.iter().any(|&l| l > MAX_CODE_LEN) {
             // Degrade counter resolution until the tree flattens enough.
-            for w in weights.iter_mut() {
-                w.1 = (w.1 / 2).max(1);
+            for w in &mut weights {
+                *w = (*w / 2).max(1);
             }
             lengths = huffman_code_lengths(&weights);
         }
 
         // Canonical code assignment: sort by (length, symbol).
-        lengths.sort_unstable_by_key(|&(s, l)| (l, s));
-        let mut encode = HashMap::new();
-        let mut decode = HashMap::new();
-        let mut escape = (0, 0);
+        let mut order: Vec<usize> = (0..=n).collect();
+        order.sort_unstable_by_key(|&i| (lengths[i], i));
+        let slot_count = (2 * n).next_power_of_two().max(2);
+        let mut book = ScCodebook {
+            slots: vec![(0, 0); slot_count],
+            shift: 32 - slot_count.trailing_zeros(),
+            symbols: Vec::with_capacity(n + 1),
+            lens: vec![LenRange::default(); LEN_SLOTS],
+            ..ScCodebook::default()
+        };
         let mut code = 0u32;
         let mut prev_len = 0u32;
-        let mut max_len = 0;
-        for &(sym, len) in &lengths {
+        for &i in &order {
+            let len = lengths[i];
             code <<= len - prev_len;
             prev_len = len;
-            max_len = max_len.max(len);
-            match sym {
-                Symbol::Value(v) => {
-                    encode.insert(v, (code, len));
-                }
-                Symbol::Escape => escape = (code, len),
+            let range = &mut book.lens[len as usize];
+            if range.count == 0 {
+                range.first = code;
+                range.offset = book.symbols.len() as u32;
             }
-            decode.insert((len, code), sym);
+            range.count += 1;
+            book.max_len = book.max_len.max(len);
+            let sym = symbol(i);
+            book.symbols.push(sym);
+            match sym {
+                Symbol::Value(v) => book.insert(v, code, len),
+                Symbol::Escape => book.escape = (code, len),
+            }
             code += 1;
         }
-        ScCodebook {
-            encode,
-            escape,
-            decode,
-            max_len,
+        book.lens.truncate(book.max_len as usize + 1);
+        book
+    }
+
+    /// Places a new value in the encode table (linear probing).
+    fn insert(&mut self, value: u32, code: u32, len: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = home_slot(value, self.shift);
+        while self.slots[slot].1 != 0 {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = (value, code << LEN_BITS | len);
+    }
+
+    /// `(code, len)` of a tabled value.
+    #[inline]
+    fn lookup(&self, value: u32) -> Option<(u32, u32)> {
+        let mask = self.slots.len() - 1;
+        let mut slot = home_slot(value, self.shift);
+        loop {
+            let (v, packed) = self.slots[slot];
+            if packed == 0 {
+                return None;
+            }
+            if v == value {
+                return Some((packed >> LEN_BITS, packed & ((1 << LEN_BITS) - 1)));
+            }
+            slot = (slot + 1) & mask;
         }
     }
 
@@ -206,7 +308,7 @@ impl ScCodebook {
     /// escapes.
     #[must_use]
     pub fn code_len(&self, value: u32) -> Option<u32> {
-        self.encode.get(&value).map(|&(_, l)| l)
+        self.lookup(value).map(|(_, l)| l)
     }
 
     /// Cost in bits of encoding `value` (tabled code or escape + literal).
@@ -218,7 +320,9 @@ impl ScCodebook {
     /// Number of tabled values.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.encode.len()
+        // Every symbol but the escape (absent only from the untrained
+        // codebook, which has no symbols at all).
+        self.symbols.len().saturating_sub(1)
     }
 
     /// `true` if both codebooks table exactly the same values. Used to
@@ -227,15 +331,17 @@ impl ScCodebook {
     /// values, so stale-line invalidation can be skipped.
     #[must_use]
     pub fn same_dictionary(&self, other: &ScCodebook) -> bool {
-        self.encode.len() == other.encode.len()
-            // latte-lint: allow(T1, reason = "order-independent predicate: all() over set membership is the same under any iteration order")
-            && self.encode.keys().all(|k| other.encode.contains_key(k))
+        self.len() == other.len()
+            && self.symbols.iter().all(|&s| match s {
+                Symbol::Value(v) => other.lookup(v).is_some(),
+                Symbol::Escape => true,
+            })
     }
 
     /// `true` when no values are tabled (everything escapes).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.encode.is_empty()
+        self.len() == 0
     }
 
     /// Encodes a line against this codebook (the payload path; size
@@ -246,8 +352,8 @@ impl ScCodebook {
         let t = stats::start();
         let mut w = BitWriter::new();
         for word in line.u32_words() {
-            match self.encode.get(&word) {
-                Some(&(code, len)) => w.write_bits(u64::from(code), len),
+            match self.lookup(word) {
+                Some((code, len)) => w.write_bits(u64::from(code), len),
                 None => {
                     let (code, len) = self.escape;
                     w.write_bits(u64::from(code), len);
@@ -278,18 +384,21 @@ impl ScCodebook {
         let mut words = [0u32; CacheLine::NUM_U32_WORDS];
         for slot in &mut words {
             let mut code = 0u32;
-            let mut len = 0u32;
+            let mut len = 0usize;
             let sym = loop {
                 code = (code << 1) | u32::from(r.try_read_bit()?);
                 len += 1;
-                if len > self.max_len {
+                if len > self.max_len as usize {
                     return Err(DecodeError::InvalidCode {
                         algo: "SC",
                         detail: "code exceeds codebook maximum length",
                     });
                 }
-                if let Some(&sym) = self.decode.get(&(len, code)) {
-                    break sym;
+                // Codes of one length are consecutive from `first`.
+                let range = self.lens[len];
+                let rank = code.wrapping_sub(range.first);
+                if rank < range.count {
+                    break self.symbols[(range.offset + rank) as usize];
                 }
             };
             *slot = match sym {
@@ -301,81 +410,57 @@ impl ScCodebook {
     }
 }
 
-/// Computes Huffman code lengths for `weights` (symbol, weight) pairs.
-// The heap pops below are guarded by the surrounding `len() > 1` checks;
-// this is codebook construction, not a decode path.
-#[allow(clippy::expect_used)]
-fn huffman_code_lengths(weights: &[(Symbol, u64)]) -> Vec<(Symbol, u32)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    if weights.is_empty() {
-        return Vec::new();
+/// Computes Huffman code lengths for `weights` (one per symbol, in symbol
+/// order).
+///
+/// Two-queue construction: leaves sorted by `(weight, index)` form one
+/// queue, internal nodes in creation order the other. Merged weights
+/// never decrease and internal indices only grow, so the second queue is
+/// sorted by `(weight, index)` too, and taking the smaller head of the
+/// two (a leaf on equal weight: its index is lower) pops nodes in exactly
+/// the order of a min-heap over `(weight, index)` — the same tree, hence
+/// the same lengths, in `O(n log n)` for the initial sort and `O(n)`
+/// after it.
+fn huffman_code_lengths(weights: &[u64]) -> Vec<u32> {
+    let n = weights.len();
+    if n < 2 {
+        return vec![1; n];
     }
-    if weights.len() == 1 {
-        return vec![(weights[0].0, 1)];
-    }
-
-    // Arena of tree nodes: leaves first, internal nodes appended.
-    // children[i] is None for leaves.
-    let mut children: Vec<Option<(usize, usize)>> = vec![None; weights.len()];
-    // Min-heap over (weight, node index); the index doubles as a
-    // deterministic tie-breaker.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = weights
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, w))| Reverse((w, i)))
-        .collect();
-    // Two pops per iteration are guaranteed by the len > 1 guard, and
-    // the loop leaves exactly one node — the root — behind; written
-    // let-else so no panicking path exists even if that reasoning rots.
-    while heap.len() > 1 {
-        let (Some(Reverse((w1, n1))), Some(Reverse((w2, n2)))) = (heap.pop(), heap.pop()) else {
-            break;
-        };
-        let idx = children.len();
-        children.push(Some((n1, n2)));
-        heap.push(Reverse((w1 + w2, idx)));
-    }
-    let root = match heap.pop() {
-        Some(Reverse((_, root))) => root,
-        None => return Vec::new(), // unreachable: weights is non-empty
-    };
-
-    let mut lengths = vec![0u32; weights.len()];
-    let mut stack = vec![(root, 0u32)];
-    while let Some((node, depth)) = stack.pop() {
-        match children[node] {
-            None => lengths[node] = depth.max(1),
-            Some((l, r)) => {
-                stack.push((l, depth + 1));
-                stack.push((r, depth + 1));
+    let mut leaves: Vec<usize> = (0..n).collect();
+    leaves.sort_unstable_by_key(|&i| (weights[i], i));
+    // Node arena: leaves first, internal nodes appended as created.
+    let mut weight: Vec<u64> = weights.to_vec();
+    let mut parent: Vec<usize> = vec![0; 2 * n - 1];
+    let (mut next_leaf, mut next_internal) = (0, n);
+    for _ in 1..n {
+        let mut take = || {
+            let leaf = leaves.get(next_leaf).copied();
+            match leaf {
+                Some(l) if next_internal == weight.len() || weight[l] <= weight[next_internal] => {
+                    next_leaf += 1;
+                    l
+                }
+                _ => {
+                    next_internal += 1;
+                    next_internal - 1
+                }
             }
-        }
+        };
+        let (a, b) = (take(), take());
+        let merged = weight.len();
+        parent[a] = merged;
+        parent[b] = merged;
+        weight.push(weight[a] + weight[b]);
     }
-    weights
-        .iter()
-        .zip(lengths)
-        .map(|(&(s, _), l)| (s, l))
-        .collect()
-}
-
-impl PartialOrd for Symbol {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    // Children precede their parent in the arena, so one backwards sweep
+    // from the root assigns every depth.
+    let root = 2 * n - 2;
+    let mut depth = vec![0u32; 2 * n - 1];
+    for i in (0..root).rev() {
+        depth[i] = depth[parent[i]] + 1;
     }
-}
-
-// Manual Ord: Values sort by value, Escape sorts last.
-impl Ord for Symbol {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        match (self, other) {
-            (Symbol::Value(a), Symbol::Value(b)) => a.cmp(b),
-            (Symbol::Value(_), Symbol::Escape) => std::cmp::Ordering::Less,
-            (Symbol::Escape, Symbol::Value(_)) => std::cmp::Ordering::Greater,
-            (Symbol::Escape, Symbol::Escape) => std::cmp::Ordering::Equal,
-        }
-    }
+    depth.truncate(n);
+    depth
 }
 
 /// The SC compressor: an immutable codebook plus the Table I cost model.
@@ -458,6 +543,7 @@ impl Compressor for Sc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn train(lines: &[CacheLine]) -> ScCodebook {
         let mut vft = VftBuilder::new();
@@ -570,7 +656,8 @@ mod tests {
             }
         }
         let cb = vft.build();
-        let mut codes: Vec<(u32, u32)> = cb.encode.values().copied().collect();
+        let mut codes: Vec<(u32, u32)> = (0..200u32).filter_map(|i| cb.lookup(i * 3)).collect();
+        assert_eq!(codes.len(), 200);
         codes.push(cb.escape);
         for (i, &(c1, l1)) in codes.iter().enumerate() {
             for &(c2, l2) in &codes[i + 1..] {
@@ -591,7 +678,7 @@ mod tests {
 
     #[test]
     fn deterministic_codebooks() {
-        // HashMap iteration order must not leak into code assignment.
+        // Observation order must not leak into code assignment.
         let build = || {
             let mut vft = VftBuilder::new();
             for i in 0..100u32 {
@@ -605,17 +692,367 @@ mod tests {
         let b = build();
         for i in 0..100u32 {
             let v = i.wrapping_mul(0x9e37_79b9);
-            assert_eq!(a.encode.get(&v), b.encode.get(&v));
+            assert_eq!(a.lookup(v), b.lookup(v));
         }
     }
 
     #[test]
     fn empty_codebook_contains_only_escape() {
-        let cb = ScCodebook::from_counts(&HashMap::new());
+        let cb = ScCodebook::from_counts(&[]);
         assert!(cb.is_empty());
         assert_eq!(cb.cost_bits(5), cb.escape.1 + 32);
         // Even an empty codebook round-trips via escapes.
         let line = CacheLine::from_u32_words(&(0..32).collect::<Vec<_>>());
         assert_eq!(cb.decode_line(&cb.encode_line(&line)), Ok(line));
+    }
+
+    #[test]
+    fn duplicate_counts_merge() {
+        let merged = ScCodebook::from_counts(&[(5, 3), (9, 1), (5, 4)]);
+        let summed = ScCodebook::from_counts(&[(9, 1), (5, 7)]);
+        for v in [5, 9] {
+            assert_eq!(merged.lookup(v), summed.lookup(v));
+        }
+        assert_eq!(merged.len(), 2);
+    }
+
+    #[test]
+    fn untrained_codebook_matches_reference_default() {
+        let new = ScCodebook::default();
+        let old = reference::Codebook::default();
+        let line = CacheLine::from_u32_words(&(0..32).map(|i| i * 7).collect::<Vec<_>>());
+        assert!(new.is_empty());
+        assert_eq!(new.cost_bits(3), 32);
+        let w = new.encode_line(&line);
+        assert_eq!(w, old.encode_line(&line));
+        assert_eq!(new.decode_line(&w), old.decode_line(&w));
+        assert_eq!(new.decode_line(&BitWriter::new()), old.decode_line(&BitWriter::new()));
+    }
+
+    /// The original codebook builder — `HashMap` VFT and tables, a
+    /// `BinaryHeap` Huffman — kept as the reference the flat tables must
+    /// match bit for bit.
+    mod reference {
+        use super::super::{Symbol, MAX_CODE_LEN, VFT_COUNTER_MAX, VFT_ENTRIES};
+        use crate::bitstream::{BitReader, BitWriter};
+        use crate::error::DecodeError;
+        use crate::line::CacheLine;
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, HashMap};
+
+        /// The `HashMap` VFT: `(counts, overflowed)` after `values`.
+        pub fn vft(values: &[u32]) -> (HashMap<u32, u32>, u64) {
+            let mut counts: HashMap<u32, u32> = HashMap::new();
+            let mut overflowed = 0;
+            for &value in values {
+                if let Some(c) = counts.get_mut(&value) {
+                    *c = (*c + 1).min(VFT_COUNTER_MAX);
+                } else if counts.len() < VFT_ENTRIES {
+                    counts.insert(value, 1);
+                } else {
+                    overflowed += 1;
+                }
+            }
+            (counts, overflowed)
+        }
+
+        #[derive(Debug, Default)]
+        pub struct Codebook {
+            pub encode: HashMap<u32, (u32, u32)>,
+            pub escape: (u32, u32),
+            decode: HashMap<(u32, u32), Symbol>,
+            pub max_len: u32,
+        }
+
+        /// Values sort by value, escape last.
+        fn rank(s: Symbol) -> (bool, u32) {
+            match s {
+                Symbol::Value(v) => (false, v),
+                Symbol::Escape => (true, 0),
+            }
+        }
+
+        pub fn from_counts(counts: &HashMap<u32, u32>) -> Codebook {
+            let mut weights: Vec<(Symbol, u64)> = counts
+                .iter()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(&v, &c)| (Symbol::Value(v), u64::from(c)))
+                .collect();
+            weights.sort_unstable_by_key(|&(s, _)| rank(s));
+            weights.push((Symbol::Escape, 1));
+            let mut lengths = huffman_code_lengths(&weights);
+            while lengths.iter().any(|&(_, l)| l > MAX_CODE_LEN) {
+                for w in weights.iter_mut() {
+                    w.1 = (w.1 / 2).max(1);
+                }
+                lengths = huffman_code_lengths(&weights);
+            }
+            lengths.sort_unstable_by_key(|&(s, l)| (l, rank(s)));
+            let mut book = Codebook::default();
+            let mut code = 0u32;
+            let mut prev_len = 0u32;
+            for &(sym, len) in &lengths {
+                code <<= len - prev_len;
+                prev_len = len;
+                book.max_len = book.max_len.max(len);
+                match sym {
+                    Symbol::Value(v) => {
+                        book.encode.insert(v, (code, len));
+                    }
+                    Symbol::Escape => book.escape = (code, len),
+                }
+                book.decode.insert((len, code), sym);
+                code += 1;
+            }
+            book
+        }
+
+        pub fn huffman_code_lengths(weights: &[(Symbol, u64)]) -> Vec<(Symbol, u32)> {
+            if weights.len() == 1 {
+                return vec![(weights[0].0, 1)];
+            }
+            let mut children: Vec<Option<(usize, usize)>> = vec![None; weights.len()];
+            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, w))| Reverse((w, i)))
+                .collect();
+            while heap.len() > 1 {
+                let (Some(Reverse((w1, n1))), Some(Reverse((w2, n2)))) = (heap.pop(), heap.pop())
+                else {
+                    break;
+                };
+                let idx = children.len();
+                children.push(Some((n1, n2)));
+                heap.push(Reverse((w1 + w2, idx)));
+            }
+            let Some(Reverse((_, root))) = heap.pop() else {
+                return Vec::new();
+            };
+            let mut lengths = vec![0u32; weights.len()];
+            let mut stack = vec![(root, 0u32)];
+            while let Some((node, depth)) = stack.pop() {
+                match children[node] {
+                    None => lengths[node] = depth.max(1),
+                    Some((l, r)) => {
+                        stack.push((l, depth + 1));
+                        stack.push((r, depth + 1));
+                    }
+                }
+            }
+            weights.iter().zip(lengths).map(|(&(s, _), l)| (s, l)).collect()
+        }
+
+        impl Codebook {
+            pub fn encode_line(&self, line: &CacheLine) -> BitWriter {
+                let mut w = BitWriter::new();
+                for word in line.u32_words() {
+                    match self.encode.get(&word) {
+                        Some(&(code, len)) => w.write_bits(u64::from(code), len),
+                        None => {
+                            let (code, len) = self.escape;
+                            w.write_bits(u64::from(code), len);
+                            w.write_bits(u64::from(word), 32);
+                        }
+                    }
+                }
+                w
+            }
+
+            pub fn decode_line(&self, w: &BitWriter) -> Result<CacheLine, DecodeError> {
+                let mut r = BitReader::new(w.as_slice(), w.bit_len());
+                let mut words = [0u32; CacheLine::NUM_U32_WORDS];
+                for slot in &mut words {
+                    let mut code = 0u32;
+                    let mut len = 0u32;
+                    let sym = loop {
+                        code = (code << 1) | u32::from(r.try_read_bit()?);
+                        len += 1;
+                        if len > self.max_len {
+                            return Err(DecodeError::InvalidCode {
+                                algo: "SC",
+                                detail: "code exceeds codebook maximum length",
+                            });
+                        }
+                        if let Some(&sym) = self.decode.get(&(len, code)) {
+                            break sym;
+                        }
+                    };
+                    *slot = match sym {
+                        Symbol::Value(v) => v,
+                        Symbol::Escape => r.try_read_bits(32)? as u32,
+                    };
+                }
+                Ok(CacheLine::from_u32_words(&words))
+            }
+        }
+    }
+
+    /// The first `bits` bits of `w`.
+    fn truncated(w: &BitWriter, bits: usize) -> BitWriter {
+        let mut r = BitReader::new(w.as_slice(), w.bit_len());
+        let mut out = BitWriter::new();
+        for _ in 0..bits {
+            out.write_bit(r.read_bit());
+        }
+        out
+    }
+
+    /// Asserts the flat codebook built from `table` equals the reference
+    /// one: every `(code, len)`, the escape, `max_len`, and the bytes and
+    /// decode results (errors included) of `lines`, their truncations,
+    /// and `foreign` bitstreams.
+    fn assert_matches_reference(table: &[(u32, u32)], lines: &[CacheLine], foreign: &[BitWriter]) {
+        let new = ScCodebook::from_counts(table);
+        let old = reference::from_counts(&table.iter().copied().collect());
+        assert_eq!(new.len(), old.encode.len());
+        for &(v, _) in table {
+            assert_eq!(new.lookup(v), old.encode.get(&v).copied(), "value {v:#x}");
+        }
+        assert_eq!(new.escape, old.escape);
+        assert_eq!(new.max_len, old.max_len);
+        for line in lines {
+            let w = new.encode_line(line);
+            assert_eq!(w, old.encode_line(line));
+            assert_eq!(new.decode_line(&w), Ok(*line));
+            for bits in (0..w.bit_len()).step_by(w.bit_len() / 16 + 1) {
+                let cut = truncated(&w, bits);
+                assert_eq!(new.decode_line(&cut), old.decode_line(&cut), "cut at {bits}");
+            }
+        }
+        for w in foreign {
+            assert_eq!(new.decode_line(w), old.decode_line(w));
+        }
+    }
+
+    /// Distinct values `seed + i * stride` (odd stride: no repeats).
+    fn distinct(seed: u32, stride: u32, n: usize) -> Vec<u32> {
+        (0..n as u32).map(|i| seed.wrapping_add(i.wrapping_mul(stride | 1))).collect()
+    }
+
+    /// Fibonacci counts from 2: with the weight-1 escape, every merge
+    /// joins the running subtree with the next count, so Huffman builds a
+    /// chain `n` deep.
+    fn fibonacci(n: usize) -> Vec<u32> {
+        let mut f = vec![2u32, 3];
+        while f.len() < n {
+            f.push(f[f.len() - 1] + f[f.len() - 2]);
+        }
+        f.truncate(n);
+        f
+    }
+
+    /// `(value, count)` tables of the families the flat builder must get
+    /// exactly right.
+    fn table() -> impl Strategy<Value = Vec<(u32, u32)>> {
+        prop_oneof![
+            // Ties: many values sharing a few counts.
+            (any::<u32>(), any::<u32>(), prop::collection::vec(1u32..4, 1..300)).prop_map(
+                |(seed, stride, counts)| {
+                    distinct(seed, stride, counts.len()).into_iter().zip(counts).collect()
+                }
+            ),
+            // A single entry.
+            (any::<u32>(), 1u32..=VFT_COUNTER_MAX).prop_map(|(v, c)| vec![(v, c)]),
+            // A full 1024-entry VFT.
+            (any::<u32>(), any::<u32>(), prop::collection::vec(1u32..=VFT_COUNTER_MAX, VFT_ENTRIES))
+                .prop_map(|(seed, stride, counts)| {
+                    distinct(seed, stride, VFT_ENTRIES).into_iter().zip(counts).collect()
+                }),
+            // Saturated 12-bit counters everywhere.
+            (any::<u32>(), any::<u32>(), 1usize..=VFT_ENTRIES).prop_map(|(seed, stride, n)| {
+                distinct(seed, stride, n).into_iter().map(|v| (v, VFT_COUNTER_MAX)).collect()
+            }),
+            // Fibonacci weights: a maximally skewed tree deeper than
+            // MAX_CODE_LEN, so the degrade loop runs.
+            (any::<u32>(), any::<u32>(), 30usize..=44).prop_map(|(seed, stride, n)| {
+                distinct(seed, stride, n).into_iter().zip(fibonacci(n)).collect()
+            }),
+        ]
+    }
+
+    fn lines_over(table: &[(u32, u32)], noise: &[u32]) -> Vec<CacheLine> {
+        (0..4)
+            .map(|j| {
+                let words: Vec<u32> = (0..CacheLine::NUM_U32_WORDS)
+                    .map(|k| {
+                        if (j + k) % 3 == 0 {
+                            noise[(j * 32 + k) % noise.len()]
+                        } else {
+                            table[(j * 31 + k * 7) % table.len()].0
+                        }
+                    })
+                    .collect();
+                CacheLine::from_u32_words(&words)
+            })
+            .collect()
+    }
+
+    fn foreign_streams(raw: &[Vec<u8>]) -> Vec<BitWriter> {
+        raw.iter()
+            .map(|bytes| {
+                let mut w = BitWriter::new();
+                for &b in bytes {
+                    w.write_bits(u64::from(b), 8);
+                }
+                w
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fibonacci_table_runs_the_degrade_loop() {
+        let n = 40;
+        let counts = fibonacci(n);
+        let mut weights: Vec<(Symbol, u64)> =
+            (0..n as u32).map(|v| (Symbol::Value(v), u64::from(counts[v as usize]))).collect();
+        weights.push((Symbol::Escape, 1));
+        let first = reference::huffman_code_lengths(&weights);
+        assert!(first.iter().any(|&(_, l)| l > MAX_CODE_LEN), "no degrade needed");
+        let table: Vec<(u32, u32)> = (0..n as u32).zip(counts).collect();
+        let cb = ScCodebook::from_counts(&table);
+        assert!(cb.max_len <= MAX_CODE_LEN);
+        assert_matches_reference(&table, &lines_over(&table, &[1, 2, 3]), &[]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn flat_codebook_matches_hashmap_heap_reference(
+            table in table(),
+            noise in prop::collection::vec(any::<u32>(), 1..64),
+            raw in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..6),
+        ) {
+            assert_matches_reference(&table, &lines_over(&table, &noise), &foreign_streams(&raw));
+        }
+
+        #[test]
+        fn flat_vft_matches_hashmap_vft(
+            alphabet in 1u32..1600,
+            stream in prop::collection::vec(any::<u32>(), 0..3000),
+            hot in any::<u32>(),
+            hot_repeats in 0usize..5000,
+        ) {
+            // Values from an alphabet that may overflow the 1024 entries,
+            // plus one value repeated past counter saturation.
+            let mut values: Vec<u32> = stream.iter().map(|v| v % alphabet).collect();
+            values.extend(std::iter::repeat_n(hot, hot_repeats));
+            let mut vft = VftBuilder::new();
+            for &v in &values {
+                vft.observe(v);
+            }
+            let (counts, overflowed) = reference::vft(&values);
+            prop_assert_eq!(vft.len(), counts.len());
+            prop_assert_eq!(vft.overflowed(), overflowed);
+            let mut flat: Vec<(u32, u32)> = vft.iter_counts().collect();
+            flat.sort_unstable();
+            let mut hashed: Vec<(u32, u32)> = counts.into_iter().collect();
+            hashed.sort_unstable();
+            prop_assert_eq!(&flat, &hashed);
+            if !flat.is_empty() {
+                assert_matches_reference(&flat, &lines_over(&flat, &[hot]), &[]);
+            }
+        }
     }
 }

@@ -214,8 +214,8 @@ impl ScManager {
     /// VFT. Called from the shadow-verification checkpoints via
     /// `L1CompressionPolicy::validate`.
     ///
-    /// The VFT check reports *how many* counters are out of bounds — an
-    /// order-independent aggregate over the hash table — never which.
+    /// The VFT check reports *how many* counters are out of bounds,
+    /// never which.
     ///
     /// # Errors
     ///

@@ -68,7 +68,7 @@ impl Gpu {
             config: config.clone(),
             sms,
             l2,
-            image: MemImage::new(),
+            image: MemImage::default(),
             policies,
             events: BinaryHeap::new(),
             diag: None,

@@ -9,6 +9,9 @@ use crate::config::SchedulerKind;
 use crate::warp::Warp;
 use latte_compress::Cycles;
 
+/// Fold sentinel: "no ready warp" (no real id or slice position).
+const NONE: usize = usize::MAX;
+
 /// One warp scheduler: owns a fixed slice of the SM's warps (by index) and
 /// picks at most one to issue per cycle.
 #[derive(Debug, Clone)]
@@ -64,78 +67,97 @@ impl WarpScheduler {
 
     /// Picks the warp to issue at `cycle`, or `None` if no owned warp is
     /// ready. Also samples the ready count for the tolerance probe.
+    ///
+    /// Each call makes one pass over the owned warps. GTO's greedy hit
+    /// (the current warp still ready) needs only the availability count;
+    /// otherwise the pass also folds the lowest ready warp id (GTO's
+    /// oldest) or the first ready warp after the rotor (LRR).
     pub fn pick(&mut self, warps: &[Warp], cycle: Cycles) -> Option<usize> {
-        // The tolerance probe counts *available* warps — those holding
-        // execution work (ready or computing) rather than stalled on
-        // memory — since those are the warps whose work can hide a
-        // decompression stall.
-        let available = self
-            .warp_ids
-            .iter()
-            .filter(|&&w| warps[w].is_available())
-            .count() as u64;
-        self.ready_samples += 1;
-        self.ready_sum += available;
-        let ready = self
-            .warp_ids
-            .iter()
-            .filter(|&&w| warps[w].is_ready(cycle))
-            .count() as u64;
-        if ready == 0 {
-            // An unready current warp ends its greedy run.
+        match self.kind {
+            SchedulerKind::Gto => self.pick_gto(warps, cycle),
+            SchedulerKind::Lrr => self.pick_lrr(warps, cycle),
+        }
+    }
+
+    fn pick_gto(&mut self, warps: &[Warp], cycle: Cycles) -> Option<usize> {
+        if let Some(cur) = self.current {
+            if warps[cur].is_ready(cycle) {
+                self.sample(self.available(warps));
+                self.run_length += 1;
+                return Some(cur);
+            }
+        }
+        let mut available = 0u64;
+        let mut oldest = NONE;
+        for &w in &self.warp_ids {
+            let warp = &warps[w];
+            available += u64::from(warp.is_available());
+            oldest = oldest.min(if warp.is_ready(cycle) { w } else { NONE });
+        }
+        self.sample(available);
+        // An unready current warp ends its greedy run.
+        self.end_run();
+        if oldest == NONE {
+            return None;
+        }
+        // Oldest = lowest warp id (warps are launched in id order).
+        self.current = Some(oldest);
+        self.run_length = 1;
+        Some(oldest)
+    }
+
+    fn pick_lrr(&mut self, warps: &[Warp], cycle: Cycles) -> Option<usize> {
+        // Rotate: the next ready warp after the last issued one (its
+        // first slice position), wrapping to the first ready warp.
+        let rotor = self.current.unwrap_or(NONE);
+        let mut available = 0u64;
+        let mut first = NONE;
+        let mut after_rotor = NONE;
+        let mut past_rotor = false;
+        for (pos, &w) in self.warp_ids.iter().enumerate() {
+            let warp = &warps[w];
+            let ready = warp.is_ready(cycle);
+            available += u64::from(warp.is_available());
+            first = first.min(if ready { pos } else { NONE });
+            after_rotor = after_rotor.min(if ready && past_rotor { pos } else { NONE });
+            past_rotor |= w == rotor;
+        }
+        self.sample(available);
+        if first == NONE {
             self.end_run();
             return None;
         }
-        match self.kind {
-            SchedulerKind::Gto => {
-                if let Some(cur) = self.current {
-                    if warps[cur].is_ready(cycle) {
-                        self.run_length += 1;
-                        return Some(cur);
-                    }
-                    self.end_run();
-                }
-                // Oldest = lowest warp id (warps are launched in id order).
-                // `ready > 0` was checked on entry, so `min()` is Some;
-                // `?` keeps the path panic-free regardless.
-                let oldest = self
-                    .warp_ids
-                    .iter()
-                    .copied()
-                    .filter(|&w| warps[w].is_ready(cycle))
-                    .min()?;
-                self.current = Some(oldest);
-                self.run_length = 1;
-                Some(oldest)
-            }
-            SchedulerKind::Lrr => {
-                // Rotate: next ready warp after the last issued one.
-                let start = self
-                    .current
-                    .and_then(|c| self.warp_ids.iter().position(|&w| w == c))
-                    .map(|p| p + 1)
-                    .unwrap_or(0);
-                let n = self.warp_ids.len();
-                let next = (0..n)
-                    .map(|i| self.warp_ids[(start + i) % n])
-                    .find(|&w| warps[w].is_ready(cycle))?;
-                self.current = Some(next);
-                self.runs_completed += 1;
-                self.run_length_sum += 1;
-                Some(next)
-            }
-        }
+        let next = self.warp_ids[if after_rotor == NONE { first } else { after_rotor }];
+        self.current = Some(next);
+        self.runs_completed += 1;
+        self.run_length_sum += 1;
+        Some(next)
+    }
+
+    /// Number of owned warps holding execution work.
+    ///
+    /// The tolerance probe counts *available* warps — those holding
+    /// execution work (ready or computing) rather than stalled on memory
+    /// — since those are the warps whose work can hide a decompression
+    /// stall.
+    fn available(&self, warps: &[Warp]) -> u64 {
+        self.warp_ids
+            .iter()
+            .filter(|&&w| warps[w].is_available())
+            .count() as u64
+    }
+
+    /// Adds one cycle's availability count to the probe.
+    fn sample(&mut self, available: u64) {
+        self.ready_samples += 1;
+        self.ready_sum += available;
     }
 
     /// Accounts `n` skipped (no-issue) cycles into the probe. Warps may
     /// still hold compute work during skipped cycles, so availability is
     /// sampled rather than assumed zero.
     pub fn account_idle_cycles(&mut self, n: u64, warps: &[Warp]) {
-        let available = self
-            .warp_ids
-            .iter()
-            .filter(|&&w| warps[w].is_available())
-            .count() as u64;
+        let available = self.available(warps);
         self.ready_samples += n;
         self.ready_sum += available * n;
         self.end_run();
@@ -178,6 +200,137 @@ mod tests {
     use super::*;
     use crate::ops::{Op, VecStream};
     use crate::warp::{Warp, WarpState};
+    use proptest::prelude::*;
+
+    /// The original three-pass `pick` (available count, ready count, then
+    /// a policy-specific search), kept as the reference the single-pass
+    /// version must match pick for pick and probe for probe.
+    fn reference_pick(s: &mut WarpScheduler, warps: &[Warp], cycle: Cycles) -> Option<usize> {
+        let available = s
+            .warp_ids
+            .iter()
+            .filter(|&&w| warps[w].is_available())
+            .count() as u64;
+        s.ready_samples += 1;
+        s.ready_sum += available;
+        let ready = s
+            .warp_ids
+            .iter()
+            .filter(|&&w| warps[w].is_ready(cycle))
+            .count() as u64;
+        if ready == 0 {
+            s.end_run();
+            return None;
+        }
+        match s.kind {
+            SchedulerKind::Gto => {
+                if let Some(cur) = s.current {
+                    if warps[cur].is_ready(cycle) {
+                        s.run_length += 1;
+                        return Some(cur);
+                    }
+                    s.end_run();
+                }
+                let oldest = s
+                    .warp_ids
+                    .iter()
+                    .copied()
+                    .filter(|&w| warps[w].is_ready(cycle))
+                    .min()?;
+                s.current = Some(oldest);
+                s.run_length = 1;
+                Some(oldest)
+            }
+            SchedulerKind::Lrr => {
+                let start = s
+                    .current
+                    .and_then(|c| s.warp_ids.iter().position(|&w| w == c))
+                    .map(|p| p + 1)
+                    .unwrap_or(0);
+                let n = s.warp_ids.len();
+                let next = (0..n)
+                    .map(|i| s.warp_ids[(start + i) % n])
+                    .find(|&w| warps[w].is_ready(cycle))?;
+                s.current = Some(next);
+                s.runs_completed += 1;
+                s.run_length_sum += 1;
+                Some(next)
+            }
+        }
+    }
+
+    /// A warp state relative to `cycle`, covering every `is_ready` /
+    /// `is_available` combination (past, present and future deadlines).
+    fn state_at(code: u8, offset: u64, cycle: Cycles) -> WarpState {
+        let at = (cycle + offset).saturating_sub(1);
+        match code {
+            0 => WarpState::Ready,
+            1 => WarpState::BusyUntil(at),
+            2 => WarpState::WaitingData {
+                until: at,
+                pending_misses: (offset % 2) as u32,
+            },
+            3 => WarpState::AtBarrier(cycle),
+            _ => WarpState::Finished,
+        }
+    }
+
+    const POOL: usize = 12;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn single_pass_pick_matches_three_pass_reference(
+            gto in any::<bool>(),
+            owned in prop::collection::vec(0usize..POOL, 1..POOL),
+            steps in prop::collection::vec(
+                (0u64..3, prop::collection::vec((0u8..5, 0u64..4), POOL), 0u8..8),
+                1..60,
+            ),
+        ) {
+            // A distinct subset of the pool, in arbitrary order.
+            let mut ids: Vec<usize> = Vec::new();
+            for w in owned {
+                if !ids.contains(&w) {
+                    ids.push(w);
+                }
+            }
+            let kind = if gto { SchedulerKind::Gto } else { SchedulerKind::Lrr };
+            let mut fast = WarpScheduler::new(kind, ids.clone());
+            let mut slow = WarpScheduler::new(kind, ids);
+            let mut ws = warps(POOL);
+            let mut cycle = 0;
+            for (step, (delta, states, action)) in steps.into_iter().enumerate() {
+                cycle += delta;
+                for (warp, &(code, offset)) in ws.iter_mut().zip(&states) {
+                    warp.state = state_at(code, offset, cycle);
+                }
+                match action {
+                    0 => {
+                        fast.account_idle_cycles(2, &ws);
+                        slow.account_idle_cycles(2, &ws);
+                    }
+                    1 => prop_assert_eq!(fast.take_probe(), slow.take_probe(), "step {}", step),
+                    _ => prop_assert_eq!(
+                        fast.pick(&ws, cycle),
+                        reference_pick(&mut slow, &ws, cycle),
+                        "step {}",
+                        step
+                    ),
+                }
+                // The probe as it would read now, without resetting the
+                // accumulators the next steps build on.
+                prop_assert_eq!(
+                    fast.clone().take_probe(),
+                    slow.clone().take_probe(),
+                    "probe at step {}",
+                    step
+                );
+                prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "state at step {}", step);
+            }
+        }
+    }
 
     fn warps(n: usize) -> Vec<Warp> {
         (0..n)

@@ -1,14 +1,6 @@
 //! One streaming multiprocessor: warps, schedulers, L1, decompression
 //! queue, MSHRs and the experimental-phase (EP) bookkeeping.
 
-// Order-independence audit (2026-08): `waiters` and `pending_stores` are
-// accessed only through keyed operations (entry/remove/contains_key/
-// is_empty/clear) — never iterated — and the Vec behind each `waiters`
-// key preserves enqueue order, so wakeup order is insertion order, not
-// hash order. The shared memory image behind `L2Port::Direct` is likewise
-// keyed-only (get/insert).
-// latte-lint: allow-file(D3, reason = "keyed access only, never iterated; per-key Vec keeps wakeups in enqueue order")
-
 use crate::config::GpuConfig;
 use crate::faults::{BitflipOutcome, FaultInjector};
 use crate::ops::{Kernel, Op};
@@ -18,10 +10,9 @@ use crate::shadow::{roundtrip_stored, ShadowCheck, ShadowCheckpoint};
 use crate::stats::{EpTraceEntry, KernelStats};
 use crate::warp::{Warp, WarpState};
 use latte_cache::{
-    CompressedCache, DecompressionQueue, LineAddr, LookupOutcome, Mshr, MshrOutcome,
+    CompressedCache, DecompressionQueue, LineAddr, LineMap, LookupOutcome, Mshr, MshrOutcome,
 };
 use latte_compress::{CacheLine, Compression, Cycles};
-use std::collections::HashMap;
 
 /// The backing-store image: architectural memory contents *behind* the
 /// L2, as modified by dirty write-backs. Lines absent from the map still
@@ -31,7 +22,7 @@ use std::collections::HashMap;
 /// points — inline in the serial loop, at the barrier arbiter under
 /// `--sim-threads` — so both paths read and write it in the identical
 /// `(cycle, phase, sm, seq)` order.
-pub(crate) type MemImage = HashMap<LineAddr, CacheLine>;
+pub(crate) type MemImage = LineMap<CacheLine>;
 
 /// A memory request completing at `cycle` for `sm`'s line `addr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -255,12 +246,13 @@ pub(crate) struct Sm {
     pub l1: CompressedCache,
     mshr: Mshr,
     dq: DecompressionQueue,
-    /// Warps blocked on each outstanding line.
-    waiters: HashMap<LineAddr, Vec<(usize, Cycles)>>,
+    /// Warps blocked on each outstanding line. Keyed access only; the
+    /// Vec behind each key keeps wakeups in enqueue order.
+    waiters: LineMap<Vec<(usize, Cycles)>>,
     /// Write-back mode: sectors stored while the line's allocating fill
     /// is in flight, merged into the line when the fill arrives (last
     /// write to a sector wins). Keyed access only, never iterated.
-    pending_stores: HashMap<LineAddr, [Option<[u8; 32]>; 4]>,
+    pending_stores: LineMap<[Option<[u8; 32]>; 4]>,
     /// Warp ids per thread block (barrier scope).
     blocks: Vec<Vec<usize>>,
     /// Deterministic fault source (absent when injection is disabled).
@@ -292,8 +284,8 @@ impl Sm {
             l1,
             mshr: Mshr::new(config.mshr_entries, config.mshr_merges),
             dq: DecompressionQueue::new(),
-            waiters: HashMap::new(),
-            pending_stores: HashMap::new(),
+            waiters: LineMap::default(),
+            pending_stores: LineMap::default(),
             blocks: Vec::new(),
             faults: config.faults.map(|fc| FaultInjector::new(fc, id)),
             ep_access_count: 0,

@@ -32,12 +32,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// latte-lint: allow-file(D3, reason = "the reference memory is keyed-access only — inserted on fill, probed on load, never iterated — so hash order cannot reach any report or output")
 
-use latte_cache::LineAddr;
+use latte_cache::{LineAddr, LineMap, LineSet};
 use latte_compress::{CacheLine, Cycles};
 use latte_gpusim::{ShadowCheck, ShadowCheckpoint, ShadowViolation, ShadowViolationKind};
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cap on violations kept verbatim in the report; past this, only the
@@ -97,13 +95,12 @@ impl OracleHandle {
 /// zero-latency memory shadowing the simulated hierarchy.
 #[derive(Debug)]
 pub struct MemoryOracle {
-    /// Reference contents. Keyed access only — never iterated — so the
-    /// hash map's nondeterministic order cannot leak into any output.
-    memory: HashMap<LineAddr, CacheLine>,
+    /// Reference contents. Keyed access only — never iterated.
+    memory: LineMap<CacheLine>,
     /// Lines with architecturally committed stores this kernel. A refetch
     /// of such a line must deliver the reference bytes — anything else
     /// means the hierarchy lost a dirty write-back. Keyed access only.
-    stored: HashSet<LineAddr>,
+    stored: LineSet,
     report: Arc<Mutex<OracleReport>>,
 }
 
@@ -118,8 +115,8 @@ impl MemoryOracle {
         };
         (
             MemoryOracle {
-                memory: HashMap::new(),
-                stored: HashSet::new(),
+                memory: LineMap::default(),
+                stored: LineSet::default(),
                 report,
             },
             handle,
