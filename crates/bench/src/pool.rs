@@ -85,7 +85,10 @@ fn run_one_subtask() -> bool {
 /// is `None` only if the worker executing it died (a panic escaping the
 /// task closure).
 ///
-/// `jobs` is clamped to `1..=tasks.len()`.
+/// Starts `jobs.max(1)` workers even when there are fewer tasks: a
+/// worker left without a main task runs the subtasks the others fan out
+/// through [`run_subtasks`], so a single experiment still uses every
+/// worker. It exits once every main task has completed.
 pub fn run_tasks<'env, T, F>(
     jobs: usize,
     tasks: Vec<Task<'env, T>>,
@@ -99,7 +102,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let jobs = jobs.clamp(1, n);
+    let jobs = jobs.max(1);
 
     // Seed the per-worker deques round-robin so long-running experiments
     // registered next to each other start on different workers.
@@ -412,6 +415,36 @@ mod tests {
         for (t, r) in results.iter().enumerate() {
             assert_eq!(*r, Some(t * 800 + 28));
         }
+    }
+
+    #[test]
+    fn one_main_task_fans_out_onto_every_worker() {
+        // Two subtasks that each wait for the other to start: they can
+        // only both succeed if two threads run them at once, i.e. if the
+        // second worker exists although there is only one main task. A
+        // missing worker fails the handshake by timeout instead of
+        // hanging.
+        const PATIENCE: Duration = Duration::from_secs(20);
+        let (to_b, from_a) = mpsc::channel::<()>();
+        let (to_a, from_b) = mpsc::channel::<()>();
+        let task: Task<'_, Vec<bool>> = Box::new(move || {
+            run_subtasks(vec![
+                Box::new(move || {
+                    let _ = to_b.send(());
+                    from_b.recv_timeout(PATIENCE).is_ok()
+                }) as Box<dyn FnOnce() -> bool + Send>,
+                Box::new(move || {
+                    let _ = to_a.send(());
+                    from_a.recv_timeout(PATIENCE).is_ok()
+                }),
+            ])
+        });
+        let results = run_tasks(2, vec![task], |_, _| {});
+        assert_eq!(
+            results,
+            vec![Some(vec![true, true])],
+            "subtasks never overlapped"
+        );
     }
 
     #[test]

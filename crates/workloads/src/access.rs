@@ -6,6 +6,12 @@
 //! tolerance is set by warp parallelism and the compute:memory ratio.
 //! Patterns are stateless functions of `(iteration, warp, seed)`, so warp
 //! programs can be regenerated for oracle replays.
+//!
+//! [`AccessPattern::line_offset`] is the reference definition. Kernels
+//! generate ops through a [`PreparedPattern`] instead, which hoists the
+//! work that is constant over a phase (the Zipf inverse-CDF constants and
+//! the rank scatter permutation) out of the per-op path while producing
+//! the same offsets bit for bit.
 
 use crate::values::mix64;
 
@@ -91,7 +97,7 @@ impl AccessPattern {
                 alpha_x100,
             } => {
                 let n = u64::from(universe_lines.max(1));
-                let u = mix64(seed ^ (i * 0x9e37 + warp * 0x79b9) ^ 0x5a5a);
+                let u = zipf_random(i, warp, seed);
                 let rank = zipf_sample(u, n, alpha_x100);
                 // Scatter ranks over lines with a bijection so hot ranks
                 // do not all land in the first few cache sets (which would
@@ -114,6 +120,114 @@ impl AccessPattern {
             }
         }
     }
+}
+
+/// Largest Zipf universe whose scatter permutation is tabulated (every
+/// rank then fits a `u16`). Larger universes, which only hand-built specs
+/// use, evaluate the Feistel network per op instead of allocating a table
+/// proportional to the universe.
+const MAX_TABULATED_UNIVERSE: u64 = 1 << 16;
+
+/// An [`AccessPattern`] prepared for one phase: the phase seed is bound
+/// and everything that depends only on the phase is computed once, so
+/// [`PreparedPattern::line_offset`] returns exactly what
+/// [`AccessPattern::line_offset`] returns for the same arguments, at a
+/// fraction of the cost for Zipf phases.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedPattern {
+    pattern: AccessPattern,
+    seed: u64,
+    /// Present for Zipf phases only.
+    zipf: Option<PreparedZipf>,
+}
+
+/// A Zipf phase's prepared sampler and rank scatter.
+#[derive(Debug, Clone)]
+struct PreparedZipf {
+    sampler: ZipfSampler,
+    scatter: Scatter,
+}
+
+/// The rank → line bijection of one Zipf phase.
+#[derive(Debug, Clone)]
+enum Scatter {
+    /// `table[rank] == scatter(rank, n, seed)` for every rank. The table
+    /// depends only on the universe and the phase seed, not on the SM or
+    /// warp, so a kernel builds it once and every warp's stream reads it.
+    Table(Box<[u16]>),
+    /// Universes above [`MAX_TABULATED_UNIVERSE`]: evaluated per op.
+    Feistel {
+        /// Universe size.
+        n: u64,
+    },
+}
+
+impl PreparedPattern {
+    /// Prepares `pattern` for a phase whose loads use `seed` (the seed
+    /// [`AccessPattern::line_offset`] would be called with).
+    pub(crate) fn new(pattern: AccessPattern, seed: u64) -> PreparedPattern {
+        let zipf = match pattern {
+            AccessPattern::Zipf {
+                universe_lines,
+                alpha_x100,
+            } => {
+                let n = u64::from(universe_lines.max(1));
+                let scatter = if n <= MAX_TABULATED_UNIVERSE {
+                    Scatter::Table(scatter_table(n, seed))
+                } else {
+                    Scatter::Feistel { n }
+                };
+                Some(PreparedZipf {
+                    sampler: ZipfSampler::new(n, alpha_x100),
+                    scatter,
+                })
+            }
+            _ => None,
+        };
+        PreparedPattern {
+            pattern,
+            seed,
+            zipf,
+        }
+    }
+
+    /// The line offset of load `i` issued by `warp`, out of `warps`:
+    /// `self.pattern.line_offset(i, warp, warps, seed)` for the seed this
+    /// pattern was prepared with.
+    #[inline]
+    pub(crate) fn line_offset(&self, i: u64, warp: u64, warps: u64) -> u64 {
+        match &self.zipf {
+            Some(zipf) => zipf.line_offset(i, warp, self.seed),
+            None => self.pattern.line_offset(i, warp, warps, self.seed),
+        }
+    }
+}
+
+impl PreparedZipf {
+    /// [`PreparedPattern::line_offset`] of a Zipf phase. Kept out of
+    /// line: inlined, its `powf` call and table lookup bloat the op
+    /// generator's hot loop and slow the other patterns' ops.
+    #[inline(never)]
+    fn line_offset(&self, i: u64, warp: u64, seed: u64) -> u64 {
+        let rank = self.sampler.sample(zipf_random(i, warp, seed));
+        match &self.scatter {
+            Scatter::Table(table) => u64::from(table[rank as usize]),
+            Scatter::Feistel { n } => scatter(rank, *n, seed),
+        }
+    }
+}
+
+/// The uniform random bits behind Zipf load `i` of `warp`.
+#[inline]
+fn zipf_random(i: u64, warp: u64, seed: u64) -> u64 {
+    mix64(seed ^ (i * 0x9e37 + warp * 0x79b9) ^ 0x5a5a)
+}
+
+/// `scatter(rank, n, seed)` for every rank in `[0, n)`, `n ≤`
+/// [`MAX_TABULATED_UNIVERSE`].
+fn scatter_table(n: u64, seed: u64) -> Box<[u16]> {
+    debug_assert!(n <= MAX_TABULATED_UNIVERSE);
+    (0..n).map(|rank| scatter(rank, n, seed) as u16).collect()
 }
 
 /// A bijective scatter of `[0, n)` onto itself: a 3-round Feistel network
@@ -145,6 +259,9 @@ fn scatter(x: u64, n: u64, seed: u64) -> u64 {
 /// using the inverse-CDF power-law approximation: rank ≈ n·u^(1/(1−α))
 /// for α < 1, and a bounded harmonic approximation above. Exactness is
 /// irrelevant — only the skew matters.
+///
+/// This is the reference definition; [`ZipfSampler`] evaluates the same
+/// expression with its phase-constant terms hoisted.
 fn zipf_sample(random: u64, n: u64, alpha_x100: u32) -> u64 {
     let u = ((random >> 11) as f64) / ((1u64 << 53) as f64); // [0, 1)
     let alpha = f64::from(alpha_x100) / 100.0;
@@ -160,9 +277,176 @@ fn zipf_sample(random: u64, n: u64, alpha_x100: u32) -> u64 {
     (rank as u64).min(n - 1)
 }
 
+/// [`zipf_sample`] for one `(n, α)`, with the terms that depend only on
+/// them computed once. Every remaining f64 operation is the one
+/// `zipf_sample` performs, on the same operands in the same order, so the
+/// sampled ranks are bit-identical; each sample costs one `powf` instead
+/// of two.
+#[derive(Debug, Clone, Copy)]
+struct ZipfSampler {
+    /// `n - 1`, the largest rank.
+    max_rank: u64,
+    /// `n as f64`.
+    n: f64,
+    /// Whether α ≈ 1 (the log-uniform branch).
+    harmonic: bool,
+    /// `n^(1−α) − 1` (unused when `harmonic`).
+    span: f64,
+    /// `1/(1−α)` (unused when `harmonic`).
+    inv_p: f64,
+}
+
+impl ZipfSampler {
+    fn new(n: u64, alpha_x100: u32) -> ZipfSampler {
+        let alpha = f64::from(alpha_x100) / 100.0;
+        let p = 1.0 - alpha;
+        let nf = n as f64;
+        ZipfSampler {
+            max_rank: n - 1,
+            n: nf,
+            harmonic: (alpha - 1.0).abs() < 0.01,
+            span: nf.powf(p) - 1.0,
+            inv_p: 1.0 / p,
+        }
+    }
+
+    #[inline]
+    fn sample(&self, random: u64) -> u64 {
+        let u = ((random >> 11) as f64) / ((1u64 << 53) as f64); // [0, 1)
+        let rank = if self.harmonic {
+            (self.n.powf(u) - 1.0).max(0.0)
+        } else {
+            ((u * self.span + 1.0).powf(self.inv_p) - 1.0).max(0.0)
+        };
+        (rank as u64).min(self.max_rank)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Universe sizes around the edges that matter: degenerate universes,
+    /// powers of two (the Feistel domain is exact, no cycle walking) and
+    /// one past them (the most cycle walking), up to 2^20 — well past
+    /// [`MAX_TABULATED_UNIVERSE`].
+    fn universe() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            Just(1u32),
+            Just(2u32),
+            Just(3u32),
+            (0u32..=20).prop_map(|k| 1u32 << k),
+            (0u32..=20).prop_map(|k| (1u32 << k) + 1),
+        ]
+    }
+
+    /// Zipf exponents × 100, with the α ≈ 1 branch edges drawn often.
+    fn alpha_x100() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..=200, Just(99u32), Just(100u32), Just(101u32)]
+    }
+
+    fn pattern() -> impl Strategy<Value = AccessPattern> {
+        (0u32..4, universe(), alpha_x100(), 0u32..9).prop_map(|(kind, n, alpha_x100, reuse)| {
+            match kind {
+                0 => AccessPattern::Stream,
+                1 => AccessPattern::UniformReuse {
+                    working_set_lines: n,
+                },
+                2 => AccessPattern::Zipf {
+                    universe_lines: n,
+                    alpha_x100,
+                },
+                _ => AccessPattern::Tiled {
+                    tile_lines: n,
+                    reuse_factor: reuse,
+                },
+            }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prepared_pattern_matches_reference(
+            pattern in pattern(),
+            seed in any::<u64>(),
+            first in 0u64..1 << 32,
+            warp in 0u64..64,
+            warps in 1u64..=64,
+        ) {
+            let prepared = PreparedPattern::new(pattern, seed);
+            // A run of consecutive loads per case amortises the table
+            // build over many samples.
+            for i in first..first + 64 {
+                prop_assert_eq!(
+                    prepared.line_offset(i, warp, warps),
+                    pattern.line_offset(i, warp, warps, seed),
+                    "{:?} seed {} load {} warp {}/{}", pattern, seed, i, warp, warps
+                );
+            }
+        }
+
+        #[test]
+        fn zipf_sampler_matches_reference(
+            n in universe(),
+            alpha_x100 in alpha_x100(),
+            random in any::<u64>(),
+        ) {
+            let n = u64::from(n);
+            prop_assert_eq!(
+                ZipfSampler::new(n, alpha_x100).sample(random),
+                zipf_sample(random, n, alpha_x100)
+            );
+        }
+    }
+
+    #[test]
+    fn scatter_tables_are_bijections_matching_scatter() {
+        let mut universes = vec![1u64, 2, 3, 112, 384, 3072];
+        for k in 1..=16 {
+            universes.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        universes.retain(|&n| n <= MAX_TABULATED_UNIVERSE);
+        for n in universes {
+            for seed in [0u64, 7, 0x5eed << 48, u64::MAX] {
+                let table = scatter_table(n, seed);
+                assert_eq!(table.len() as u64, n);
+                let mut seen = vec![false; table.len()];
+                for (rank, &line) in table.iter().enumerate() {
+                    assert_eq!(
+                        u64::from(line),
+                        scatter(rank as u64, n, seed),
+                        "n {n} rank {rank}"
+                    );
+                    assert!(
+                        !std::mem::replace(&mut seen[usize::from(line)], true),
+                        "n {n}: {line} twice"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_universes_up_to_the_limit_are_tabulated() {
+        let tabulated = |n: u32| {
+            let zipf = AccessPattern::Zipf {
+                universe_lines: n,
+                alpha_x100: 90,
+            };
+            matches!(
+                PreparedPattern::new(zipf, 1).zipf,
+                Some(PreparedZipf {
+                    scatter: Scatter::Table(_),
+                    ..
+                })
+            )
+        };
+        assert!(tabulated(0) && tabulated(3072) && tabulated(1 << 16));
+        assert!(!tabulated((1 << 16) + 1));
+        let stream = PreparedPattern::new(AccessPattern::Stream, 1);
+        assert!(stream.zipf.is_none());
+    }
 
     #[test]
     fn stream_is_disjoint_across_warps() {

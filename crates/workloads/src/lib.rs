@@ -35,6 +35,8 @@
 #![warn(missing_docs)]
 
 mod access;
+#[cfg(test)]
+mod pinned;
 mod spec;
 mod suite;
 mod values;

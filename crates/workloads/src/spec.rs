@@ -1,11 +1,12 @@
 //! Benchmark specifications and the [`SyntheticKernel`] adapter that turns
 //! them into `latte-gpusim` kernels.
 
-use crate::access::AccessPattern;
+use crate::access::{AccessPattern, PreparedPattern};
 use crate::values::{mix64, LineGenerator, REGION_SHIFT};
 use latte_cache::LineAddr;
 use latte_compress::CacheLine;
 use latte_gpusim::{Kernel, Op, OpStream};
+use std::sync::Arc;
 
 /// Cache-sensitivity category (Table III): a workload is C-Sens if a 4×
 /// larger data cache speeds it up by more than 20%.
@@ -138,12 +139,23 @@ pub struct BenchmarkSpec {
 }
 
 impl BenchmarkSpec {
-    /// Instantiates the simulator kernels for this benchmark.
+    /// Instantiates the simulator kernels for this benchmark. Each
+    /// kernel prepares its phases' access patterns here, once, for every
+    /// SM and warp that will run it.
     #[must_use]
     pub fn build_kernels(&self) -> Vec<SyntheticKernel> {
         self.kernels
             .iter()
             .map(|k| SyntheticKernel {
+                plan: k
+                    .phases
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &spec)| PhasePlan {
+                        spec,
+                        pattern: PreparedPattern::new(spec.pattern, phase_seed(self.seed, idx)),
+                    })
+                    .collect(),
                 spec: k.clone(),
                 generator: self.generator.clone(),
                 seed: self.seed,
@@ -195,10 +207,26 @@ impl BenchmarkSpec {
     }
 }
 
+/// The seed a phase's access pattern draws from: the workload seed with
+/// the phase index folded into the top bits. It is the same for every SM
+/// and warp, which is what lets a kernel prepare each phase once.
+fn phase_seed(seed: u64, phase_idx: usize) -> u64 {
+    seed ^ (phase_idx as u64) << 48
+}
+
+/// One phase of a built kernel: its spec and its prepared pattern.
+#[derive(Debug, Clone)]
+struct PhasePlan {
+    spec: PhaseSpec,
+    pattern: PreparedPattern,
+}
+
 /// A [`Kernel`] generated from a [`KernelSpec`] + value model.
 #[derive(Debug, Clone)]
 pub struct SyntheticKernel {
     spec: KernelSpec,
+    /// `spec.phases`, prepared; shared by every warp's [`PhaseStream`].
+    plan: Arc<[PhasePlan]>,
     generator: LineGenerator,
     seed: u64,
 }
@@ -222,7 +250,7 @@ impl Kernel for SyntheticKernel {
 
     fn warp_program(&self, sm: usize, warp: usize) -> Box<dyn OpStream> {
         Box::new(PhaseStream {
-            phases: self.spec.phases.clone(),
+            plan: Arc::clone(&self.plan),
             warps: self.spec.warps_per_sm as u64,
             sm: sm as u64,
             warp: warp as u64,
@@ -241,7 +269,7 @@ impl Kernel for SyntheticKernel {
 
 /// Walks a phase script, emitting ops lazily.
 struct PhaseStream {
-    phases: Vec<PhaseSpec>,
+    plan: Arc<[PhasePlan]>,
     warps: u64,
     sm: u64,
     warp: u64,
@@ -253,19 +281,13 @@ struct PhaseStream {
 }
 
 impl PhaseStream {
-    fn phase(&self) -> &PhaseSpec {
-        &self.phases[self.phase_idx]
-    }
-
-    fn active_in_phase(&self) -> bool {
-        let p = self.phase();
+    fn active_in(&self, p: &PhaseSpec) -> bool {
         self.warp * 100 < u64::from(p.active_warp_percent) * self.warps
     }
 
-    fn memory_op(&self, p: &PhaseSpec, i: u64) -> Op {
-        let offset = p
-            .pattern
-            .line_offset(i, self.warp, self.warps, self.seed ^ (self.phase_idx as u64) << 48);
+    fn memory_op(&self, phase: &PhasePlan, i: u64) -> Op {
+        let p = &phase.spec;
+        let offset = phase.pattern.line_offset(i, self.warp, self.warps);
         let line = (self.sm << 32) | (u64::from(p.region) << REGION_SHIFT) | (offset & 0xff_ffff);
         let addr = line * CacheLine::SIZE_BYTES as u64;
         let is_store = p.store_percent > 0
@@ -305,11 +327,11 @@ pub fn store_payload(seed: u64, line: u64, i: u64) -> (usize, [u8; 32]) {
 impl OpStream for PhaseStream {
     fn next_op(&mut self) -> Op {
         loop {
-            if self.phase_idx >= self.phases.len() {
+            let Some(phase) = self.plan.get(self.phase_idx) else {
                 return Op::Exit;
-            }
-            let p = *self.phase();
-            let loads_done = !self.active_in_phase() || self.load_idx >= u64::from(p.loads_per_warp);
+            };
+            let p = &phase.spec;
+            let loads_done = !self.active_in(p) || self.load_idx >= u64::from(p.loads_per_warp);
             if loads_done {
                 // Phase epilogue: one barrier, then advance.
                 if !self.barrier_emitted {
@@ -330,7 +352,7 @@ impl OpStream for PhaseStream {
                     cycles: p.compute_per_load * u32::from(p.mlp.max(1)),
                 };
             }
-            let op = self.memory_op(&p, self.load_idx);
+            let op = self.memory_op(phase, self.load_idx);
             self.load_idx += 1;
             // Loads within an MLP batch are independent: all but the last
             // of each batch issue asynchronously, and the batch's compute

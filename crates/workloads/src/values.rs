@@ -97,11 +97,8 @@ impl ValueProfile {
         match *self {
             ValueProfile::Zeros => CacheLine::zeroed(),
             ValueProfile::SmallInts { max } => {
-                let max = max.max(1);
-                let words: Vec<u32> = (0..32)
-                    .map(|i| (mix64(base ^ i) % u64::from(max)) as u32)
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                let max = u64::from(max.max(1));
+                CacheLine::from_u32_words(&u32_words(|i| (mix64(base ^ i) % max) as u32))
             }
             ValueProfile::Pointers => {
                 // One small heap segment per line (objects from one
@@ -111,63 +108,52 @@ impl ValueProfile {
                 let segment = 0x7f3a_0000_0000_0000u64
                     | ((mix64(base ^ 0x5e9_0001) & 0xffff) << 32)
                     | ((mix64(base ^ 0x5e9_0002) & 0xfff) << 20);
-                let words: Vec<u64> = (0..16)
-                    .map(|i| {
-                        let r = mix64(base ^ (i + 100));
-                        if r.is_multiple_of(8) {
-                            0
-                        } else {
-                            // 16 KiB object span: deltas fit two bytes.
-                            segment + (r % 2048) * 8
-                        }
-                    })
-                    .collect();
+                let words: [u64; CacheLine::NUM_U64_WORDS] = std::array::from_fn(|i| {
+                    let r = mix64(base ^ (i as u64 + 100));
+                    if r.is_multiple_of(8) {
+                        0
+                    } else {
+                        // 16 KiB object span: deltas fit two bytes.
+                        segment + (r % 2048) * 8
+                    }
+                });
                 CacheLine::from_u64_words(&words)
             }
             ValueProfile::Indices { stride, noise_bits } => {
                 let start = (base as u32) & 0x00ff_ffff;
                 let noise_mask = (1u32 << noise_bits.min(31)) - 1;
-                let words: Vec<u32> = (0..32u32)
-                    .map(|i| {
-                        let noise = (mix64(base ^ u64::from(i) ^ 0xabcd) as u32) & noise_mask;
-                        start.wrapping_add(i * stride).wrapping_add(noise)
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                CacheLine::from_u32_words(&u32_words(|i| {
+                    let noise = (mix64(base ^ i ^ 0xabcd) as u32) & noise_mask;
+                    start.wrapping_add(i as u32 * stride).wrapping_add(noise)
+                }))
             }
             ValueProfile::HotFloats { alphabet } => {
                 let alphabet = u64::from(alphabet.max(1));
-                let words: Vec<u32> = (0..32)
-                    .map(|i| {
-                        // Pick an alphabet slot, then derive a stable float
-                        // for that slot from the *seed only* (not the
-                        // address), so the same values recur everywhere.
-                        let slot = mix64(base ^ (i * 7 + 13)) % alphabet;
-                        let v = mix64(seed ^ (slot.wrapping_mul(0x5851_f42d_4c95_7f2d)));
-                        // A plausible float: random sign/mantissa, bounded
-                        // exponent.
-                        let sign = (v & 1) << 31;
-                        let exp = (96 + (v >> 1) % 64) << 23; // 2^-31 .. 2^32
-                        let mantissa = (v >> 8) & 0x7f_ffff;
-                        (sign | exp | mantissa) as u32
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                CacheLine::from_u32_words(&u32_words(|i| {
+                    // Pick an alphabet slot, then derive a stable float
+                    // for that slot from the *seed only* (not the
+                    // address), so the same values recur everywhere.
+                    let slot = mix64(base ^ (i * 7 + 13)) % alphabet;
+                    let v = mix64(seed ^ (slot.wrapping_mul(0x5851_f42d_4c95_7f2d)));
+                    // A plausible float: random sign/mantissa, bounded
+                    // exponent.
+                    let sign = (v & 1) << 31;
+                    let exp = (96 + (v >> 1) % 64) << 23; // 2^-31 .. 2^32
+                    let mantissa = (v >> 8) & 0x7f_ffff;
+                    (sign | exp | mantissa) as u32
+                }))
             }
             ValueProfile::RandomFloats => {
-                let words: Vec<u32> = (0..32)
-                    .map(|i| {
-                        let v = mix64(base ^ (i + 999));
-                        let sign = (v & 1) << 31;
-                        // Wide exponent spread: enough entropy in the top
-                        // bits that even BPC's bit-plane transform finds
-                        // nothing to strip.
-                        let exp = (32 + (v >> 1) % 192) << 23;
-                        let mantissa = (v >> 8) & 0x7f_ffff;
-                        (sign | exp | mantissa) as u32
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
+                CacheLine::from_u32_words(&u32_words(|i| {
+                    let v = mix64(base ^ (i + 999));
+                    let sign = (v & 1) << 31;
+                    // Wide exponent spread: enough entropy in the top
+                    // bits that even BPC's bit-plane transform finds
+                    // nothing to strip.
+                    let exp = (32 + (v >> 1) % 192) << 23;
+                    let mantissa = (v >> 8) & 0x7f_ffff;
+                    (sign | exp | mantissa) as u32
+                }))
             }
             ValueProfile::Text => {
                 let mut bytes = [0u8; CacheLine::SIZE_BYTES];
@@ -185,6 +171,17 @@ impl ValueProfile {
             }
         }
     }
+}
+
+/// The 32 words of a line, word `i` being `word(i)`; filled in place, so
+/// generating a line allocates nothing.
+#[inline]
+fn u32_words(mut word: impl FnMut(u64) -> u32) -> [u32; CacheLine::NUM_U32_WORDS] {
+    let mut words = [0u32; CacheLine::NUM_U32_WORDS];
+    for (i, w) in words.iter_mut().enumerate() {
+        *w = word(i as u64);
+    }
+    words
 }
 
 /// A region-aware generator: benchmarks often mix data types (e.g. a graph
@@ -239,6 +236,12 @@ impl LineGenerator {
         )
     }
 
+    /// Number of address regions.
+    #[cfg(test)]
+    pub(crate) fn region_count(&self) -> usize {
+        self.regions.len()
+    }
+
     /// Folds every region and the seed into a simulation fingerprint.
     pub fn write_fingerprint(&self, fp: &mut latte_gpusim::Fingerprinter) {
         fp.write_usize(self.regions.len());
@@ -269,6 +272,106 @@ impl LineGenerator {
 mod tests {
     use super::*;
     use latte_compress::{Bdi, Bpc, Compressor, Sc, VftBuilder};
+    use proptest::prelude::*;
+
+    /// [`ValueProfile::line`] as it was written before lines were filled
+    /// in place: every profile collects its words into a `Vec`. The
+    /// reference the array-based version must reproduce byte for byte.
+    fn line_reference(profile: ValueProfile, addr: LineAddr, seed: u64) -> CacheLine {
+        let base = mix64(addr.line_number() ^ seed.rotate_left(17));
+        match profile {
+            ValueProfile::Zeros => CacheLine::zeroed(),
+            ValueProfile::SmallInts { max } => {
+                let max = max.max(1);
+                let words: Vec<u32> = (0..32)
+                    .map(|i| (mix64(base ^ i) % u64::from(max)) as u32)
+                    .collect();
+                CacheLine::from_u32_words(&words)
+            }
+            ValueProfile::Pointers => {
+                let segment = 0x7f3a_0000_0000_0000u64
+                    | ((mix64(base ^ 0x5e9_0001) & 0xffff) << 32)
+                    | ((mix64(base ^ 0x5e9_0002) & 0xfff) << 20);
+                let words: Vec<u64> = (0..16)
+                    .map(|i| {
+                        let r = mix64(base ^ (i + 100));
+                        if r.is_multiple_of(8) {
+                            0
+                        } else {
+                            segment + (r % 2048) * 8
+                        }
+                    })
+                    .collect();
+                CacheLine::from_u64_words(&words)
+            }
+            ValueProfile::Indices { stride, noise_bits } => {
+                let start = (base as u32) & 0x00ff_ffff;
+                let noise_mask = (1u32 << noise_bits.min(31)) - 1;
+                let words: Vec<u32> = (0..32u32)
+                    .map(|i| {
+                        let noise = (mix64(base ^ u64::from(i) ^ 0xabcd) as u32) & noise_mask;
+                        start.wrapping_add(i * stride).wrapping_add(noise)
+                    })
+                    .collect();
+                CacheLine::from_u32_words(&words)
+            }
+            ValueProfile::HotFloats { alphabet } => {
+                let alphabet = u64::from(alphabet.max(1));
+                let words: Vec<u32> = (0..32)
+                    .map(|i| {
+                        let slot = mix64(base ^ (i * 7 + 13)) % alphabet;
+                        let v = mix64(seed ^ (slot.wrapping_mul(0x5851_f42d_4c95_7f2d)));
+                        let sign = (v & 1) << 31;
+                        let exp = (96 + (v >> 1) % 64) << 23;
+                        let mantissa = (v >> 8) & 0x7f_ffff;
+                        (sign | exp | mantissa) as u32
+                    })
+                    .collect();
+                CacheLine::from_u32_words(&words)
+            }
+            ValueProfile::RandomFloats => {
+                let words: Vec<u32> = (0..32)
+                    .map(|i| {
+                        let v = mix64(base ^ (i + 999));
+                        let sign = (v & 1) << 31;
+                        let exp = (32 + (v >> 1) % 192) << 23;
+                        let mantissa = (v >> 8) & 0x7f_ffff;
+                        (sign | exp | mantissa) as u32
+                    })
+                    .collect();
+                CacheLine::from_u32_words(&words)
+            }
+            // Text always filled a byte array in place.
+            ValueProfile::Text => profile.line(addr, seed),
+        }
+    }
+
+    fn profile() -> impl Strategy<Value = ValueProfile> {
+        (0u32..7, any::<u32>(), 0u32..40, any::<u16>()).prop_map(|(kind, a, b, c)| match kind {
+            0 => ValueProfile::Zeros,
+            1 => ValueProfile::SmallInts { max: a },
+            2 => ValueProfile::Pointers,
+            3 => ValueProfile::Indices {
+                stride: a % 4096,
+                noise_bits: b,
+            },
+            4 => ValueProfile::HotFloats { alphabet: c },
+            5 => ValueProfile::RandomFloats,
+            _ => ValueProfile::Text,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_lines_match_the_vec_reference(
+            profile in profile(),
+            line in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let addr = LineAddr::new(line);
+            prop_assert_eq!(profile.line(addr, seed), line_reference(profile, addr, seed), "{:?}", profile);
+        }
+    }
 
     fn ratio_of(compressor: &dyn Compressor, profile: ValueProfile, n: u64) -> f64 {
         let total: usize = (0..n)
