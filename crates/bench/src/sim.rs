@@ -34,26 +34,25 @@
 //! store-side problem (corrupt record, stale schema, unwritable
 //! directory) degrades to a recompute; the store can cost time, never
 //! correctness. `--store-verify` re-simulates every store hit and
-//! byte-compares the re-encoded outcome against the stored bytes,
+//! byte-compares the re-encoded outcome against the stored record,
 //! counting (and healing) any divergence.
 //!
-//! Memory is bounded: once a result is durably on disk, its in-process
-//! copy may be *spilled* when retained outcome bytes exceed the
-//! retention budget; a later request revives it from the store (memory
-//! tier first, then disk). Without a disk-backed store nothing is ever
-//! spilled — the process-local cache then grows with the workload set,
-//! exactly as it did before the store existed, because dropping the
-//! only copy would turn a replay into a recompute and break the
-//! "computed exactly once" contract.
+//! The memo map holds the only in-memory copy of an outcome, and every
+//! resolved cell stays resident for the whole process; the store is a
+//! durable disk tier only.
 //!
-//! Concurrency: the cache maps each key to a cell; the first requester
-//! claims the cell and computes inline, later requesters block on the
-//! cell's condvar. A compute never requests another simulation
-//! (single-level, enforced by structure: computes call
-//! [`runner::run_benchmark_uncached`] which goes straight to the
-//! simulator), so cell waits cannot cycle. A panicking compute parks the
-//! panic message in the cell, and every requester re-raises it — one
-//! poisoned simulation fails exactly the experiments that depend on it.
+//! Concurrency: one mutex guards the cell map together with the
+//! service's counters, so a request is counted as a replay or a claim
+//! at lookup, and a cell's resolution (its counter bump and its change
+//! to `Ready` or `Failed`) is a single step under that lock. The first
+//! requester claims the cell and computes inline, outside the lock;
+//! later requesters block on the service's condvar until it resolves. A
+//! compute never requests another simulation (single-level, enforced by
+//! structure: computes call [`runner::run_benchmark_uncached`] which
+//! goes straight to the simulator), so cell waits cannot cycle. A
+//! panicking compute parks the panic message in the cell, and every
+//! requester re-raises it — one poisoned simulation fails exactly the
+//! experiments that depend on it.
 
 use crate::codec;
 use crate::pool;
@@ -61,11 +60,11 @@ use crate::report;
 use crate::runner::{self, BenchResult, PolicyKind};
 use crate::timing;
 use latte_gpusim::{Fingerprinter, GpuConfig};
-use latte_store::{OpenReport, Store, StoreConfig, StoreStats, Tier};
+use latte_store::{OpenReport, Store, StoreConfig, StoreStats};
 use latte_workloads::BenchmarkSpec;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Canonical identity of one simulation.
@@ -86,30 +85,30 @@ struct SimOutcome {
 
 /// Lifecycle of one cache slot.
 enum CellState {
-    /// A thread is computing (or reviving) this simulation.
+    /// A thread is computing (or loading from the store) this simulation.
     InFlight,
     /// The outcome is resident in memory.
     Ready(Arc<SimOutcome>),
-    /// The outcome was demoted to the persistent store to bound memory;
-    /// the next requester revives it (or recomputes if the store lost
-    /// it).
-    Spilled,
     /// The compute panicked; every requester re-raises the message.
     Failed(String),
 }
 
-/// One cache slot.
-struct SimCell {
-    state: Mutex<CellState>,
-    ready: Condvar,
-    /// Salted content key this cell persists under.
-    disk_key: u128,
-    /// Encoded size of the resident outcome (0 when not persisted),
-    /// used for retention accounting when the cell spills.
-    payload_len: AtomicUsize,
+/// The cell map and the counters that account for it, kept under one
+/// lock so that every snapshot of them is consistent.
+#[derive(Default)]
+struct Memo {
+    cells: HashMap<SimKey, CellState>,
+    stats: SimStats,
 }
 
-static CACHE: OnceLock<Mutex<HashMap<SimKey, Arc<SimCell>>>> = OnceLock::new();
+/// The memo and the condvar its waiters block on.
+struct Service {
+    memo: Mutex<Memo>,
+    /// Signalled whenever a cell resolves.
+    resolved: Condvar,
+}
+
+static SERVICE: OnceLock<Service> = OnceLock::new();
 
 /// The persistent result store, configured at most once per process
 /// from `--store`. `None` (never configured) means the service behaves
@@ -118,49 +117,21 @@ static STORE: OnceLock<Arc<Store>> = OnceLock::new();
 /// Whether `--store-verify` re-simulates and byte-compares store hits.
 static STORE_VERIFY: OnceLock<bool> = OnceLock::new();
 
-/// Simulations requested through the service.
-static REQUESTS: AtomicU64 = AtomicU64::new(0);
-/// Requests served by a cell already resolved in this process.
-static REPLAY_HITS: AtomicU64 = AtomicU64::new(0);
-/// Requests (first-for-cell or revivals) served from the store's
-/// in-memory tier.
-static STORE_MEM_HITS: AtomicU64 = AtomicU64::new(0);
-/// Requests (first-for-cell or revivals) served from the store's disk
-/// tier.
-static STORE_DISK_HITS: AtomicU64 = AtomicU64::new(0);
-/// Requests that claimed a fresh cell and ran the simulator.
-static COMPUTED: AtomicU64 = AtomicU64::new(0);
-/// Requests that had to re-run the simulator because a spilled outcome
-/// could no longer be revived from the store.
-static RECOMPUTED: AtomicU64 = AtomicU64::new(0);
-/// Cells first resolved from the persistent store rather than computed.
-static STORE_FILLS: AtomicU64 = AtomicU64::new(0);
-/// Resident outcomes demoted to the store under memory pressure.
-static SPILLS: AtomicU64 = AtomicU64::new(0);
-/// `--store-verify` recomputes that did not byte-match the stored record.
-static VERIFY_FAILURES: AtomicU64 = AtomicU64::new(0);
-
-/// Encoded outcome bytes currently resident in `Ready` cells that are
-/// also durable on disk (i.e. spillable).
-static RETAINED: AtomicUsize = AtomicUsize::new(0);
-/// Spill threshold for [`RETAINED`].
-static RETAINED_BUDGET: AtomicUsize = AtomicUsize::new(DEFAULT_RETAINED_BUDGET);
-
-/// Default in-process retention budget for durably-backed outcomes.
-pub const DEFAULT_RETAINED_BUDGET: usize = 32 * 1024 * 1024;
-
 fn lock<'a, T: ?Sized>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn cache() -> &'static Mutex<HashMap<SimKey, Arc<SimCell>>> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn service() -> &'static Service {
+    SERVICE.get_or_init(|| Service {
+        memo: Mutex::new(Memo::default()),
+        resolved: Condvar::new(),
+    })
 }
 
 /// Opens the persistent result store and installs it for every
 /// subsequent simulation in this process. Never fails: an unusable
-/// directory degrades to in-memory-only operation, reported in the
-/// returned [`OpenReport`]'s warnings.
+/// directory leaves the service memo-only, reported in the returned
+/// [`OpenReport`]'s warnings.
 ///
 /// # Errors
 ///
@@ -198,12 +169,6 @@ pub fn store_stats() -> Option<StoreStats> {
     STORE.get().map(|s| s.stats())
 }
 
-/// Whether a disk-backed store is active (spilling possible).
-#[must_use]
-pub fn store_is_durable() -> bool {
-    STORE.get().is_some_and(|s| s.has_disk())
-}
-
 /// Blocks until every pending store write is durable.
 pub fn flush_store() {
     if let Some(store) = STORE.get() {
@@ -217,13 +182,6 @@ pub fn shutdown_store() {
     if let Some(store) = STORE.get() {
         store.shutdown();
     }
-}
-
-/// Overrides the retention budget (bytes of durably-backed outcome data
-/// kept resident before spilling). Exposed for tests.
-#[doc(hidden)]
-pub fn set_retained_budget(bytes: usize) {
-    RETAINED_BUDGET.store(bytes, Ordering::SeqCst);
 }
 
 fn key_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> SimKey {
@@ -268,13 +226,11 @@ fn disk_key_for(key: &SimKey) -> u128 {
 }
 
 /// Computes one simulation with its printed output harvested into the
-/// returned [`SimOutcome`] instead of the current capture. `counter`
-/// distinguishes first computes from spill-revival recomputes.
+/// returned [`SimOutcome`] instead of the current capture.
 fn compute(
     policy: PolicyKind,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
-    counter: &AtomicU64,
 ) -> Result<Arc<SimOutcome>, String> {
     let watch = timing::Stopwatch::start();
     let saved = report::swap_capture(Some(String::new()));
@@ -282,7 +238,6 @@ fn compute(
         runner::run_benchmark_uncached(policy, bench, config)
     }));
     let diag = report::swap_capture(saved).unwrap_or_default();
-    counter.fetch_add(1, Ordering::SeqCst);
     let shadow_suffix = if runner::shadow_check_enabled() {
         " [shadow]"
     } else {
@@ -313,67 +268,52 @@ fn compute(
     }
 }
 
-/// Installs `outcome` as the cell's resident value and accounts
-/// `payload_len` bytes (0 when the outcome is not persisted) toward the
-/// retention budget.
-fn install_ready(cell: &SimCell, outcome: &Arc<SimOutcome>, payload_len: usize) {
-    cell.payload_len.store(payload_len, Ordering::SeqCst);
-    if payload_len > 0 {
-        RETAINED.fetch_add(payload_len, Ordering::SeqCst);
+/// Resolves a claimed cell: counts how it was resolved and installs its
+/// final state in one step under the memo lock, then wakes any waiters.
+fn resolve(key: SimKey, state: CellState, from_store: bool) {
+    let service = service();
+    let mut memo = lock(&service.memo);
+    if from_store {
+        memo.stats.store_fills += 1;
+    } else {
+        memo.stats.computed += 1;
     }
-    let mut state = lock(&cell.state);
-    *state = CellState::Ready(Arc::clone(outcome));
-    cell.ready.notify_all();
-}
-
-fn install_failed(cell: &SimCell, msg: String) {
-    let mut state = lock(&cell.state);
-    *state = CellState::Failed(msg);
-    cell.ready.notify_all();
+    memo.cells.insert(key, state);
+    service.resolved.notify_all();
 }
 
 /// Encodes and writes `outcome` through to the store (if configured).
-/// Returns the encoded length, or 0 when nothing was persisted.
-fn persist(cell: &SimCell, outcome: &SimOutcome) -> usize {
-    let Some(store) = store() else {
-        return 0;
-    };
-    let bytes = codec::encode_outcome(&outcome.result, &outcome.diag);
-    let len = bytes.len();
-    store.put(cell.disk_key, Arc::new(bytes));
-    len
-}
-
-fn count_store_hit(tier: Tier) {
-    match tier {
-        Tier::Memory => STORE_MEM_HITS.fetch_add(1, Ordering::SeqCst),
-        Tier::Disk => STORE_DISK_HITS.fetch_add(1, Ordering::SeqCst),
-    };
+fn persist(disk_key: u128, outcome: &SimOutcome) {
+    if let Some(store) = store() {
+        let bytes = codec::encode_outcome(&outcome.result, &outcome.diag);
+        store.put(disk_key, Arc::new(bytes));
+    }
 }
 
 /// Tries to resolve a cell from the persistent store. Returns the
-/// decoded outcome together with the stored byte length, or `None` on
-/// miss / undecodable payload (the store already quarantined anything
-/// that failed its checksum; a codec-level reject here means a record
-/// from an incompatible build — treated identically as a miss).
+/// decoded outcome together with the stored bytes, or `None` on miss /
+/// undecodable payload (the store already quarantined anything that
+/// failed its checksum; a codec-level reject here means a record from
+/// an incompatible build — treated identically as a miss).
 fn load_from_store(
-    cell: &SimCell,
+    disk_key: u128,
     policy: PolicyKind,
     bench: &BenchmarkSpec,
-) -> Option<(Arc<SimOutcome>, Arc<Vec<u8>>, Tier)> {
-    let store = store()?;
-    let (bytes, tier) = store.get(cell.disk_key)?;
-    match codec::decode_outcome(&bytes, policy, bench) {
-        Ok((result, diag)) => Some((Arc::new(SimOutcome { result, diag }), bytes, tier)),
-        Err(_) => None,
-    }
+) -> Option<(Arc<SimOutcome>, Vec<u8>)> {
+    let bytes = store()?.get(disk_key)?;
+    let (result, diag) = codec::decode_outcome(&bytes, policy, bench).ok()?;
+    Some((Arc::new(SimOutcome { result, diag }), bytes))
+}
+
+fn count_verify_failure() {
+    lock(&service().memo).stats.verify_failures += 1;
 }
 
 /// `--store-verify`: re-simulates a store hit and byte-compares the
 /// re-encoded outcome against the stored record. On mismatch, prefers
 /// the freshly computed result and heals the store with it.
 fn verify_store_hit(
-    cell: &SimCell,
+    disk_key: u128,
     policy: PolicyKind,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
@@ -393,7 +333,7 @@ fn verify_store_hit(
         // The reference recompute itself died: the stored record cannot
         // be confirmed, which is exactly what --store-verify exists to
         // surface.
-        VERIFY_FAILURES.fetch_add(1, Ordering::SeqCst);
+        count_verify_failure();
         report::emit(format_args!(
             "[store-verify] {}/{}: recompute panicked; stored record unconfirmed\n",
             policy.name(),
@@ -405,7 +345,7 @@ fn verify_store_hit(
     if fresh == stored_bytes {
         return None;
     }
-    VERIFY_FAILURES.fetch_add(1, Ordering::SeqCst);
+    count_verify_failure();
     report::emit(format_args!(
         "[store-verify] {}/{}: stored record diverges from recompute \
          ({} vs {} bytes); using the recompute and overwriting the record\n",
@@ -415,7 +355,7 @@ fn verify_store_hit(
         fresh.len()
     ));
     if let Some(store) = store() {
-        store.put(cell.disk_key, Arc::new(fresh));
+        store.put(disk_key, Arc::new(fresh));
     }
     Some(Arc::new(SimOutcome { result, diag }))
 }
@@ -423,63 +363,34 @@ fn verify_store_hit(
 /// Resolves a freshly claimed cell: persistent store first, then a real
 /// compute (written through to the store).
 fn resolve_claimed(
-    cell: &SimCell,
+    key: SimKey,
     policy: PolicyKind,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
 ) -> Arc<SimOutcome> {
-    if let Some((outcome, bytes, tier)) = load_from_store(cell, policy, bench) {
-        count_store_hit(tier);
-        STORE_FILLS.fetch_add(1, Ordering::SeqCst);
+    let disk_key = disk_key_for(&key);
+    if let Some((outcome, bytes)) = load_from_store(disk_key, policy, bench) {
         // A cold compute would have folded its oracle report into the
         // process tally; a warm fill must look identical.
         if let Some(shadow) = &outcome.result.shadow {
             runner::tally_shadow_replay(shadow);
         }
         let outcome = if store_verify_enabled() {
-            verify_store_hit(cell, policy, bench, config, &bytes).unwrap_or(outcome)
+            verify_store_hit(disk_key, policy, bench, config, &bytes).unwrap_or(outcome)
         } else {
             outcome
         };
-        install_ready(cell, &outcome, bytes.len());
+        resolve(key, CellState::Ready(Arc::clone(&outcome)), true);
         return outcome;
     }
-    match compute(policy, bench, config, &COMPUTED) {
+    match compute(policy, bench, config) {
         Ok(outcome) => {
-            let len = persist(cell, &outcome);
-            install_ready(cell, &outcome, len);
+            persist(disk_key, &outcome);
+            resolve(key, CellState::Ready(Arc::clone(&outcome)), false);
             outcome
         }
         Err(msg) => {
-            install_failed(cell, msg.clone());
-            resume_unwind(Box::new(msg))
-        }
-    }
-}
-
-/// Revives a spilled cell from the store, or recomputes if the store
-/// lost the record (corruption cost a recompute — never a wrong
-/// answer). The caller has already transitioned the cell to
-/// `InFlight`.
-fn revive(
-    cell: &SimCell,
-    policy: PolicyKind,
-    bench: &BenchmarkSpec,
-    config: &GpuConfig,
-) -> Arc<SimOutcome> {
-    if let Some((outcome, bytes, tier)) = load_from_store(cell, policy, bench) {
-        count_store_hit(tier);
-        install_ready(cell, &outcome, bytes.len());
-        return outcome;
-    }
-    match compute(policy, bench, config, &RECOMPUTED) {
-        Ok(outcome) => {
-            let len = persist(cell, &outcome);
-            install_ready(cell, &outcome, len);
-            outcome
-        }
-        Err(msg) => {
-            install_failed(cell, msg.clone());
+            resolve(key, CellState::Failed(msg.clone()), false);
             resume_unwind(Box::new(msg))
         }
     }
@@ -488,87 +399,31 @@ fn revive(
 /// Returns the memoized outcome for a key, computing it if this is the
 /// first request.
 fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> Arc<SimOutcome> {
-    REQUESTS.fetch_add(1, Ordering::SeqCst);
     let key = key_for(policy, bench, config);
-    let (cell, claimed) = {
-        let mut map = lock(cache());
-        match map.get(&key) {
-            Some(cell) => (Arc::clone(cell), false),
-            None => {
-                let cell = Arc::new(SimCell {
-                    state: Mutex::new(CellState::InFlight),
-                    ready: Condvar::new(),
-                    disk_key: disk_key_for(&key),
-                    payload_len: AtomicUsize::new(0),
-                });
-                map.insert(key, Arc::clone(&cell));
-                (cell, true)
-            }
-        }
-    };
-    if claimed {
-        return resolve_claimed(&cell, policy, bench, config);
+    let service = service();
+    let mut memo = lock(&service.memo);
+    memo.stats.requests += 1;
+    if let Entry::Vacant(cell) = memo.cells.entry(key) {
+        cell.insert(CellState::InFlight);
+        drop(memo);
+        return resolve_claimed(key, policy, bench, config);
     }
-    let mut state = lock(&cell.state);
+    memo.stats.replay_hits += 1;
     loop {
-        match &*state {
-            CellState::Ready(outcome) => {
-                REPLAY_HITS.fetch_add(1, Ordering::SeqCst);
-                return Arc::clone(outcome);
-            }
-            CellState::Failed(msg) => {
-                REPLAY_HITS.fetch_add(1, Ordering::SeqCst);
+        match memo.cells.get(&key) {
+            Some(CellState::Ready(outcome)) => return Arc::clone(outcome),
+            Some(CellState::Failed(msg)) => {
                 let msg = msg.clone();
-                drop(state);
+                drop(memo);
                 resume_unwind(Box::new(msg));
             }
-            CellState::Spilled => {
-                *state = CellState::InFlight;
-                drop(state);
-                return revive(&cell, policy, bench, config);
-            }
-            CellState::InFlight => {
-                let (next, _) = cell
-                    .ready
-                    .wait_timeout(state, std::time::Duration::from_millis(10))
+            // Cells are never removed, so a present key stays present.
+            Some(CellState::InFlight) | None => {
+                memo = service
+                    .resolved
+                    .wait(memo)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state = next;
             }
-        }
-    }
-}
-
-/// Demotes durably-backed resident outcomes to the store until retained
-/// bytes fit the budget again. Only cells whose record is confirmed on
-/// disk are eligible — spilling the only copy would turn a replay into
-/// a recompute and break the "computed exactly once" contract.
-fn enforce_retention() {
-    let budget = RETAINED_BUDGET.load(Ordering::SeqCst);
-    if RETAINED.load(Ordering::SeqCst) <= budget {
-        return;
-    }
-    let Some(store) = store() else {
-        return;
-    };
-    if !store.has_disk() {
-        return;
-    }
-    let cells: Vec<Arc<SimCell>> = lock(cache()).values().map(Arc::clone).collect();
-    for cell in cells {
-        if RETAINED.load(Ordering::SeqCst) <= budget {
-            break;
-        }
-        let len = cell.payload_len.load(Ordering::SeqCst);
-        if len == 0 || !store.durable(cell.disk_key) {
-            continue;
-        }
-        let mut state = lock(&cell.state);
-        if matches!(&*state, CellState::Ready(_)) {
-            *state = CellState::Spilled;
-            drop(state);
-            cell.payload_len.store(0, Ordering::SeqCst);
-            RETAINED.fetch_sub(len, Ordering::SeqCst);
-            SPILLS.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
@@ -579,10 +434,7 @@ fn enforce_retention() {
 pub fn run_cached(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> BenchResult {
     let outcome = outcome_for(policy, bench, config);
     report::emit(format_args!("{}", outcome.diag));
-    let result = outcome.result.clone();
-    drop(outcome);
-    enforce_retention();
-    result
+    outcome.result.clone()
 }
 
 /// One simulation request for the batch APIs.
@@ -653,82 +505,61 @@ pub fn run_matrix_default(
 pub struct SimStats {
     /// Simulations requested through the service.
     pub requests: u64,
-    /// Requests served by a cell already resolved in this process
+    /// Requests served by a cell already claimed in this process
     /// (the original memo-cache hit).
     pub replay_hits: u64,
-    /// Requests served from the persistent store's in-memory tier.
-    pub store_mem_hits: u64,
-    /// Requests served from the persistent store's disk tier.
-    pub store_disk_hits: u64,
-    /// Requests that ran the simulator for the first time.
+    /// Cells resolved by running the simulator.
     pub computed: u64,
-    /// Requests that re-ran the simulator because a spilled outcome was
-    /// no longer revivable from the store.
-    pub recomputed: u64,
-    /// Cells first resolved from the persistent store.
+    /// Cells resolved from the persistent store instead of computed.
     pub store_fills: u64,
-    /// Resident outcomes demoted to the store under memory pressure.
-    pub spills: u64,
     /// `--store-verify` divergences detected.
     pub verify_failures: u64,
 }
 
 impl SimStats {
-    /// Requests that did not run the simulator, from any tier.
+    /// Requests that did not run the simulator, from memory or store.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.replay_hits + self.store_mem_hits + self.store_disk_hits
-    }
-
-    /// Requests that genuinely ran the simulator.
-    #[must_use]
-    pub fn simulated(&self) -> u64 {
-        self.computed + self.recomputed
+        self.replay_hits + self.store_fills
     }
 }
 
 /// The service's counters since process start.
 #[must_use]
 pub fn stats() -> SimStats {
-    SimStats {
-        requests: REQUESTS.load(Ordering::SeqCst),
-        replay_hits: REPLAY_HITS.load(Ordering::SeqCst),
-        store_mem_hits: STORE_MEM_HITS.load(Ordering::SeqCst),
-        store_disk_hits: STORE_DISK_HITS.load(Ordering::SeqCst),
-        computed: COMPUTED.load(Ordering::SeqCst),
-        recomputed: RECOMPUTED.load(Ordering::SeqCst),
-        store_fills: STORE_FILLS.load(Ordering::SeqCst),
-        spills: SPILLS.load(Ordering::SeqCst),
-        verify_failures: VERIFY_FAILURES.load(Ordering::SeqCst),
-    }
+    lock(&service().memo).stats
 }
 
 /// Checks the service's "each unique simulation ran exactly once"
-/// contract: every distinct key was resolved exactly once (by compute
-/// or by store fill), and every request is accounted to exactly one
-/// path. Spill revivals that recompute are the one deliberate
-/// exception — corruption costs a recompute, never a wrong answer —
-/// and they are tracked separately in [`SimStats::recomputed`].
+/// contract on one consistent snapshot of the memo: every request
+/// either claimed a new key or replayed a claimed one, and every
+/// claimed key is in flight or was resolved exactly once (by compute or
+/// by store fill).
 ///
 /// # Errors
 ///
 /// Returns a description of the violated invariant.
 pub fn verify_each_sim_ran_once() -> Result<(), String> {
-    let s = stats();
-    let unique = lock(cache()).len() as u64;
-    if s.computed + s.store_fills != unique {
+    let memo = lock(&service().memo);
+    let s = memo.stats;
+    let unique = memo.cells.len() as u64;
+    let in_flight = memo
+        .cells
+        .values()
+        .filter(|c| matches!(c, CellState::InFlight))
+        .count() as u64;
+    drop(memo);
+    if s.requests != s.replay_hits + unique {
         return Err(format!(
-            "sim cache invariant violated: {} computes + {} store fills for {unique} unique keys",
-            s.computed, s.store_fills
+            "sim cache invariant violated: {} requests != {} replays + {unique} unique keys",
+            s.requests, s.replay_hits
         ));
     }
-    if s.requests != s.hits() + s.computed + s.recomputed {
+    if s.computed + s.store_fills + in_flight != unique {
         return Err(format!(
-            "sim cache invariant violated: {} requests != {} hits + {} computed + {} recomputed",
-            s.requests,
-            s.hits(),
-            s.computed,
-            s.recomputed
+            "sim cache invariant violated: {} computes + {} store fills + {in_flight} in flight \
+             for {unique} unique keys",
+            s.computed, s.store_fills
         ));
     }
     Ok(())
@@ -807,51 +638,63 @@ mod tests {
         assert!(verify_each_sim_ran_once().is_ok());
     }
 
-    /// End-to-end store integration inside one process: results are
-    /// written through, spilling demotes resident outcomes, and a
-    /// spilled outcome revives byte-identically from the store.
+    /// A sibling's in-flight simulation must never break the invariant:
+    /// a poll that lands mid-compute sees the claimed key as in flight.
     #[test]
-    fn store_backed_replay_and_spill() {
+    fn invariant_holds_while_a_sibling_computes() {
+        let bench = nw();
+        let small = GpuConfig::small();
+        let config = GpuConfig {
+            num_sms: 1,
+            l1_hit_latency: small.l1_hit_latency + 7,
+            ..small
+        };
+        let sibling = std::thread::spawn(move || run_cached(PolicyKind::Baseline, &bench, &config));
+        let (mut polls, mut violations, mut first) = (0u64, 0u64, None);
+        while !sibling.is_finished() {
+            polls += 1;
+            if let Err(e) = verify_each_sim_ran_once() {
+                violations += 1;
+                first.get_or_insert(e);
+            }
+            std::thread::yield_now();
+        }
+        sibling.join().expect("sibling simulation");
+        assert_eq!(violations, 0, "{violations} of {polls} polls: {first:?}");
+    }
+
+    /// End-to-end store integration inside one process: a fresh
+    /// compute is written through, and its record decodes to the cold
+    /// run's result and diagnostics.
+    #[test]
+    fn store_writes_computes_through() {
         let dir = std::env::temp_dir().join(format!("latte-sim-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // First configure wins; every test in this process then shares
-        // the store, which the counter-delta assertions tolerate.
-        let _ = configure_store(StoreConfig::at(dir.clone()));
-        if !store_is_durable() {
-            // Another test (or a prior failed run) already configured a
-            // different store; nothing to assert against.
-            return;
-        }
+        // No other test in this binary configures a store.
+        configure_store(StoreConfig::at(dir.clone())).expect("store not yet configured");
         let bench = nw();
         let config = GpuConfig {
             num_sms: 1,
             ..GpuConfig::small()
         };
 
-        let before = stats();
         report::begin_capture();
         let cold = run_cached(PolicyKind::StaticBpc, &bench, &config);
         let cold_text = report::end_capture();
         flush_store();
 
-        // Force a spill of everything durably backed, then revive.
-        set_retained_budget(0);
-        report::begin_capture();
-        let _ = run_cached(PolicyKind::Baseline, &bench, &config);
-        let _ = report::end_capture();
-        set_retained_budget(DEFAULT_RETAINED_BUDGET);
-
-        report::begin_capture();
-        let warm = run_cached(PolicyKind::StaticBpc, &bench, &config);
-        let warm_text = report::end_capture();
-        let after = stats();
-
-        assert_eq!(cold.stats, warm.stats, "revived result must be identical");
-        assert_eq!(cold_text, warm_text, "revived diagnostics must match");
-        assert!(after.spills > before.spills, "budget 0 must have spilled");
+        let disk_key = disk_key_for(&key_for(PolicyKind::StaticBpc, &bench, &config));
+        let bytes = store()
+            .and_then(|s| s.get(disk_key))
+            .expect("the compute was written through");
+        let (result, diag) =
+            codec::decode_outcome(&bytes, PolicyKind::StaticBpc, &bench).expect("record decodes");
+        assert_eq!(result.stats, cold.stats);
+        assert_eq!(diag, cold_text, "stored diagnostics must match");
         assert_eq!(
-            after.recomputed, before.recomputed,
-            "revival must come from the store, not a recompute"
+            codec::encode_outcome(&result, &diag),
+            codec::encode_outcome(&cold, &cold_text),
+            "stored outcome must match the cold run field for field"
         );
         assert!(verify_each_sim_ran_once().is_ok());
     }

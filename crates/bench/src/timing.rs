@@ -170,41 +170,25 @@ pub fn print_report(experiments: &[(&str, f64)], cache: &crate::sim::SimStats) {
         100.0 * cache.hits() as f64 / cache.requests as f64
     };
     println!(
-        "sim cache: {} requests, {} hits ({pct:.0}%): {} memory, {} store-memory, \
-         {} store-disk; {} computed",
+        "sim cache: {} requests, {} hits ({pct:.0}%): {} memory, {} store; {} computed",
         cache.requests,
         cache.hits(),
         cache.replay_hits,
-        cache.store_mem_hits,
-        cache.store_disk_hits,
+        cache.store_fills,
         cache.computed
     );
-    if cache.recomputed > 0 || cache.spills > 0 {
-        println!(
-            "sim cache: {} spilled to store, {} recomputed after a lost spill",
-            cache.spills, cache.recomputed
-        );
-    }
 
     if let Some(store) = crate::sim::store_stats() {
         println!(
             "store: {} durable writes, {} dropped, {} write failures; {} quarantined, \
-             {} missing, {} adopted, {} torn removed",
+             {} missing, {} adopted, {} torn removed; {} fault(s) injected",
             store.durable_writes,
             store.dropped_writes,
             store.write_failures,
             store.quarantined,
             store.missing,
             store.adopted,
-            store.torn_removed
-        );
-        println!(
-            "store: hot tier {} hits, {} admission-rejected, {} evicted; \
-             disk tier {} reads; {} fault(s) injected",
-            store.mem_hits,
-            store.admission_rejects,
-            store.evictions,
-            store.disk_hits,
+            store.torn_removed,
             store.injected_faults
         );
     }

@@ -14,47 +14,36 @@
 //!   serialized writer with bounded retry, a recovery scan that
 //!   quarantines damage instead of failing, and a kill-point harness
 //!   for simulating mid-write crashes.
-//! * [`admission`] — a bounded in-memory hot tier with TinyLFU
-//!   admission in front of disk.
 //! * [`faults`] — deterministic, seeded corruption of the disk tier
 //!   (`--inject-store`) to prove the recovery path.
 //!
-//! The [`Store`] facade composes the tiers behind a degradation
-//! ladder: an unusable directory degrades to memory-only, an
-//! unwritable one to read-only, and a corrupt record to a recompute —
-//! each with a warning, never an error. `Store::open` cannot fail.
+//! The store is a durable tier and nothing else: it keeps no in-memory
+//! copy of an outcome, because the caller's memo map already holds the
+//! one copy a process needs. The [`Store`] facade puts the disk tier
+//! behind a degradation ladder: an unusable directory leaves no disk
+//! tier (the caller's memo still works), an unwritable one serves its
+//! records read-only, and a corrupt record is a miss — each with a
+//! warning, never an error. `Store::open` cannot fail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod disk;
 pub mod faults;
 pub mod record;
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-pub use admission::{MemTier, MemTierStats};
 pub use disk::{DiskConfig, DiskStats, DiskTier, KillPoint, KillSpec, RecoveryReport};
 pub use faults::{StoreFaultConfig, StoreFaultInjector, StoreFaultKind};
 pub use record::{RecordError, RECORD_SCHEMA};
 
-/// Default hot-tier budget: enough for every result of a full sweep,
-/// small enough to never matter on a laptop.
-pub const DEFAULT_MEM_CAPACITY: usize = 64 * 1024 * 1024;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// How to open a [`Store`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Disk root; `None` runs memory-only by design (not degraded).
-    pub dir: Option<PathBuf>,
-    /// Hot-tier byte budget.
-    pub mem_capacity_bytes: usize,
+    /// Disk root (created if absent).
+    pub dir: PathBuf,
     /// Seeded store fault injection (`--inject-store`).
     pub faults: Option<StoreFaultConfig>,
     /// Simulated mid-write crash (test harness only).
@@ -62,36 +51,15 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// Memory-only store (no disk tier, nothing degraded).
-    #[must_use]
-    pub fn memory_only() -> StoreConfig {
-        StoreConfig {
-            dir: None,
-            mem_capacity_bytes: DEFAULT_MEM_CAPACITY,
-            faults: None,
-            kill: None,
-        }
-    }
-
-    /// Disk-backed store rooted at `dir` with default settings.
+    /// Store rooted at `dir` with default settings.
     #[must_use]
     pub fn at(dir: PathBuf) -> StoreConfig {
         StoreConfig {
-            dir: Some(dir),
-            mem_capacity_bytes: DEFAULT_MEM_CAPACITY,
+            dir,
             faults: None,
             kill: None,
         }
     }
-}
-
-/// Which tier served a hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// The in-memory hot tier.
-    Memory,
-    /// The durable disk tier (record re-validated on this read).
-    Disk,
 }
 
 /// The outcome of [`Store::open`]: what was recovered and what, if
@@ -100,16 +68,17 @@ pub enum Tier {
 pub struct OpenReport {
     /// The disk tier is active.
     pub disk_enabled: bool,
-    /// What the recovery scan found (zeroed when memory-only).
+    /// What the recovery scan found (zeroed when the disk tier is off).
     pub recovery: RecoveryReport,
     /// Human-readable degradation warnings (print once).
     pub warnings: Vec<String>,
 }
 
-/// Merged counter snapshot across tiers, for `--timings`.
+/// Counter snapshot for `--timings`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Hits served from the hot tier.
+    /// Always 0: the store keeps no in-memory tier. Kept because the
+    /// repository benchmark (`latte-perf`) reads it.
     pub mem_hits: u64,
     /// Hits served (and re-validated) from disk.
     pub disk_hits: u64,
@@ -127,113 +96,83 @@ pub struct StoreStats {
     pub adopted: u64,
     /// Torn temp files removed at open.
     pub torn_removed: u64,
-    /// Hot-tier candidates rejected by TinyLFU admission.
-    pub admission_rejects: u64,
-    /// Hot-tier evictions.
+    /// Always 0: with no in-memory tier nothing is evicted. Kept
+    /// because the repository benchmark (`latte-perf`) reads it.
     pub evictions: u64,
     /// Faults injected by `--inject-store`.
     pub injected_faults: u64,
 }
 
-/// The two-tier store facade. Thread-safe; share via reference or
-/// `Arc`.
+/// The store facade over the durable disk tier. Thread-safe; share
+/// via reference or `Arc`.
 #[derive(Debug)]
 pub struct Store {
-    mem: Mutex<MemTier>,
     disk: Option<DiskTier>,
     recovery: RecoveryReport,
 }
 
 impl Store {
     /// Opens a store. Never fails: every problem steps down the
-    /// degradation ladder (disk → read-only → memory-only) and is
+    /// degradation ladder (disk → read-only → no disk tier) and is
     /// reported in the [`OpenReport`].
     #[must_use]
     pub fn open(config: StoreConfig) -> (Store, OpenReport) {
-        let mem = Mutex::new(MemTier::new(config.mem_capacity_bytes));
+        let StoreConfig { dir, faults, kill } = config;
         let mut report = OpenReport::default();
-        let disk = match config.dir {
-            None => None,
-            Some(dir) => {
-                let disk_config = DiskConfig {
-                    dir: dir.clone(),
-                    faults: config.faults,
-                    kill: config.kill,
-                };
-                match DiskTier::open(disk_config) {
-                    Ok((tier, recovery)) => {
-                        report.disk_enabled = true;
-                        report.recovery = recovery;
-                        if recovery.read_only {
-                            report.warnings.push(format!(
-                                "store: {} is not writable; serving existing entries read-only, new results stay in memory",
-                                dir.display()
-                            ));
-                        }
-                        if recovery.quarantined > 0 {
-                            report.warnings.push(format!(
-                                "store: quarantined {} corrupt record(s) during recovery at {}",
-                                recovery.quarantined,
-                                dir.display()
-                            ));
-                        }
-                        Some(tier)
-                    }
-                    Err(err) => {
-                        report.warnings.push(format!(
-                            "store: {} unavailable ({err}); continuing in-memory only",
-                            dir.display()
-                        ));
-                        None
-                    }
+        let disk = match DiskTier::open(DiskConfig {
+            dir: dir.clone(),
+            faults,
+            kill,
+        }) {
+            Ok((tier, recovery)) => {
+                report.disk_enabled = true;
+                report.recovery = recovery;
+                if recovery.read_only {
+                    report.warnings.push(format!(
+                        "store: {} is not writable; serving existing entries read-only, new results stay in memory",
+                        dir.display()
+                    ));
                 }
+                if recovery.quarantined > 0 {
+                    report.warnings.push(format!(
+                        "store: quarantined {} corrupt record(s) during recovery at {}",
+                        recovery.quarantined,
+                        dir.display()
+                    ));
+                }
+                Some(tier)
+            }
+            Err(err) => {
+                report.warnings.push(format!(
+                    "store: {} unavailable ({err}); continuing in-memory only",
+                    dir.display()
+                ));
+                None
             }
         };
         let recovery = report.recovery;
-        (
-            Store {
-                mem,
-                disk,
-                recovery,
-            },
-            report,
-        )
+        (Store { disk, recovery }, report)
     }
 
-    /// Looks up `key`: hot tier first, then disk (with record
-    /// re-validation). A disk hit is promoted into the hot tier,
-    /// subject to admission.
-    pub fn get(&self, key: u128) -> Option<(Arc<Vec<u8>>, Tier)> {
-        if let Some(bytes) = lock(&self.mem).get(key) {
-            return Some((bytes, Tier::Memory));
-        }
-        let disk = self.disk.as_ref()?;
-        let bytes = Arc::new(disk.get(key)?);
-        lock(&self.mem).insert(key, Arc::clone(&bytes));
-        Some((bytes, Tier::Disk))
+    /// Reads `key` from disk, re-validating the record. A miss, a
+    /// corrupt record and a disabled disk tier all return `None`.
+    pub fn get(&self, key: u128) -> Option<Vec<u8>> {
+        self.disk.as_ref()?.get(key)
     }
 
-    /// Stores `bytes` under `key` in both tiers. The disk write is
+    /// Queues `bytes` for durable storage under `key`. The write is
     /// asynchronous; poll [`Store::durable`] or call [`Store::flush`].
     pub fn put(&self, key: u128, bytes: Arc<Vec<u8>>) {
-        lock(&self.mem).insert(key, Arc::clone(&bytes));
         if let Some(disk) = &self.disk {
             disk.put(key, bytes);
         }
     }
 
     /// `true` when `key` has a durable on-disk record. Always `false`
-    /// for a memory-only store — callers use this to decide whether an
-    /// in-memory entry may be dropped.
+    /// without a disk tier.
     #[must_use]
     pub fn durable(&self, key: u128) -> bool {
         self.disk.as_ref().is_some_and(|d| d.durable(key))
-    }
-
-    /// `true` when the disk tier is active (even read-only).
-    #[must_use]
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// Blocks until queued writes are applied and the index is
@@ -251,13 +190,12 @@ impl Store {
         }
     }
 
-    /// Merged counter snapshot (open-time recovery counts included).
+    /// Counter snapshot (open-time recovery counts included).
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let mem = lock(&self.mem).stats();
         let disk = self.disk.as_ref().map(DiskTier::stats).unwrap_or_default();
         StoreStats {
-            mem_hits: mem.hits,
+            mem_hits: 0,
             disk_hits: disk.reads_ok,
             durable_writes: disk.durable_writes,
             dropped_writes: disk.dropped_writes,
@@ -266,8 +204,7 @@ impl Store {
             missing: disk.missing + self.recovery.missing_dropped,
             adopted: self.recovery.adopted,
             torn_removed: self.recovery.torn_removed,
-            admission_rejects: mem.admission_rejects,
-            evictions: mem.evictions,
+            evictions: 0,
             injected_faults: disk.injected_faults,
         }
     }
@@ -289,18 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_only_round_trip() {
-        let (store, report) = Store::open(StoreConfig::memory_only());
-        assert!(!report.disk_enabled);
-        assert!(report.warnings.is_empty());
-        store.put(1, Arc::new(b"one".to_vec()));
-        let (bytes, tier) = store.get(1).unwrap();
-        assert_eq!(&bytes[..], b"one");
-        assert_eq!(tier, Tier::Memory);
-        assert!(!store.durable(1), "memory-only is never durable");
-    }
-
-    #[test]
     fn disk_backed_survives_process_restart() {
         let root = tmp_root("restart");
         {
@@ -312,15 +237,11 @@ mod tests {
             store.shutdown();
         }
         let (store, _) = Store::open(StoreConfig::at(root.clone()));
-        let (bytes, tier) = store.get(9).unwrap();
+        let bytes = store.get(9).unwrap();
         assert_eq!(&bytes[..], b"persisted");
-        assert_eq!(tier, Tier::Disk, "first read after reopen comes from disk");
-        // The disk hit is promoted to the hot tier.
-        let (_, tier) = store.get(9).unwrap();
-        assert_eq!(tier, Tier::Memory);
-        let stats = store.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.mem_hits, 1);
+        // No in-memory tier: the second read also comes from disk.
+        assert_eq!(store.get(9).unwrap(), bytes);
+        assert_eq!(store.stats().disk_hits, 2);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -335,9 +256,10 @@ mod tests {
         assert!(!report.disk_enabled);
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].contains("in-memory only"), "{:?}", report.warnings);
-        // Still fully functional in memory.
+        // No disk tier: a put is dropped and the caller's memo is the
+        // only copy.
         store.put(2, Arc::new(b"two".to_vec()));
-        assert!(store.get(2).is_some());
+        assert!(store.get(2).is_none());
         assert!(!store.durable(2));
         fs::remove_dir_all(&root).unwrap();
     }

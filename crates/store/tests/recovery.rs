@@ -136,7 +136,7 @@ fn check_recovery(root: &Path, keys: u128, damages: &[Damage]) {
     let mut lost = Vec::new();
     for key in 0..keys {
         match store.get(key) {
-            Some((bytes, _)) => {
+            Some(bytes) => {
                 assert_eq!(
                     bytes.as_slice(),
                     payload_for(key).as_slice(),
@@ -153,7 +153,7 @@ fn check_recovery(root: &Path, keys: u128, damages: &[Damage]) {
     }
     store.flush();
     for key in 0..keys {
-        let (bytes, _) = store
+        let bytes = store
             .get(key)
             .unwrap_or_else(|| panic!("key {key} still missing after rewrite"));
         assert_eq!(bytes.as_slice(), payload_for(key).as_slice());
@@ -163,7 +163,7 @@ fn check_recovery(root: &Path, keys: u128, damages: &[Damage]) {
     // A second reopen must also be clean (recovery is idempotent).
     let (store, _) = Store::open(StoreConfig::at(root.to_path_buf()));
     for key in 0..keys {
-        let (bytes, _) = store
+        let bytes = store
             .get(key)
             .unwrap_or_else(|| panic!("key {key} missing after second reopen"));
         assert_eq!(bytes.as_slice(), payload_for(key).as_slice());
@@ -199,7 +199,7 @@ fn every_truncation_offset_of_one_segment_recovers() {
         apply(&root, &Damage::Truncate { key: 0, pos: cut });
         let (store, _) = Store::open(StoreConfig::at(root.clone()));
         match store.get(0) {
-            Some((bytes, _)) => assert_eq!(bytes.as_slice(), payload_for(0).as_slice()),
+            Some(bytes) => assert_eq!(bytes.as_slice(), payload_for(0).as_slice()),
             None => {}
         }
         store.shutdown();
@@ -219,7 +219,7 @@ fn seeded_injector_full_sweep_never_serves_wrong_bytes() {
         let mut misses = 0u64;
         for key in 0..12u128 {
             match store.get(key) {
-                Some((bytes, _)) => {
+                Some(bytes) => {
                     assert_eq!(bytes.as_slice(), payload_for(key).as_slice(), "seed {seed} key {key}");
                 }
                 None => misses += 1,
