@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_bench::PolicyKind;
-use latte_gpusim::{
-    Gpu, GpuConfig, Kernel, Op, SchedulerKind, VecStream, Warp, WarpScheduler, WarpState,
-};
+use latte_gpusim::{Gpu, GpuConfig, Kernel, SchedulerKind, WarpScheduler, WarpState};
 use latte_workloads::benchmark;
 use std::hint::black_box;
 
@@ -44,38 +42,45 @@ fn bench_simulation(c: &mut Criterion) {
 
 /// The per-cycle warp-scheduler step: a 48-warp SM pool split across
 /// two schedulers, both picking every cycle as `Sm::issue_cycle` does.
-/// An issued warp turns busy or waits on data for a few cycles, so GTO
-/// keeps switching warps and LRR keeps rotating; a quarter of the pool
-/// is memory-stalled or finished throughout. One iteration is 64 cycles
+/// An issued warp turns busy or waits on data for a few cycles (reported
+/// to its scheduler, as the SM's state setter does), so GTO keeps
+/// switching warps and LRR keeps rotating; a quarter of the pool is
+/// memory-stalled or finished throughout. One iteration is 64 cycles
 /// (128 picks).
 fn bench_scheduler_pick(c: &mut Criterion) {
     const WARPS: usize = 48;
     let mut group = c.benchmark_group("scheduler_pick");
     for kind in [SchedulerKind::Gto, SchedulerKind::Lrr] {
         group.bench_function(BenchmarkId::from_parameter(format!("{kind:?}")), |b| {
-            let mut warps: Vec<Warp> = (0..WARPS)
-                .map(|i| {
-                    let mut w = Warp::new(i, i / 8, Box::new(VecStream::new(vec![Op::Exit])));
-                    w.state = match i % 8 {
-                        6 => WarpState::WaitingData {
-                            until: 0,
-                            pending_misses: 1,
-                        },
-                        7 => WarpState::Finished,
-                        _ => WarpState::Ready,
-                    };
-                    w
-                })
-                .collect();
+            // Warp `w` sits in slot `w / 2` of scheduler `w % 2`.
+            let mut states = vec![WarpState::Ready; WARPS];
             let mut schedulers: Vec<WarpScheduler> = (0..2)
                 .map(|s| WarpScheduler::new(kind, (s..WARPS).step_by(2).collect()))
                 .collect();
+            let mut set = |schedulers: &mut [WarpScheduler], w: usize, to: WarpState| {
+                schedulers[w % 2].on_state_change(w / 2, states[w], to);
+                states[w] = to;
+            };
+            for w in 0..WARPS {
+                match w % 8 {
+                    6 => set(
+                        &mut schedulers,
+                        w,
+                        WarpState::WaitingData {
+                            until: 0,
+                            pending_misses: 1,
+                        },
+                    ),
+                    7 => set(&mut schedulers, w, WarpState::Finished),
+                    _ => {}
+                }
+            }
             let mut cycle = 0;
             b.iter(|| {
                 for _ in 0..64 {
-                    for s in &mut schedulers {
-                        if let Some(w) = s.pick(black_box(&warps), cycle) {
-                            warps[w].state = match (w as u64 + cycle) % 4 {
+                    for s in 0..2 {
+                        if let Some(w) = schedulers[s].pick(black_box(cycle)) {
+                            let to = match (w as u64 + cycle) % 4 {
                                 0 => WarpState::WaitingData {
                                     until: cycle + 4,
                                     pending_misses: 0,
@@ -84,6 +89,7 @@ fn bench_scheduler_pick(c: &mut Criterion) {
                                 2 => WarpState::BusyUntil(cycle + 3),
                                 _ => WarpState::BusyUntil(cycle + 8),
                             };
+                            set(&mut schedulers, w, to);
                         }
                     }
                     cycle += 1;

@@ -26,9 +26,11 @@
 //!   pop the same per-SM subsequences as the global serial heap, and
 //!   arbiter-generated completions land at cycles ≥ the epoch end.
 //! * **Idle equivalence.** A scheduler swept with nothing ready behaves
-//!   identically to `account_idle_cycles(1)`, and warp availability is
-//!   constant across idle gaps, so shards only need to process their own
-//!   "interesting" cycles — the same fast-forward the serial loop does.
+//!   identically to `account_idle_cycles(1)`: both add its maintained
+//!   available-warp count once. No warp changes state inside an idle
+//!   gap, so that count is constant across it, and shards only need to
+//!   process their own "interesting" cycles — the same fast-forward the
+//!   serial loop does.
 //! * **Shadow replay.** Shards record oracle calls into a local buffer;
 //!   the barrier replays them into the real hook sorted by
 //!   `(cycle, phase, sm, seq)` (fills before issues within a cycle),

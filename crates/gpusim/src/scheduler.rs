@@ -2,24 +2,36 @@
 //!
 //! Each SM has two schedulers (Table II); the warp pool is split evenly
 //! between them. The scheduler also measures the two quantities LATTE-CC's
-//! latency-tolerance estimator needs (Eq. 4): the mean number of ready
-//! warps per cycle and the mean greedy run length per schedule.
+//! latency-tolerance estimator needs (Eq. 4): the mean number of
+//! available warps per cycle and the mean greedy run length per schedule.
+//!
+//! A scheduler never reads the warps themselves. It keeps a readiness
+//! table, one slot per owned warp, that the SM updates on every warp
+//! state change ([`WarpScheduler::on_state_change`]): the cycle from
+//! which the slot's warp can issue, plus maintained counts of available
+//! and finished warps. A pick compares cycles in that table; the probe
+//! sample reads the count.
 
 use crate::config::SchedulerKind;
-use crate::warp::Warp;
+use crate::warp::{Warp, WarpState};
 use latte_compress::Cycles;
 
-/// Fold sentinel: "no ready warp" (no real id or slice position).
-const NONE: usize = usize::MAX;
-
-/// One warp scheduler: owns a fixed slice of the SM's warps (by index) and
+/// One warp scheduler: owns a fixed set of the SM's warps (by index) and
 /// picks at most one to issue per cycle.
 #[derive(Debug, Clone)]
 pub struct WarpScheduler {
     kind: SchedulerKind,
-    /// Indices (into the SM's warp vector) this scheduler arbitrates.
+    /// Indices (into the SM's warp vector) this scheduler arbitrates, in
+    /// ascending (launch) order; slot `i` of the tables is `warp_ids[i]`.
     warp_ids: Vec<usize>,
-    /// The warp currently favoured by GTO greed (or the LRR rotor).
+    /// Per slot: the cycle from which the warp can issue (`Cycles::MAX`
+    /// while it waits on misses, sits at a barrier or has finished).
+    ready_at: Vec<Cycles>,
+    /// Owned warps holding execution work (Ready or BusyUntil).
+    available: u64,
+    /// Owned warps that executed their final op.
+    finished: usize,
+    /// The slot currently favoured by GTO greed (or the LRR rotor).
     current: Option<usize>,
     /// Length of the current greedy run, in issues.
     run_length: u64,
@@ -35,7 +47,7 @@ pub struct WarpScheduler {
 pub struct SchedulerProbe {
     /// Number of cycles sampled.
     pub samples: u64,
-    /// Sum of ready-warp counts over those cycles.
+    /// Sum of available-warp counts over those cycles.
     pub ready_sum: u64,
     /// Number of completed greedy runs.
     pub runs: u64,
@@ -43,13 +55,39 @@ pub struct SchedulerProbe {
     pub run_length_sum: u64,
 }
 
+/// A warp state's readiness-table entry: the cycle from which the warp
+/// can issue, and whether it is *available* — holding execution work
+/// (issuable now or busy with compute) rather than stalled on memory, a
+/// barrier, or done. Available warps are the Eq. (4) latency-tolerance
+/// count: their work can hide another warp's decompression stall.
+fn table_entry(state: WarpState) -> (Cycles, bool) {
+    match state {
+        WarpState::Ready => (0, true),
+        WarpState::BusyUntil(until) => (until, true),
+        WarpState::WaitingData {
+            until,
+            pending_misses: 0,
+        } => (until, false),
+        WarpState::WaitingData { .. } | WarpState::AtBarrier(_) | WarpState::Finished => {
+            (Cycles::MAX, false)
+        }
+    }
+}
+
 impl WarpScheduler {
-    /// Creates a scheduler arbitrating `warp_ids`.
+    /// Creates a scheduler arbitrating `warp_ids`, all of them
+    /// [`WarpState::Ready`] (as [`Warp::new`] creates them). The ids are
+    /// kept in ascending order: slot `i` is the `i`-th smallest id.
     #[must_use]
-    pub fn new(kind: SchedulerKind, warp_ids: Vec<usize>) -> WarpScheduler {
+    pub fn new(kind: SchedulerKind, mut warp_ids: Vec<usize>) -> WarpScheduler {
+        warp_ids.sort_unstable();
+        let n = warp_ids.len();
         WarpScheduler {
             kind,
             warp_ids,
+            ready_at: vec![0; n],
+            available: n as u64,
+            finished: 0,
             current: None,
             run_length: 0,
             ready_samples: 0,
@@ -59,108 +97,138 @@ impl WarpScheduler {
         }
     }
 
-    /// The warp indices this scheduler owns.
+    /// The warp indices this scheduler owns, in slot order.
     #[must_use]
     pub fn warp_ids(&self) -> &[usize] {
         &self.warp_ids
     }
 
-    /// Picks the warp to issue at `cycle`, or `None` if no owned warp is
-    /// ready. Also samples the ready count for the tolerance probe.
-    ///
-    /// Each call makes one pass over the owned warps. GTO's greedy hit
-    /// (the current warp still ready) needs only the availability count;
-    /// otherwise the pass also folds the lowest ready warp id (GTO's
-    /// oldest) or the first ready warp after the rotor (LRR).
-    pub fn pick(&mut self, warps: &[Warp], cycle: Cycles) -> Option<usize> {
-        match self.kind {
-            SchedulerKind::Gto => self.pick_gto(warps, cycle),
-            SchedulerKind::Lrr => self.pick_lrr(warps, cycle),
-        }
+    /// Records that the warp in `slot` changed from state `from` to
+    /// `to`. Every state change of an owned warp must be reported here,
+    /// in order; the SM does so through its single state setter.
+    pub fn on_state_change(&mut self, slot: usize, from: WarpState, to: WarpState) {
+        let (ready_at, available) = table_entry(to);
+        self.ready_at[slot] = ready_at;
+        self.available = self.available + u64::from(available) - u64::from(table_entry(from).1);
+        self.finished = self.finished + usize::from(to == WarpState::Finished)
+            - usize::from(from == WarpState::Finished);
     }
 
-    fn pick_gto(&mut self, warps: &[Warp], cycle: Cycles) -> Option<usize> {
+    /// Picks the warp to issue at `cycle`, or `None` if no owned warp is
+    /// ready. Also samples the available count for the tolerance probe.
+    ///
+    /// GTO's greedy hit (the current warp still ready) is one table read;
+    /// otherwise GTO takes the first ready slot (the oldest warp, since
+    /// slots are in launch order) and LRR the first ready slot after the
+    /// rotor, wrapping around.
+    pub fn pick(&mut self, cycle: Cycles) -> Option<usize> {
+        self.sample(1);
+        let slot = match self.kind {
+            SchedulerKind::Gto => self.pick_gto(cycle),
+            SchedulerKind::Lrr => self.pick_lrr(cycle),
+        };
+        slot.map(|slot| self.warp_ids[slot])
+    }
+
+    fn pick_gto(&mut self, cycle: Cycles) -> Option<usize> {
         if let Some(cur) = self.current {
-            if warps[cur].is_ready(cycle) {
-                self.sample(self.available(warps));
+            if self.ready_at[cur] <= cycle {
                 self.run_length += 1;
                 return Some(cur);
             }
         }
-        let mut available = 0u64;
-        let mut oldest = NONE;
-        for &w in &self.warp_ids {
-            let warp = &warps[w];
-            available += u64::from(warp.is_available());
-            oldest = oldest.min(if warp.is_ready(cycle) { w } else { NONE });
-        }
-        self.sample(available);
         // An unready current warp ends its greedy run.
         self.end_run();
-        if oldest == NONE {
-            return None;
-        }
-        // Oldest = lowest warp id (warps are launched in id order).
+        let oldest = self.ready_at.iter().position(|&at| at <= cycle)?;
         self.current = Some(oldest);
         self.run_length = 1;
         Some(oldest)
     }
 
-    fn pick_lrr(&mut self, warps: &[Warp], cycle: Cycles) -> Option<usize> {
-        // Rotate: the next ready warp after the last issued one (its
-        // first slice position), wrapping to the first ready warp.
-        let rotor = self.current.unwrap_or(NONE);
-        let mut available = 0u64;
-        let mut first = NONE;
-        let mut after_rotor = NONE;
-        let mut past_rotor = false;
-        for (pos, &w) in self.warp_ids.iter().enumerate() {
-            let warp = &warps[w];
-            let ready = warp.is_ready(cycle);
-            available += u64::from(warp.is_available());
-            first = first.min(if ready { pos } else { NONE });
-            after_rotor = after_rotor.min(if ready && past_rotor { pos } else { NONE });
-            past_rotor |= w == rotor;
-        }
-        self.sample(available);
-        if first == NONE {
+    fn pick_lrr(&mut self, cycle: Cycles) -> Option<usize> {
+        // Rotate: the next ready slot after the last issued one,
+        // wrapping to the first ready slot.
+        let start = self.current.map_or(0, |rotor| rotor + 1);
+        let (before, after) = self.ready_at.split_at(start);
+        let ready = |at: &Cycles| *at <= cycle;
+        let Some(next) = after
+            .iter()
+            .position(ready)
+            .map(|p| start + p)
+            .or_else(|| before.iter().position(ready))
+        else {
             self.end_run();
             return None;
-        }
-        let next = self.warp_ids[if after_rotor == NONE { first } else { after_rotor }];
+        };
         self.current = Some(next);
         self.runs_completed += 1;
         self.run_length_sum += 1;
         Some(next)
     }
 
-    /// Number of owned warps holding execution work.
-    ///
-    /// The tolerance probe counts *available* warps — those holding
-    /// execution work (ready or computing) rather than stalled on memory
-    /// — since those are the warps whose work can hide a decompression
-    /// stall.
-    fn available(&self, warps: &[Warp]) -> u64 {
-        self.warp_ids
-            .iter()
-            .filter(|&&w| warps[w].is_available())
-            .count() as u64
-    }
-
-    /// Adds one cycle's availability count to the probe.
-    fn sample(&mut self, available: u64) {
-        self.ready_samples += 1;
-        self.ready_sum += available;
+    /// Adds `n` cycles at the current available count to the probe.
+    fn sample(&mut self, n: u64) {
+        self.ready_samples += n;
+        self.ready_sum += self.available * n;
     }
 
     /// Accounts `n` skipped (no-issue) cycles into the probe. Warps may
     /// still hold compute work during skipped cycles, so availability is
     /// sampled rather than assumed zero.
-    pub fn account_idle_cycles(&mut self, n: u64, warps: &[Warp]) {
-        let available = self.available(warps);
-        self.ready_samples += n;
-        self.ready_sum += available * n;
+    pub fn account_idle_cycles(&mut self, n: u64) {
+        self.sample(n);
         self.end_run();
+    }
+
+    /// Earliest cycle at which an owned warp can issue, or `None` when
+    /// every owned warp waits on misses, sits at a barrier or finished.
+    pub(crate) fn next_wake(&self) -> Option<Cycles> {
+        self.ready_at
+            .iter()
+            .copied()
+            .min()
+            .filter(|&at| at != Cycles::MAX)
+    }
+
+    /// `true` once every owned warp executed its final op.
+    pub(crate) fn all_finished(&self) -> bool {
+        self.finished == self.warp_ids.len()
+    }
+
+    /// Checks the readiness table against the owned warps' states: each
+    /// slot's ready cycle and both counts must be what the states imply.
+    /// A mismatch means a state change bypassed
+    /// [`WarpScheduler::on_state_change`].
+    pub(crate) fn validate(&self, warps: &[Warp]) -> Result<(), String> {
+        let mut available = 0;
+        let mut finished = 0;
+        for (slot, (&w, &ready_at)) in self.warp_ids.iter().zip(&self.ready_at).enumerate() {
+            let Some(warp) = warps.get(w) else {
+                return Err(format!("slot {slot} names warp {w}, beyond the pool"));
+            };
+            let (expected, is_available) = table_entry(warp.state);
+            if ready_at != expected {
+                return Err(format!(
+                    "slot {slot} (warp {w}) ready at {ready_at}, but {:?} implies {expected}",
+                    warp.state
+                ));
+            }
+            available += u64::from(is_available);
+            finished += usize::from(warp.state == WarpState::Finished);
+        }
+        if available != self.available {
+            return Err(format!(
+                "available count {} but {available} owned warps are available",
+                self.available
+            ));
+        }
+        if finished != self.finished {
+            return Err(format!(
+                "finished count {} but {finished} owned warps finished",
+                self.finished
+            ));
+        }
+        Ok(())
     }
 
     /// Reads and resets the probe accumulators.
@@ -203,8 +271,9 @@ mod tests {
     use proptest::prelude::*;
 
     /// The original three-pass `pick` (available count, ready count, then
-    /// a policy-specific search), kept as the reference the single-pass
-    /// version must match pick for pick and probe for probe.
+    /// a policy-specific search) over the `Warp`s themselves, kept as the
+    /// reference the table-driven version must match pick for pick and
+    /// probe for probe. It never reads the readiness table.
     fn reference_pick(s: &mut WarpScheduler, warps: &[Warp], cycle: Cycles) -> Option<usize> {
         let available = s
             .warp_ids
@@ -225,9 +294,9 @@ mod tests {
         match s.kind {
             SchedulerKind::Gto => {
                 if let Some(cur) = s.current {
-                    if warps[cur].is_ready(cycle) {
+                    if warps[s.warp_ids[cur]].is_ready(cycle) {
                         s.run_length += 1;
-                        return Some(cur);
+                        return Some(s.warp_ids[cur]);
                     }
                     s.end_run();
                 }
@@ -237,26 +306,50 @@ mod tests {
                     .copied()
                     .filter(|&w| warps[w].is_ready(cycle))
                     .min()?;
-                s.current = Some(oldest);
+                s.current = s.warp_ids.iter().position(|&w| w == oldest);
                 s.run_length = 1;
                 Some(oldest)
             }
             SchedulerKind::Lrr => {
-                let start = s
-                    .current
-                    .and_then(|c| s.warp_ids.iter().position(|&w| w == c))
-                    .map(|p| p + 1)
-                    .unwrap_or(0);
+                let start = s.current.map_or(0, |p| p + 1);
                 let n = s.warp_ids.len();
                 let next = (0..n)
-                    .map(|i| s.warp_ids[(start + i) % n])
-                    .find(|&w| warps[w].is_ready(cycle))?;
+                    .map(|i| (start + i) % n)
+                    .find(|&p| warps[s.warp_ids[p]].is_ready(cycle))?;
                 s.current = Some(next);
                 s.runs_completed += 1;
                 s.run_length_sum += 1;
-                Some(next)
+                Some(s.warp_ids[next])
             }
         }
+    }
+
+    /// The original `account_idle_cycles`, counting available warps.
+    fn reference_idle(s: &mut WarpScheduler, warps: &[Warp], n: u64) {
+        let available = s
+            .warp_ids
+            .iter()
+            .filter(|&&w| warps[w].is_available())
+            .count() as u64;
+        s.ready_samples += n;
+        s.ready_sum += available * n;
+        s.end_run();
+    }
+
+    /// The original warp-scanning `Sm::next_wake`, over owned warps.
+    fn reference_next_wake(s: &WarpScheduler, warps: &[Warp]) -> Option<Cycles> {
+        s.warp_ids
+            .iter()
+            .filter_map(|&w| match warps[w].state {
+                WarpState::BusyUntil(u) => Some(u),
+                WarpState::Ready => Some(0),
+                WarpState::WaitingData {
+                    until,
+                    pending_misses: 0,
+                } => Some(until),
+                _ => None,
+            })
+            .min()
     }
 
     /// A warp state relative to `cycle`, covering every `is_ready` /
@@ -297,23 +390,45 @@ mod tests {
                 }
             }
             let kind = if gto { SchedulerKind::Gto } else { SchedulerKind::Lrr };
+            // `fast` learns of state changes only through its
+            // notification path; `slow` is driven by the reference
+            // functions, which read the warps. Both are notified, so
+            // their whole state (tables included) must stay equal.
             let mut fast = WarpScheduler::new(kind, ids.clone());
             let mut slow = WarpScheduler::new(kind, ids);
             let mut ws = warps(POOL);
             let mut cycle = 0;
             for (step, (delta, states, action)) in steps.into_iter().enumerate() {
                 cycle += delta;
-                for (warp, &(code, offset)) in ws.iter_mut().zip(&states) {
-                    warp.state = state_at(code, offset, cycle);
+                for (w, &(code, offset)) in states.iter().enumerate() {
+                    let to = state_at(code, offset, cycle);
+                    let from = std::mem::replace(&mut ws[w].state, to);
+                    if let Some(slot) = fast.warp_ids().iter().position(|&id| id == w) {
+                        fast.on_state_change(slot, from, to);
+                        slow.on_state_change(slot, from, to);
+                    }
                 }
+                prop_assert_eq!(fast.validate(&ws), Ok(()), "table at step {}", step);
+                prop_assert_eq!(
+                    fast.next_wake(),
+                    reference_next_wake(&slow, &ws),
+                    "next wake at step {}",
+                    step
+                );
+                prop_assert_eq!(
+                    fast.all_finished(),
+                    slow.warp_ids.iter().all(|&w| ws[w].is_finished()),
+                    "finished at step {}",
+                    step
+                );
                 match action {
                     0 => {
-                        fast.account_idle_cycles(2, &ws);
-                        slow.account_idle_cycles(2, &ws);
+                        fast.account_idle_cycles(2);
+                        reference_idle(&mut slow, &ws, 2);
                     }
                     1 => prop_assert_eq!(fast.take_probe(), slow.take_probe(), "step {}", step),
                     _ => prop_assert_eq!(
-                        fast.pick(&ws, cycle),
+                        fast.pick(cycle),
                         reference_pick(&mut slow, &ws, cycle),
                         "step {}",
                         step
@@ -340,44 +455,53 @@ mod tests {
 
     #[test]
     fn gto_sticks_with_current_warp() {
-        let ws = warps(4);
         let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0, 1, 2, 3]);
-        assert_eq!(s.pick(&ws, 0), Some(0));
-        assert_eq!(s.pick(&ws, 1), Some(0));
-        assert_eq!(s.pick(&ws, 2), Some(0));
+        assert_eq!(s.pick(0), Some(0));
+        assert_eq!(s.pick(1), Some(0));
+        assert_eq!(s.pick(2), Some(0));
     }
 
     #[test]
     fn gto_switches_to_oldest_on_stall() {
-        let mut ws = warps(4);
         let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0, 1, 2, 3]);
-        assert_eq!(s.pick(&ws, 0), Some(0));
-        ws[0].state = WarpState::BusyUntil(100);
-        ws[1].state = WarpState::BusyUntil(100);
-        assert_eq!(s.pick(&ws, 1), Some(2), "oldest ready warp");
+        assert_eq!(s.pick(0), Some(0));
+        s.on_state_change(0, WarpState::Ready, WarpState::BusyUntil(100));
+        s.on_state_change(1, WarpState::Ready, WarpState::BusyUntil(100));
+        assert_eq!(s.pick(1), Some(2), "oldest ready warp");
         // Warp 0 becoming ready again does not preempt the greedy run.
-        ws[0].state = WarpState::Ready;
-        assert_eq!(s.pick(&ws, 2), Some(2));
+        s.on_state_change(0, WarpState::BusyUntil(100), WarpState::Ready);
+        assert_eq!(s.pick(2), Some(2));
     }
 
     #[test]
     fn lrr_rotates() {
-        let ws = warps(3);
         let mut s = WarpScheduler::new(SchedulerKind::Lrr, vec![0, 1, 2]);
-        assert_eq!(s.pick(&ws, 0), Some(0));
-        assert_eq!(s.pick(&ws, 1), Some(1));
-        assert_eq!(s.pick(&ws, 2), Some(2));
-        assert_eq!(s.pick(&ws, 3), Some(0));
+        assert_eq!(s.pick(0), Some(0));
+        assert_eq!(s.pick(1), Some(1));
+        assert_eq!(s.pick(2), Some(2));
+        assert_eq!(s.pick(3), Some(0));
+    }
+
+    #[test]
+    fn slots_map_to_owned_warp_ids() {
+        // The odd half of a pool: slot i is warp 2i + 1.
+        let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![5, 1, 3]);
+        assert_eq!(s.warp_ids(), &[1, 3, 5]);
+        s.on_state_change(0, WarpState::Ready, WarpState::AtBarrier(0));
+        assert_eq!(s.pick(0), Some(3));
     }
 
     #[test]
     fn probe_measures_runs_and_ready_counts() {
-        let mut ws = warps(2);
         let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0, 1]);
-        s.pick(&ws, 0);
-        s.pick(&ws, 1);
-        ws[0].state = WarpState::WaitingData { until: 0, pending_misses: 1 };
-        s.pick(&ws, 2); // switches to warp 1, ending a run of 2
+        s.pick(0);
+        s.pick(1);
+        let waiting = WarpState::WaitingData {
+            until: 0,
+            pending_misses: 1,
+        };
+        s.on_state_change(0, WarpState::Ready, waiting);
+        s.pick(2); // switches to warp 1, ending a run of 2
         let probe = s.take_probe();
         assert_eq!(probe.samples, 3);
         assert_eq!(probe.ready_sum, 2 + 2 + 1);
@@ -387,10 +511,11 @@ mod tests {
 
     #[test]
     fn no_ready_warps_returns_none() {
-        let mut ws = warps(1);
-        ws[0].state = WarpState::Finished;
         let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0]);
-        assert_eq!(s.pick(&ws, 0), None);
+        s.on_state_change(0, WarpState::Ready, WarpState::Finished);
+        assert!(s.all_finished());
+        assert_eq!(s.next_wake(), None);
+        assert_eq!(s.pick(0), None);
         let probe = s.take_probe();
         assert_eq!(probe.ready_sum, 0);
         assert_eq!(probe.samples, 1);
@@ -398,11 +523,26 @@ mod tests {
 
     #[test]
     fn probe_resets_after_take() {
-        let ws = warps(2);
         let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0, 1]);
-        s.pick(&ws, 0);
+        s.pick(0);
         let _ = s.take_probe();
         let probe = s.take_probe();
         assert_eq!(probe, SchedulerProbe::default());
+    }
+
+    #[test]
+    fn validate_reports_a_stale_slot() {
+        let mut ws = warps(2);
+        let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0, 1]);
+        assert_eq!(s.validate(&ws), Ok(()));
+        // A state change the table never heard of.
+        ws[1].state = WarpState::BusyUntil(9);
+        let err = s.validate(&ws).unwrap_err();
+        assert!(err.contains("slot 1 (warp 1) ready at 0"), "{err}");
+        // A notification that got the old state wrong skews the counts.
+        s.on_state_change(1, WarpState::Ready, WarpState::BusyUntil(9));
+        s.on_state_change(0, WarpState::AtBarrier(0), WarpState::Ready);
+        let err = s.validate(&ws).unwrap_err();
+        assert!(err.starts_with("available count 3"), "{err}");
     }
 }

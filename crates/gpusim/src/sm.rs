@@ -317,7 +317,8 @@ impl Sm {
                     .collect()
             })
             .collect();
-        // Split warps round-robin across schedulers.
+        // Split warps round-robin across schedulers: warp `w` sits in
+        // slot `w / k` of scheduler `w % k` (see `Sm::set_state`).
         self.schedulers = (0..config.schedulers_per_sm)
             .map(|s| {
                 WarpScheduler::new(
@@ -348,30 +349,33 @@ impl Sm {
     }
 
     pub(crate) fn all_finished(&self) -> bool {
-        self.warps.iter().all(Warp::is_finished) && self.waiters.is_empty()
+        self.schedulers.iter().all(WarpScheduler::all_finished) && self.waiters.is_empty()
     }
 
-    /// Earliest cycle at which a busy warp becomes ready, if any.
+    /// Earliest cycle at which a warp can issue, if any warp can without
+    /// a refill or a barrier release.
     pub(crate) fn next_wake(&self) -> Option<Cycles> {
-        self.warps
+        self.schedulers
             .iter()
-            .filter_map(|w| match w.state {
-                WarpState::BusyUntil(u) => Some(u),
-                WarpState::Ready => Some(0),
-                WarpState::WaitingData {
-                    until,
-                    pending_misses: 0,
-                } => Some(until),
-                _ => None,
-            })
+            .filter_map(WarpScheduler::next_wake)
             .min()
     }
 
     /// Adds `n` skipped cycles to every scheduler's probe window.
     pub(crate) fn account_idle(&mut self, n: u64) {
         for s in &mut self.schedulers {
-            s.account_idle_cycles(n, &self.warps);
+            s.account_idle_cycles(n);
         }
+    }
+
+    /// Sets warp `wid`'s state and reports the change to the scheduler
+    /// that owns it. Every warp state write goes through here, so the
+    /// schedulers' readiness tables never go stale (`structural_errors`
+    /// audits them).
+    fn set_state(&mut self, wid: usize, state: WarpState) {
+        let k = self.schedulers.len();
+        let from = std::mem::replace(&mut self.warps[wid].state, state);
+        self.schedulers[wid % k].on_state_change(wid / k, from, state);
     }
 
     /// Runs one issue cycle: each scheduler issues at most one op, and the
@@ -386,7 +390,7 @@ impl Sm {
         // Rotate LD/ST port priority between schedulers.
         for i in 0..n {
             let s = (i + cycle as usize) % n;
-            let Some(wid) = self.schedulers[s].pick(&self.warps, cycle) else {
+            let Some(wid) = self.schedulers[s].pick(cycle) else {
                 continue;
             };
             let op = self.warps[wid].fetch_op();
@@ -414,7 +418,10 @@ impl Sm {
     fn execute(&mut self, wid: usize, op: Op, cycle: Cycles, ctx: &mut MemCtx<'_>) -> bool {
         match op {
             Op::Compute { cycles } => {
-                self.warps[wid].state = WarpState::BusyUntil(cycle + Cycles::from(cycles.max(1)));
+                self.set_state(
+                    wid,
+                    WarpState::BusyUntil(cycle + Cycles::from(cycles.max(1))),
+                );
                 true
             }
             Op::Load { addr } => self.execute_load(wid, addr, cycle, true, ctx),
@@ -446,16 +453,16 @@ impl Sm {
                         data: None,
                     }));
                 }
-                self.warps[wid].state = WarpState::BusyUntil(cycle + 1);
+                self.set_state(wid, WarpState::BusyUntil(cycle + 1));
                 true
             }
             Op::Barrier => {
-                self.warps[wid].state = WarpState::AtBarrier(cycle);
+                self.set_state(wid, WarpState::AtBarrier(cycle));
                 self.check_barrier(self.warps[wid].block, cycle);
                 true
             }
             Op::Exit => {
-                self.warps[wid].state = WarpState::Finished;
+                self.set_state(wid, WarpState::Finished);
                 // A warp exiting may release a barrier its block-mates wait on.
                 self.check_barrier(self.warps[wid].block, cycle);
                 true
@@ -497,7 +504,7 @@ impl Sm {
             // Back off before replaying so the stalled warp does not hog
             // its scheduler's issue slot every cycle (hardware parks the
             // replay in the instruction buffer).
-            self.warps[wid].state = WarpState::BusyUntil(cycle + 8);
+            self.set_state(wid, WarpState::BusyUntil(cycle + 8));
             return false;
         }
 
@@ -591,18 +598,17 @@ impl Sm {
                 let ready_at = cycle + latency;
                 let warp = &mut self.warps[wid];
                 warp.data_ready_at = warp.data_ready_at.max(ready_at);
-                if blocking {
-                    warp.state = WarpState::WaitingData {
-                        until: warp.data_ready_at,
-                        pending_misses: warp.outstanding_misses,
-                    };
-                    warp.data_ready_at = 0;
-                    warp.outstanding_misses = 0;
+                let state = if blocking {
+                    WarpState::WaitingData {
+                        until: std::mem::take(&mut warp.data_ready_at),
+                        pending_misses: std::mem::take(&mut warp.outstanding_misses),
+                    }
                 } else {
                     // One cycle of issue occupancy; the data arrives in
                     // the background.
-                    warp.state = WarpState::BusyUntil(cycle + 1);
-                }
+                    WarpState::BusyUntil(cycle + 1)
+                };
+                self.set_state(wid, state);
             }
             LookupOutcome::Miss => {
                 match self.mshr.allocate(line) {
@@ -630,17 +636,16 @@ impl Sm {
                 }
                 self.waiters.entry(line).or_default().push((wid, cycle));
                 let warp = &mut self.warps[wid];
-                if blocking {
-                    warp.state = WarpState::WaitingData {
-                        until: warp.data_ready_at,
-                        pending_misses: warp.outstanding_misses + 1,
-                    };
-                    warp.data_ready_at = 0;
-                    warp.outstanding_misses = 0;
+                let state = if blocking {
+                    WarpState::WaitingData {
+                        until: std::mem::take(&mut warp.data_ready_at),
+                        pending_misses: std::mem::take(&mut warp.outstanding_misses) + 1,
+                    }
                 } else {
                     warp.outstanding_misses += 1;
-                    warp.state = WarpState::BusyUntil(cycle + 1);
-                }
+                    WarpState::BusyUntil(cycle + 1)
+                };
+                self.set_state(wid, state);
             }
         }
         true
@@ -668,7 +673,7 @@ impl Sm {
         if !self.l1.contains(line) && !self.mshr.would_accept(line) {
             ctx.stats.mshr_stalls += 1;
             self.warps[wid].unfetch(Op::Store { addr, data: sector });
-            self.warps[wid].state = WarpState::BusyUntil(cycle + 8);
+            self.set_state(wid, WarpState::BusyUntil(cycle + 8));
             return false;
         }
         ctx.stats.stores += 1;
@@ -689,7 +694,7 @@ impl Sm {
             }
             self.pending_stores.entry(line).or_insert([None; 4])[sector_index] = Some(sector);
         }
-        self.warps[wid].state = WarpState::BusyUntil(cycle + 1);
+        self.set_state(wid, WarpState::BusyUntil(cycle + 1));
         true
     }
 
@@ -885,14 +890,13 @@ impl Sm {
         if let Some(waiters) = self.waiters.remove(&addr) {
             for (wid, issued_at) in waiters {
                 ctx.stats.miss_wait_cycles += cycle.saturating_sub(issued_at);
-                let warp = &mut self.warps[wid];
-                match warp.state {
+                match self.warps[wid].state {
                     WarpState::WaitingData {
                         until,
                         pending_misses,
                     } => {
                         let pending = pending_misses.saturating_sub(1);
-                        warp.state = if pending == 0 {
+                        let state = if pending == 0 {
                             WarpState::BusyUntil(until.max(cycle))
                         } else {
                             WarpState::WaitingData {
@@ -900,11 +904,13 @@ impl Sm {
                                 pending_misses: pending,
                             }
                         };
+                        self.set_state(wid, state);
                     }
                     // The warp is still running past an async miss (or
                     // already exited/hit a barrier): just retire the
                     // outstanding count.
                     _ => {
+                        let warp = &mut self.warps[wid];
                         warp.outstanding_misses = warp.outstanding_misses.saturating_sub(1);
                     }
                 }
@@ -923,10 +929,11 @@ impl Sm {
             )
         });
         if all_arrived {
-            for &w in members {
+            for i in 0..members.len() {
+                let w = self.blocks[block][i];
                 if let WarpState::AtBarrier(since) = self.warps[w].state {
                     self.barrier_wait += cycle - since;
-                    self.warps[w].state = WarpState::BusyUntil(cycle + 1);
+                    self.set_state(w, WarpState::BusyUntil(cycle + 1));
                 }
             }
         }
@@ -1024,7 +1031,8 @@ impl Sm {
 
     /// Collects every structural-invariant failure visible from this SM:
     /// the compressed L1's tag/capacity/shadow checks, the MSHR bounds,
-    /// and the compression policy's internal-state checks.
+    /// each scheduler's readiness table against its warps' states, and
+    /// the compression policy's internal-state checks.
     pub(crate) fn structural_errors(&self, policy: &dyn L1CompressionPolicy) -> Vec<String> {
         let mut errors = Vec::new();
         if let Err(e) = self.l1.validate() {
@@ -1032,6 +1040,11 @@ impl Sm {
         }
         if let Err(e) = self.mshr.validate() {
             errors.push(format!("mshr: {e}"));
+        }
+        for (i, scheduler) in self.schedulers.iter().enumerate() {
+            if let Err(e) = scheduler.validate(&self.warps) {
+                errors.push(format!("scheduler {i}: {e}"));
+            }
         }
         if let Err(e) = policy.validate() {
             errors.push(format!("policy: {e}"));
@@ -1057,4 +1070,31 @@ fn merge_sectors(base: &CacheLine, sectors: &[Option<[u8; 32]>; 4]) -> CacheLine
         }
     }
     CacheLine::from_bytes(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::UncompressedPolicy;
+    use crate::testing::StridedKernel;
+
+    #[test]
+    fn structural_errors_report_a_stale_readiness_table() {
+        let config = GpuConfig::small();
+        let mut sm = Sm::new(0, &config);
+        sm.launch(&StridedKernel::new(5, 4, 64), &config);
+        assert_eq!(
+            sm.structural_errors(&UncompressedPolicy),
+            Vec::<String>::new()
+        );
+        // Warp 3 (slot 1 of scheduler 1) is Ready, but its slot now
+        // claims it is busy: a state change the warp never made.
+        sm.schedulers[1].on_state_change(1, WarpState::Ready, WarpState::BusyUntil(7));
+        let errors = sm.structural_errors(&UncompressedPolicy);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("scheduler 1: slot 1 (warp 3) ready at 7"),
+            "{errors:?}"
+        );
+    }
 }

@@ -39,8 +39,10 @@ pub struct Warp {
     pub outstanding_misses: u32,
     /// Latest completion time of in-flight async-load hits.
     pub data_ready_at: Cycles,
-    /// Current state.
-    pub state: WarpState,
+    /// Current state. Written only by the SM's state setter, which keeps
+    /// the owning scheduler's readiness table in step; read it through
+    /// [`Warp::state`].
+    pub(crate) state: WarpState,
     /// Instructions issued so far.
     pub instructions: u64,
 }
@@ -59,6 +61,12 @@ impl Warp {
             state: WarpState::Ready,
             instructions: 0,
         }
+    }
+
+    /// Current state.
+    #[must_use]
+    pub fn state(&self) -> WarpState {
+        self.state
     }
 
     /// `true` when the warp can issue at `cycle`. A `BusyUntil` warp whose
