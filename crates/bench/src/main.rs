@@ -471,7 +471,9 @@ fn main() {
             })
             .collect()
     };
-    latte_bench::timing::set_report_enabled(opts.timings);
+    if opts.timings {
+        latte_bench::timing::install_compressor_clock();
+    }
     let (failed, outcomes) = latte_bench::run_experiments_with_outcomes(&selected, opts.jobs);
     // Make every pending store write durable (and its counters final)
     // before the timing report reads them.

@@ -2,10 +2,8 @@
 //! management policy and collect aggregate statistics.
 
 use crate::report::outln;
-use latte_core::{
-    AdaptiveCmp, AdaptiveHitCount, AssistWarp, CompressionMode, HighCapacityAlgo, LatteCc,
-    LatteCcMulti, LatteConfig, MultiConfig, StaticBdi, StaticBpc, StaticSc,
-};
+use latte_compress::CompressionAlgo;
+use latte_core::{AssistWarp, CompressionMode, LatteCc, LatteConfig, StaticBdi, StaticBpc, StaticSc};
 use latte_energy::{EnergyModel, EnergyReport};
 use latte_gpusim::{
     FaultConfig, Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, ShadowConfig,
@@ -13,7 +11,7 @@ use latte_gpusim::{
 };
 use latte_oracle::{MemoryOracle, OracleReport};
 use latte_workloads::BenchmarkSpec;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Process-wide intra-simulation thread count, set from the
@@ -96,8 +94,9 @@ pub fn write_back_enabled() -> bool {
     WRITE_BACK.get().copied().unwrap_or(false)
 }
 
-/// Aggregate shadow-check counters across every *genuinely executed*
-/// simulation in this process (memo-cache replays do not re-count).
+/// Aggregate shadow-check counters across every simulation the memo
+/// resolved in this process, by compute or store fill (replays do not
+/// re-count). See [`crate::sim::shadow_tally`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShadowTally {
     /// Simulations that ran with an oracle attached.
@@ -108,22 +107,6 @@ pub struct ShadowTally {
     pub checkpoints: u64,
     /// Violations detected (data integrity + structural).
     pub violations: u64,
-}
-
-static SHADOW_SIMS: AtomicU64 = AtomicU64::new(0);
-static SHADOW_LOADS: AtomicU64 = AtomicU64::new(0);
-static SHADOW_CHECKPOINTS: AtomicU64 = AtomicU64::new(0);
-static SHADOW_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The process-wide shadow-check counters so far.
-#[must_use]
-pub fn shadow_tally() -> ShadowTally {
-    ShadowTally {
-        sims: SHADOW_SIMS.load(Ordering::SeqCst),
-        loads_checked: SHADOW_LOADS.load(Ordering::SeqCst),
-        checkpoints: SHADOW_CHECKPOINTS.load(Ordering::SeqCst),
-        violations: SHADOW_VIOLATIONS.load(Ordering::SeqCst),
-    }
 }
 
 /// Explicit overrides for the LATTE-CC controller knobs that used to be
@@ -253,9 +236,11 @@ impl PolicyKind {
         }
     }
 
-    /// Builds a fresh policy instance, tuned to `gpu_config`'s L1.
+    /// Builds a fresh policy instance, tuned to `gpu_config`'s L1. The
+    /// five set-sampling policies are all [`LatteCc`]s.
     #[must_use]
     pub fn build(self, gpu_config: &GpuConfig) -> Box<dyn L1CompressionPolicy> {
+        use CompressionAlgo::{Bdi, Bpc, Sc};
         let latte = apply_overrides(LatteConfig {
             num_l1_sets: gpu_config.l1_geometry.num_sets(),
             l1_base_hit_latency: gpu_config.l1_hit_latency as f64,
@@ -268,18 +253,20 @@ impl PolicyKind {
             PolicyKind::StaticBpc => Box::new(StaticBpc::new()),
             PolicyKind::LatteCc => Box::new(LatteCc::new(latte)),
             PolicyKind::LatteCcBdiBpc => Box::new(LatteCc::new(LatteConfig {
-                high_capacity: HighCapacityAlgo::Bpc,
+                options: vec![CompressionAlgo::None, Bdi, Bpc],
                 ..latte
             })),
-            PolicyKind::LatteCcMulti => Box::new(LatteCcMulti::new(MultiConfig {
-                num_l1_sets: latte.num_l1_sets,
-                l1_base_hit_latency: latte.l1_base_hit_latency,
-                miss_latency: latte.miss_latency,
-                tolerance_scale: latte.tolerance_scale,
-                ..MultiConfig::four_mode()
-            })),
-            PolicyKind::AdaptiveHitCount => Box::new(AdaptiveHitCount::new(latte)),
-            PolicyKind::AdaptiveCmp => Box::new(AdaptiveCmp::new(latte)),
+            // The extension arbitrates four options without the
+            // three-mode controller's demotion and calibration hooks.
+            PolicyKind::LatteCcMulti => Box::new(LatteCc::new(
+                LatteConfig {
+                    options: vec![CompressionAlgo::None, Bdi, Bpc, Sc],
+                    ..latte
+                }
+                .without_hooks(),
+            )),
+            PolicyKind::AdaptiveHitCount => Box::new(LatteCc::adaptive_hit_count(latte)),
+            PolicyKind::AdaptiveCmp => Box::new(LatteCc::adaptive_cmp(latte)),
             PolicyKind::AssistWarp => Box::new(AssistWarp::new()),
         }
     }
@@ -379,32 +366,7 @@ pub fn run_benchmark_uncached(
     bench: &BenchmarkSpec,
     config: &GpuConfig,
 ) -> BenchResult {
-    run_instrumented(policy, bench, config, shadow_check_enabled(), true)
-}
-
-/// Uncached run that does **not** count toward the process-wide shadow
-/// tally. This is the store-verify recompute path: the stored result it
-/// is compared against already tallied (either at its original compute
-/// or via [`tally_shadow_replay`] when it was loaded), so tallying the
-/// comparison run too would double-count the simulation.
-#[must_use]
-pub(crate) fn run_benchmark_untallied(
-    policy: PolicyKind,
-    bench: &BenchmarkSpec,
-    config: &GpuConfig,
-) -> BenchResult {
-    run_instrumented(policy, bench, config, shadow_check_enabled(), false)
-}
-
-/// Folds a shadow report revived from the persistent result store into
-/// the process-wide tally. A store hit must be observationally identical
-/// to a cold compute, and the cold compute would have tallied — so the
-/// warm process tallies the stored report instead.
-pub(crate) fn tally_shadow_replay(report: &OracleReport) {
-    SHADOW_SIMS.fetch_add(1, Ordering::SeqCst);
-    SHADOW_LOADS.fetch_add(report.loads_checked, Ordering::SeqCst);
-    SHADOW_CHECKPOINTS.fetch_add(report.checkpoints, Ordering::SeqCst);
-    SHADOW_VIOLATIONS.fetch_add(report.violations_total, Ordering::SeqCst);
+    run_instrumented(policy, bench, config, shadow_check_enabled())
 }
 
 /// Runs `bench` under `policy` with the oracle shadow check attached,
@@ -418,10 +380,11 @@ pub fn run_benchmark_shadowed(
     bench: &BenchmarkSpec,
     config: &GpuConfig,
 ) -> (BenchResult, OracleReport) {
-    // Not counted in the process-wide tally: explicit shadowed runs
-    // (including the `verify` experiment's deliberate corruption demos)
-    // must not trip the driver's "--shadow-check found violations" exit.
-    let mut result = run_instrumented(policy, bench, config, true, false);
+    // Outside the memo, so not in the process-wide tally: explicit
+    // shadowed runs (including the `verify` experiment's deliberate
+    // corruption demos) must not trip the driver's "--shadow-check found
+    // violations" exit.
+    let mut result = run_instrumented(policy, bench, config, true);
     let report = result.shadow.take().unwrap_or_default();
     result.shadow = Some(report.clone());
     (result, report)
@@ -435,7 +398,6 @@ fn run_instrumented(
     bench: &BenchmarkSpec,
     config: &GpuConfig,
     shadowed: bool,
-    count_in_tally: bool,
 ) -> BenchResult {
     let mut config = config.clone();
     if config.faults.is_none() {
@@ -486,12 +448,6 @@ fn run_instrumented(
     }
     let shadow = handle.map(|h| {
         let report = h.report();
-        if count_in_tally {
-            SHADOW_SIMS.fetch_add(1, Ordering::SeqCst);
-            SHADOW_LOADS.fetch_add(report.loads_checked, Ordering::SeqCst);
-            SHADOW_CHECKPOINTS.fetch_add(report.checkpoints, Ordering::SeqCst);
-            SHADOW_VIOLATIONS.fetch_add(report.violations_total, Ordering::SeqCst);
-        }
         // The summary prints into the capture, so memo-cache replays of a
         // shadow-checked simulation reproduce it byte-for-byte.
         outln!(

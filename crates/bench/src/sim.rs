@@ -57,7 +57,7 @@
 use crate::codec;
 use crate::pool;
 use crate::report;
-use crate::runner::{self, BenchResult, PolicyKind};
+use crate::runner::{self, BenchResult, PolicyKind, ShadowTally};
 use crate::timing;
 use latte_gpusim::{Fingerprinter, GpuConfig};
 use latte_store::{OpenReport, Store, StoreConfig, StoreStats};
@@ -322,7 +322,7 @@ fn verify_store_hit(
     let watch = timing::Stopwatch::start();
     let saved = report::swap_capture(Some(String::new()));
     let recomputed = catch_unwind(AssertUnwindSafe(|| {
-        runner::run_benchmark_untallied(policy, bench, config)
+        runner::run_benchmark_uncached(policy, bench, config)
     }));
     let diag = report::swap_capture(saved).unwrap_or_default();
     timing::record_sim(
@@ -370,11 +370,6 @@ fn resolve_claimed(
 ) -> Arc<SimOutcome> {
     let disk_key = disk_key_for(&key);
     if let Some((outcome, bytes)) = load_from_store(disk_key, policy, bench) {
-        // A cold compute would have folded its oracle report into the
-        // process tally; a warm fill must look identical.
-        if let Some(shadow) = &outcome.result.shadow {
-            runner::tally_shadow_replay(shadow);
-        }
         let outcome = if store_verify_enabled() {
             verify_store_hit(disk_key, policy, bench, config, &bytes).unwrap_or(outcome)
         } else {
@@ -528,6 +523,28 @@ impl SimStats {
 #[must_use]
 pub fn stats() -> SimStats {
     lock(&service().memo).stats
+}
+
+/// The shadow-check counters summed over every outcome the memo holds
+/// with an oracle report: each simulation computed or filled from the
+/// store in this process counts once, replays never. A `--store-verify`
+/// divergence counts the recompute that replaced the stored record.
+#[must_use]
+pub fn shadow_tally() -> ShadowTally {
+    let memo = lock(&service().memo);
+    let mut tally = ShadowTally::default();
+    for cell in memo.cells.values() {
+        let CellState::Ready(outcome) = cell else {
+            continue;
+        };
+        if let Some(report) = &outcome.result.shadow {
+            tally.sims += 1;
+            tally.loads_checked += report.loads_checked;
+            tally.checkpoints += report.checkpoints;
+            tally.violations += report.violations_total;
+        }
+    }
+    tally
 }
 
 /// Checks the service's "each unique simulation ran exactly once"

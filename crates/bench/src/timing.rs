@@ -8,22 +8,8 @@
 //! funnels every such read through [`Stopwatch`] here so the boundary
 //! stays auditable.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Whether `--timings` was passed: gates *printing* the report, not
-/// collection (recording a label and an `f64` per simulation is far too
-/// cheap to branch on).
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the end-of-run timing report (`--timings`).
-pub fn set_report_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-    if on {
-        install_compressor_clock();
-    }
-}
 
 /// Installs this binary's monotonic clock into the compress crate's
 /// operation counters, so the `--timings` report can split cumulative
@@ -44,11 +30,6 @@ pub fn install_compressor_clock() {
     // per-thread busy/stall split lands in the same time base. Like the
     // compressor counters, gpusim itself never reads a clock (rule D1).
     latte_gpusim::install_epoch_clock(monotonic_ns);
-}
-
-/// Returns whether the end-of-run timing report was requested.
-pub fn report_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
 }
 
 /// A started wall-clock measurement.
@@ -240,7 +221,7 @@ pub fn print_report(experiments: &[(&str, f64)], cache: &crate::sim::SimStats) {
         }
     }
 
-    let shadow = crate::runner::shadow_tally();
+    let shadow = crate::sim::shadow_tally();
     if shadow.sims > 0 {
         // Overhead is visible directly above: shadow-checked jobs carry a
         // "[shadow]" label suffix in the per-job times.
@@ -275,13 +256,5 @@ mod tests {
             (Some(s), Some(f)) => assert!(s < f, "slowest must sort first"),
             _ => panic!("records missing from drained registry"),
         }
-    }
-
-    #[test]
-    fn report_enable_round_trips() {
-        let before = report_enabled();
-        set_report_enabled(true);
-        assert!(report_enabled());
-        set_report_enabled(before);
     }
 }

@@ -14,9 +14,11 @@
 //! * [`DecompressionQueue`] — the shared decompressor port that gives
 //!   compressed hits their *effective* hit latency (Eq. 3 of the paper),
 //! * [`Mshr`] — miss-status holding registers that merge outstanding
-//!   misses to the same line,
-//! * [`SetRole`] / [`SetSampler`] — the set-sampling machinery LATTE-CC's
-//!   learning phase uses to run dedicated sets per compression mode.
+//!   misses to the same line.
+//!
+//! Which sets run which compression mode during LATTE-CC's learning
+//! phase is the controller's business (`latte_core::LatteCc`); the cache
+//! only stores what each fill is compressed to.
 //!
 //! # Example
 //!
@@ -40,7 +42,6 @@ mod compressed;
 mod geometry;
 mod mshr;
 mod queue;
-mod sampler;
 mod simple;
 mod stats;
 
@@ -48,6 +49,5 @@ pub use compressed::{CompressedCache, EvictedLine, LookupOutcome};
 pub use geometry::{CacheGeometry, LineAddr, LineHasher, LineMap, LineSet, SUBBLOCK_BYTES};
 pub use mshr::{Mshr, MshrOutcome};
 pub use queue::DecompressionQueue;
-pub use sampler::{SetRole, SetSampler};
 pub use simple::SimpleCache;
 pub use stats::CacheStats;

@@ -14,11 +14,14 @@
 //! * [`CompressionMode::LowLatency`] — BDI, 2-cycle decompression,
 //! * [`CompressionMode::HighCapacity`] — SC (14 cycles) or BPC (11).
 //!
-//! This crate provides the [`LatteCc`] controller plus every comparison
-//! policy of the paper's evaluation: [`StaticBdi`], [`StaticSc`],
-//! [`StaticBpc`], [`AdaptiveHitCount`], [`AdaptiveCmp`] and the
-//! [`run_kernel_opt`] oracle. All plug into the `latte-gpusim` simulator
-//! through the [`latte_gpusim::L1CompressionPolicy`] hook.
+//! This crate provides the [`LatteCc`] set-sampling controller — which
+//! also runs the Adaptive-Hit-Count and Adaptive-CMP baselines
+//! ([`LatteCc::adaptive_hit_count`], [`LatteCc::adaptive_cmp`]) and any
+//! option list, such as the four-mode None/BDI/BPC/SC extension — plus
+//! the static comparison policies [`StaticBdi`], [`StaticSc`],
+//! [`StaticBpc`] and the [`run_kernel_opt`] oracle. All plug into the
+//! `latte-gpusim` simulator through the
+//! [`latte_gpusim::L1CompressionPolicy`] hook.
 //!
 //! # Example
 //!
@@ -44,16 +47,14 @@ mod controller;
 mod error;
 mod kernel_opt;
 mod mode;
-mod multi;
 mod sc_manager;
 mod static_policies;
 
 pub use amat::{amat_cmp, amat_gpu, ModeSample};
 pub use assist::{AssistWarp, AssistWarpConfig};
-pub use controller::{AdaptiveCmp, AdaptiveHitCount, LatteCc, LatteConfig, SamplingController};
+pub use controller::{LatteCc, LatteConfig};
 pub use error::SimError;
 pub use kernel_opt::{run_kernel_opt, KernelOptKernel, KernelOptResult};
-pub use mode::{CompressionMode, HighCapacityAlgo};
-pub use multi::{LatteCcMulti, ModeOption, MultiConfig};
+pub use mode::CompressionMode;
 pub use sc_manager::ScManager;
 pub use static_policies::{StaticBdi, StaticBpc, StaticSc};

@@ -3,28 +3,6 @@
 use latte_compress::CompressionAlgo;
 use std::fmt;
 
-/// The high-capacity component algorithm (§V-E: LATTE-CC is agnostic to
-/// the underlying compressor; the paper evaluates both SC and BPC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HighCapacityAlgo {
-    /// Huffman-based statistical compression (the paper's default).
-    #[default]
-    Sc,
-    /// Bit-plane compression (the Fig 18 variant).
-    Bpc,
-}
-
-impl HighCapacityAlgo {
-    /// The corresponding [`CompressionAlgo`] tag.
-    #[must_use]
-    pub fn algo(self) -> CompressionAlgo {
-        match self {
-            HighCapacityAlgo::Sc => CompressionAlgo::Sc,
-            HighCapacityAlgo::Bpc => CompressionAlgo::Bpc,
-        }
-    }
-}
-
 /// One of LATTE-CC's three operating modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CompressionMode {
@@ -45,13 +23,14 @@ impl CompressionMode {
         CompressionMode::HighCapacity,
     ];
 
-    /// The algorithm tag this mode stores lines with.
+    /// The mode class of lines stored under `algo`: raw, BDI's low
+    /// latency, or high capacity for every slower algorithm.
     #[must_use]
-    pub fn algo(self, high: HighCapacityAlgo) -> CompressionAlgo {
-        match self {
-            CompressionMode::None => CompressionAlgo::None,
-            CompressionMode::LowLatency => CompressionAlgo::Bdi,
-            CompressionMode::HighCapacity => high.algo(),
+    pub fn of(algo: CompressionAlgo) -> CompressionMode {
+        match algo {
+            CompressionAlgo::None => CompressionMode::None,
+            CompressionAlgo::Bdi => CompressionMode::LowLatency,
+            _ => CompressionMode::HighCapacity,
         }
     }
 
@@ -62,6 +41,15 @@ impl CompressionMode {
             CompressionMode::None => 0,
             CompressionMode::LowLatency => 1,
             CompressionMode::HighCapacity => 2,
+        }
+    }
+
+    /// The short label decision traces print.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            CompressionMode::None => "none",
+            CompressionMode::LowLatency => "low",
+            CompressionMode::HighCapacity => "high",
         }
     }
 }
@@ -84,20 +72,20 @@ mod tests {
     #[test]
     fn mode_algo_mapping() {
         assert_eq!(
-            CompressionMode::None.algo(HighCapacityAlgo::Sc),
-            CompressionAlgo::None
+            CompressionMode::of(CompressionAlgo::None),
+            CompressionMode::None
         );
         assert_eq!(
-            CompressionMode::LowLatency.algo(HighCapacityAlgo::Sc),
-            CompressionAlgo::Bdi
+            CompressionMode::of(CompressionAlgo::Bdi),
+            CompressionMode::LowLatency
         );
         assert_eq!(
-            CompressionMode::HighCapacity.algo(HighCapacityAlgo::Sc),
-            CompressionAlgo::Sc
+            CompressionMode::of(CompressionAlgo::Sc),
+            CompressionMode::HighCapacity
         );
         assert_eq!(
-            CompressionMode::HighCapacity.algo(HighCapacityAlgo::Bpc),
-            CompressionAlgo::Bpc
+            CompressionMode::of(CompressionAlgo::Bpc),
+            CompressionMode::HighCapacity
         );
     }
 

@@ -3,10 +3,7 @@
 //! decisions.
 
 use latte_compress::{CacheLine, CompressionAlgo};
-use latte_core::{
-    amat_gpu, AdaptiveCmp, AdaptiveHitCount, CompressionMode, LatteCc, LatteConfig, ModeSample,
-    SamplingController, ScManager,
-};
+use latte_core::{amat_gpu, CompressionMode, LatteCc, LatteConfig, ModeSample, ScManager};
 use latte_gpusim::{AccessEvent, EpProbe, L1CompressionPolicy};
 use proptest::prelude::*;
 
@@ -87,9 +84,9 @@ proptest! {
     fn adaptive_baselines_survive_any_event_sequence(
         events in prop::collection::vec(event_strategy(), 1..200)
     ) {
-        let mut ahc = AdaptiveHitCount::new(LatteConfig::paper());
+        let mut ahc = LatteCc::adaptive_hit_count(LatteConfig::paper());
         drive(&mut ahc, &events);
-        let mut acmp = AdaptiveCmp::new(LatteConfig::paper());
+        let mut acmp = LatteCc::adaptive_cmp(LatteConfig::paper());
         drive(&mut acmp, &events);
     }
 
@@ -97,25 +94,34 @@ proptest! {
     fn sampling_controller_counters_are_bounded(
         ops in prop::collection::vec((0usize..32, any::<bool>()), 1..500),
         period in 2u64..16,
+        four_options in any::<bool>(),
     ) {
-        let mut s = SamplingController::new(32, 2, period);
+        let mut options = LatteConfig::paper().options;
+        if four_options {
+            options.insert(2, CompressionAlgo::Bpc);
+        }
+        let mut latte = LatteCc::new(LatteConfig {
+            eps_per_period: period,
+            options,
+            ..LatteConfig::paper()
+        });
+        let line = CacheLine::from_u32_words(&[7; 32]);
         let mut fills = 0u64;
         let mut hits = 0u64;
         for (i, (set, is_fill)) in ops.iter().enumerate() {
             if *is_fill {
-                let _ = s.fill_mode(*set);
+                let _ = latte.compress_fill(*set, &line);
                 fills += 1;
             } else {
-                s.on_hit(*set);
+                latte.on_access(&AccessEvent { set: *set, hit: true, algo: CompressionAlgo::None, cycle: 0 });
                 hits += 1;
             }
             if i % 64 == 63 {
-                s.on_ep_end();
+                latte.on_ep(&EpProbe::default());
             }
         }
-        let frozen = s.frozen();
-        let total_ins: u64 = frozen.iter().map(|m| m.insertions).sum();
-        let total_hits: u64 = frozen.iter().map(|m| m.hits).sum();
+        let total_ins: u64 = latte.samples().iter().map(|m| m.insertions).sum();
+        let total_hits: u64 = latte.samples().iter().map(|m| m.hits).sum();
         // EWMA of counted subsets can never exceed the raw event counts.
         prop_assert!(total_ins <= fills);
         prop_assert!(total_hits <= hits);

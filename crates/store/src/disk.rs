@@ -37,8 +37,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use crate::faults::{StoreFaultConfig, StoreFaultInjector};
+use crate::faults::StoreFaultInjector;
 use crate::record;
+use crate::StoreConfig;
 
 /// Index file name (versioned so a future format can coexist).
 const INDEX_FILE: &str = "index.v1";
@@ -71,29 +72,6 @@ pub struct KillSpec {
     pub point: KillPoint,
     /// 1-based ordinal of the put to crash in.
     pub at_put: u64,
-}
-
-/// Configuration for opening the durable tier.
-#[derive(Debug, Clone)]
-pub struct DiskConfig {
-    /// Store root directory (created if absent).
-    pub dir: PathBuf,
-    /// Optional seeded fault injection (`--inject-store`).
-    pub faults: Option<StoreFaultConfig>,
-    /// Optional simulated mid-write crash (test harness only).
-    pub kill: Option<KillSpec>,
-}
-
-impl DiskConfig {
-    /// A plain config with no fault injection.
-    #[must_use]
-    pub fn new(dir: PathBuf) -> DiskConfig {
-        DiskConfig {
-            dir,
-            faults: None,
-            kill: None,
-        }
-    }
 }
 
 /// What the recovery scan found while opening the store.
@@ -185,7 +163,7 @@ impl DiskTier {
     /// caller should then degrade to the in-memory tier. Damage inside
     /// an openable store never errors; it is quarantined and counted in
     /// the [`RecoveryReport`].
-    pub fn open(config: DiskConfig) -> io::Result<(DiskTier, RecoveryReport)> {
+    pub fn open(config: StoreConfig) -> io::Result<(DiskTier, RecoveryReport)> {
         let root = config.dir;
         let segments = root.join("segments");
         let quarantine = root.join("quarantine");
@@ -677,6 +655,7 @@ fn simulate_crash(ctx: &WriterCtx, point: KillPoint, rec: &[u8], tmp: &Path, des
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::StoreFaultConfig;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -688,7 +667,7 @@ mod tests {
     }
 
     fn open_plain(dir: &Path) -> (DiskTier, RecoveryReport) {
-        DiskTier::open(DiskConfig::new(dir.to_path_buf())).unwrap()
+        DiskTier::open(StoreConfig::at(dir.to_path_buf())).unwrap()
     }
 
     fn put_and_flush(tier: &DiskTier, key: u128, payload: &[u8]) {
@@ -824,7 +803,7 @@ mod tests {
         ] {
             let root = tmp_root(&format!("kill-{point:?}"));
             {
-                let (tier, _) = DiskTier::open(DiskConfig {
+                let (tier, _) = DiskTier::open(StoreConfig {
                     dir: root.clone(),
                     faults: None,
                     kill: Some(KillSpec { point, at_put: 2 }),
@@ -879,7 +858,7 @@ mod tests {
     #[test]
     fn injected_faults_never_serve_corrupt_data() {
         let root = tmp_root("inject");
-        let (tier, _) = DiskTier::open(DiskConfig {
+        let (tier, _) = DiskTier::open(StoreConfig {
             dir: root.clone(),
             faults: Some(StoreFaultConfig { seed: 1234, rate: 1.0 }),
             kill: None,

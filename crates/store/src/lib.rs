@@ -35,7 +35,7 @@ pub mod record;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-pub use disk::{DiskConfig, DiskStats, DiskTier, KillPoint, KillSpec, RecoveryReport};
+pub use disk::{DiskStats, DiskTier, KillPoint, KillSpec, RecoveryReport};
 pub use faults::{StoreFaultConfig, StoreFaultInjector, StoreFaultKind};
 pub use record::{RecordError, RECORD_SCHEMA};
 
@@ -117,13 +117,9 @@ impl Store {
     /// reported in the [`OpenReport`].
     #[must_use]
     pub fn open(config: StoreConfig) -> (Store, OpenReport) {
-        let StoreConfig { dir, faults, kill } = config;
+        let dir = config.dir.clone();
         let mut report = OpenReport::default();
-        let disk = match DiskTier::open(DiskConfig {
-            dir: dir.clone(),
-            faults,
-            kill,
-        }) {
+        let disk = match DiskTier::open(config) {
             Ok((tier, recovery)) => {
                 report.disk_enabled = true;
                 report.recovery = recovery;
@@ -161,18 +157,11 @@ impl Store {
     }
 
     /// Queues `bytes` for durable storage under `key`. The write is
-    /// asynchronous; poll [`Store::durable`] or call [`Store::flush`].
+    /// asynchronous; call [`Store::flush`] to wait for it.
     pub fn put(&self, key: u128, bytes: Arc<Vec<u8>>) {
         if let Some(disk) = &self.disk {
             disk.put(key, bytes);
         }
-    }
-
-    /// `true` when `key` has a durable on-disk record. Always `false`
-    /// without a disk tier.
-    #[must_use]
-    pub fn durable(&self, key: u128) -> bool {
-        self.disk.as_ref().is_some_and(|d| d.durable(key))
     }
 
     /// Blocks until queued writes are applied and the index is
@@ -233,7 +222,7 @@ mod tests {
             assert!(report.disk_enabled);
             store.put(9, Arc::new(b"persisted".to_vec()));
             store.flush();
-            assert!(store.durable(9));
+            assert_eq!(store.get(9).as_deref(), Some(&b"persisted"[..]));
             store.shutdown();
         }
         let (store, _) = Store::open(StoreConfig::at(root.clone()));
@@ -260,7 +249,6 @@ mod tests {
         // only copy.
         store.put(2, Arc::new(b"two".to_vec()));
         assert!(store.get(2).is_none());
-        assert!(!store.durable(2));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -280,7 +268,7 @@ mod tests {
         // The slot is writable again.
         store.put(5, Arc::new(b"fragile".to_vec()));
         store.flush();
-        assert!(store.durable(5));
+        assert_eq!(store.get(5).as_deref(), Some(&b"fragile"[..]));
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -40,7 +40,7 @@ fn populate(root: &Path, keys: u128) {
     }
     store.flush();
     for key in 0..keys {
-        assert!(store.durable(key), "key {key} not durable after flush");
+        assert_eq!(store.get(key), Some(payload_for(key)), "key {key} not durable after flush");
     }
     store.shutdown();
 }
