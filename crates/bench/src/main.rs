@@ -63,7 +63,7 @@ fn usage() -> ! {
     eprintln!("  --jobs <n>             worker threads (default: available parallelism");
     eprintln!("                         divided by --sim-threads; results are byte-identical");
     eprintln!("                         for every n)");
-    eprintln!("  --sim-threads <n>      shard each simulation's SMs across n worker threads");
+    eprintln!("  --sim-threads <n>      shard each simulation's SMs across n threads");
     eprintln!("                         behind a deterministic epoch barrier (default 1 = the");
     eprintln!("                         serial loop; results are byte-identical for every n)");
     eprintln!("  --inject <rate>        flip one bit per compressed L1 hit with this probability");

@@ -206,6 +206,10 @@ pub fn print_report(experiments: &[(&str, f64)], cache: &crate::sim::SimStats) {
             epoch.max_epoch_cycles,
             epoch.shards
         );
+        println!(
+            "  arbiter: {:>8.2}s on thread 0 (L2 arbitration + shadow replay)",
+            secs(epoch.arbiter_ns)
+        );
         for (i, (&busy, &stall)) in epoch.busy_ns.iter().zip(&epoch.stall_ns).enumerate() {
             let span = busy + stall;
             let pct = if span == 0 {

@@ -284,9 +284,9 @@ impl Gpu {
     }
 
     /// The epoch-barrier parallel loop (see [`crate::parallel`]): shards
-    /// of SMs simulate on worker threads for bounded epochs, and the
-    /// barrier arbiter replays their buffered L2 traffic in the serial
-    /// order. Byte-identical to [`Gpu::run_cycles_serial`] by design;
+    /// of SMs simulate on `threads` threads (this one included) for
+    /// bounded epochs, and the barrier arbiter replays their buffered L2
+    /// traffic in the serial order. Byte-identical to [`Gpu::run_cycles_serial`] by design;
     /// the determinism suite pins it.
     fn run_cycles_parallel(
         &mut self,

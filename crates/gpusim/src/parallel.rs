@@ -1,12 +1,15 @@
 //! Deterministic intra-simulation parallelism (`GpuConfig::sim_threads`).
 //!
-//! Shards of `(Sm, policy)` pairs simulate independently on worker
-//! threads for bounded *epochs*; at each epoch barrier a single arbiter
-//! drains every shard's buffered L2 traffic through the real shared
-//! cache in a fixed total order and routes the resulting completions
-//! back to the owning shards. The result is **byte-identical** to the
-//! serial loop — every counter, trace line, shadow call and termination
-//! cycle — which the determinism suite pins.
+//! Shards of `(Sm, policy)` pairs simulate independently for bounded
+//! *epochs*, one shard per thread: the calling thread coordinates and
+//! runs the lightest shard, and each other shard stays on one worker
+//! thread for the whole kernel. All threads meet at one reusable
+//! barrier per epoch; while the workers wait there, the coordinator's
+//! arbiter drains every shard's buffered L2 traffic through the real
+//! shared cache in a fixed total order and routes the resulting
+//! completions back to the owning shards. The result is
+//! **byte-identical** to the serial loop — every counter, trace line,
+//! shadow call and termination cycle — which the determinism suite pins.
 //!
 //! # Why byte-identity holds
 //!
@@ -44,14 +47,15 @@ use crate::config::GpuConfig;
 use crate::ops::Kernel;
 use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint};
-use crate::sm::{L2Buffer, L2Port, L2RequestKind, MemCtx, MemEvent, MemImage, Sm};
+use crate::sm::{L2Buffer, L2Port, L2Request, L2RequestKind, MemCtx, MemEvent, MemImage, Sm};
 use crate::stats::{KernelStats, TerminationReason};
 use latte_cache::{LineAddr, SimpleCache};
 use latte_compress::{CacheLine, Cycles};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
 
 /// Injected wall clock for epoch busy/stall accounting. The simulation
 /// crates are wall-clock-free (lint rule D1); like the compressor stage
@@ -102,11 +106,16 @@ pub struct EpochStats {
     pub max_epoch_cycles: u64,
     /// Shard/worker count of the widest parallel run recorded.
     pub shards: usize,
-    /// Per-shard nanoseconds spent simulating inside epochs.
+    /// Per-thread nanoseconds spent simulating inside epochs. Thread 0
+    /// is the coordinator, which runs the lightest shard.
     pub busy_ns: Vec<u64>,
-    /// Per-shard nanoseconds spent stalled at barriers (waiting for the
-    /// slowest shard of each epoch).
+    /// Per-thread nanoseconds spent waiting at the barrier: the
+    /// coordinator for the slowest worker, a worker for the next epoch's
+    /// release (which includes the coordinator's arbitration).
     pub stall_ns: Vec<u64>,
+    /// Nanoseconds the coordinator spent in the serial arbitration step:
+    /// draining L2 traffic through the arbiter plus shadow replay.
+    pub arbiter_ns: u64,
 }
 
 impl EpochStats {
@@ -116,6 +125,7 @@ impl EpochStats {
         self.advanced_cycles += other.advanced_cycles;
         self.max_epoch_cycles = self.max_epoch_cycles.max(other.max_epoch_cycles);
         self.shards = self.shards.max(other.shards);
+        self.arbiter_ns += other.arbiter_ns;
         if self.busy_ns.len() < other.busy_ns.len() {
             self.busy_ns.resize(other.busy_ns.len(), 0);
         }
@@ -256,18 +266,19 @@ impl ShadowCheck for ShadowRecorder {
     }
 }
 
-/// One SM and its private compression policy, moving together between
-/// the coordinator and a worker thread.
+/// One SM and its private compression policy.
 struct ShardUnit {
     sm: Sm,
     policy: Box<dyn L1CompressionPolicy>,
 }
 
-/// A contiguous slice of the machine's SMs plus everything they need to
-/// simulate an epoch without touching shared state.
-struct Shard<'k> {
-    /// First SM id in this shard (ids are contiguous).
-    base: usize,
+/// A work-balanced set of the machine's SMs (see [`assign_shards`]; the
+/// ids need not be contiguous) plus everything they need to simulate an
+/// epoch without touching shared state. Shard 0 runs on the coordinator
+/// thread; every other shard stays with one worker thread for the whole
+/// kernel.
+struct Shard<'a> {
+    /// The shard's SMs, in id order.
     units: Vec<ShardUnit>,
     /// Shard-private completion heap (every SM event is self-targeted).
     events: BinaryHeap<Reverse<MemEvent>>,
@@ -283,8 +294,14 @@ struct Shard<'k> {
     issued_last: bool,
     /// Cycle at which this shard went locally quiescent, if it has.
     done_at: Option<Cycles>,
-    kernel: &'k dyn Kernel,
-    config: &'k GpuConfig,
+    /// Nanoseconds the owning thread spent simulating this shard.
+    busy_ns: u64,
+    /// Nanoseconds the owning thread spent waiting at the barrier.
+    stall_ns: u64,
+    /// Each SM's index in its own shard's `units`, by SM id.
+    slot_of: &'a [usize],
+    kernel: &'a dyn Kernel,
+    config: &'a GpuConfig,
     shadow_every: u64,
 }
 
@@ -353,7 +370,7 @@ impl Shard<'_> {
                 break;
             }
             self.events.pop();
-            let unit = &mut self.units[ev.sm - self.base];
+            let unit = &mut self.units[self.slot_of[ev.sm]];
             let mut ctx = MemCtx {
                 l2: L2Port::Deferred(&mut self.buffer),
                 events: &mut self.events,
@@ -412,26 +429,43 @@ impl Shard<'_> {
             self.process_cycle(cycle);
         }
     }
+
+    /// [`Shard::run_epoch`], timed into `busy_ns`.
+    fn run_epoch_timed(&mut self, epoch_end: Cycles) {
+        let start = now_ns();
+        self.run_epoch(epoch_end);
+        self.busy_ns += now_ns().saturating_sub(start);
+    }
 }
 
-/// One unit of work shipped to a worker: the shard plus its epoch bound;
-/// the worker fills in its busy time on the way back.
-struct EpochJob<'k> {
-    shard: Box<Shard<'k>>,
-    epoch_end: Cycles,
-    busy_ns: u64,
-}
-
-/// How the coordinator loop ended.
-enum LoopExit {
-    Finished {
-        cycle: Cycles,
-        fallback: Option<TerminationReason>,
-    },
-    /// A worker channel died mid-run. Unreachable in practice: the only
-    /// cause is a worker panic, which `thread::scope` re-raises before
-    /// this value can be observed.
-    WorkerLost,
+/// Splits SMs into `threads` shards by a deterministic work estimate
+/// (`work[sm]`, the warps the SM launches). Greedy, heaviest SM first
+/// with ties broken by SM id: each SM joins the shard with the least
+/// work so far (ties: fewer SMs, then lower index), so no shard is
+/// empty while `threads <= work.len()`. Returns each shard's SM ids in
+/// ascending order, lightest shard first: the coordinator runs that one
+/// beside its arbitration work.
+fn assign_shards(work: &[usize], threads: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..work.len()).collect();
+    order.sort_by_key(|&sm| (Reverse(work[sm]), sm));
+    let mut shards: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new()); threads.max(1)];
+    for sm in order {
+        if let Some((load, ids)) = shards
+            .iter_mut()
+            .min_by_key(|(load, ids)| (*load, ids.len()))
+        {
+            *load += work[sm];
+            ids.push(sm);
+        }
+    }
+    shards.sort_by_key(|(load, ids)| (*load, ids.len()));
+    shards
+        .into_iter()
+        .map(|(_, mut ids)| {
+            ids.sort_unstable();
+            ids
+        })
+        .collect()
 }
 
 /// Folds the shard-locally accumulated counters into the launch totals.
@@ -455,27 +489,63 @@ fn merge_counters(into: &mut KernelStats, from: &KernelStats) {
     into.faults += from.faults;
 }
 
+/// Visits the items of several runs in ascending `key` order, passing
+/// each with the index of the run it came from, then empties the runs
+/// (keeping their capacity). Each run is sorted first — one linear pass
+/// when, as usual, it already is — and the runs are then merged in
+/// place, so the items are never concatenated or sorted as a whole.
+fn merge_runs<T, K: Ord>(
+    runs: &mut [Vec<T>],
+    key: impl Fn(&T) -> K,
+    mut visit: impl FnMut(usize, &T),
+) {
+    for run in runs.iter_mut() {
+        run.sort_unstable_by_key(&key);
+    }
+    let mut next = vec![0; runs.len()];
+    loop {
+        let mut first: Option<(usize, K)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            if let Some(item) = run.get(next[i]) {
+                let k = key(item);
+                if first.as_ref().is_none_or(|(_, min)| k < *min) {
+                    first = Some((i, k));
+                }
+            }
+        }
+        let Some((i, _)) = first else {
+            break;
+        };
+        visit(i, &runs[i][next[i]]);
+        next[i] += 1;
+    }
+    for run in runs.iter_mut() {
+        run.clear();
+    }
+}
+
 /// Drains every shard's buffered L2 traffic through the real cache in
 /// the serial total order — `(cycle, phase, sm, seq)` — updating the
-/// launch stats and routing load-fill completions into the owning
-/// shard's heap. The `phase` key exists for the write-back path: dirty
-/// evictions at fill delivery reach the L2 in the serial loop's delivery
-/// sweep (phase 0), before any of that cycle's issued traffic (phase 1).
+/// launch stats and routing each load-fill completion back into the heap
+/// of the shard that buffered the request (the shard that owns its SM).
+/// The `phase` key exists for the write-back path: dirty evictions at
+/// fill delivery reach the L2 in the serial loop's delivery sweep
+/// (phase 0), before any of that cycle's issued traffic (phase 1).
 fn arbitrate(
-    shards: &mut [Option<Box<Shard<'_>>>],
-    chunk: usize,
+    shards: &mut [&mut Shard<'_>],
     l2: &mut SimpleCache,
     image: &mut MemImage,
     config: &GpuConfig,
     stats: &mut KernelStats,
 ) {
-    let mut requests = Vec::new();
-    for shard in shards.iter_mut().flatten() {
-        requests.append(&mut shard.buffer.requests);
-    }
-    requests.sort_unstable_by_key(|r| (r.cycle, r.phase, r.sm, r.seq));
-    for req in requests {
-        match req.kind {
+    let mut runs: Vec<Vec<L2Request>> = shards
+        .iter_mut()
+        .map(|shard| std::mem::take(&mut shard.buffer.requests))
+        .collect();
+    merge_runs(
+        &mut runs,
+        |r| (r.cycle, r.phase, r.sm, r.seq),
+        |owner, req| match req.kind {
             L2RequestKind::Store => {
                 if !l2.access_and_fill(req.addr) {
                     stats.dram_accesses += 1;
@@ -495,60 +565,275 @@ fn arbitrate(
                     config.dram_latency
                 };
                 latency += spike;
-                if let Some(shard) = shards.get_mut(req.sm / chunk).and_then(Option::as_mut) {
-                    shard.events.push(Reverse(MemEvent {
-                        cycle: req.cycle + latency,
-                        sm: req.sm,
-                        addr: req.addr,
-                        verified: false,
-                        data: image.get(&req.addr).copied(),
-                    }));
-                }
+                shards[owner].events.push(Reverse(MemEvent {
+                    cycle: req.cycle + latency,
+                    sm: req.sm,
+                    addr: req.addr,
+                    verified: false,
+                    data: image.get(&req.addr).copied(),
+                }));
             }
-        }
+        },
+    );
+    for (shard, run) in shards.iter_mut().zip(runs) {
+        shard.buffer.requests = run;
     }
 }
 
 /// Replays every shard's recorded oracle calls into the real hook in the
 /// serial call order: `(cycle, phase, sm, seq)`.
 fn replay_shadow(
-    shards: &mut [Option<Box<Shard<'_>>>],
+    shards: &mut [&mut Shard<'_>],
     shadow: &mut Option<&mut (dyn ShadowCheck + 'static)>,
 ) {
     let Some(hook) = shadow.as_mut() else {
         return;
     };
-    let mut records = Vec::new();
-    for shard in shards.iter_mut().flatten() {
-        if let Some(recorder) = shard.recorder.as_mut() {
-            records.append(&mut recorder.records);
-        }
-    }
-    records.sort_unstable_by_key(|r| (r.cycle, r.phase, r.sm, r.seq));
-    for record in records {
-        match record.call {
+    let mut runs: Vec<Vec<ShadowRecord>> = shards
+        .iter_mut()
+        .filter_map(|shard| shard.recorder.as_mut())
+        .map(|recorder| std::mem::take(&mut recorder.records))
+        .collect();
+    merge_runs(
+        &mut runs,
+        |r| (r.cycle, r.phase, r.sm, r.seq),
+        |_, record| match &record.call {
             ShadowCall::Fill { addr, data } => {
-                hook.on_fill(record.sm, addr, &data, record.cycle);
+                hook.on_fill(record.sm, *addr, data, record.cycle);
             }
             ShadowCall::Load { addr, observed } => {
-                hook.on_load(record.sm, addr, observed.as_ref(), record.cycle);
+                hook.on_load(record.sm, *addr, observed.as_ref(), record.cycle);
             }
             ShadowCall::Store { addr, data } => {
-                hook.on_store(record.sm, addr, &data, record.cycle);
+                hook.on_store(record.sm, *addr, data, record.cycle);
             }
             ShadowCall::Checkpoint { kind, errors } => {
-                hook.on_checkpoint(record.sm, record.cycle, kind, &errors);
+                hook.on_checkpoint(record.sm, record.cycle, *kind, errors);
             }
+        },
+    );
+    for (recorder, run) in shards
+        .iter_mut()
+        .filter_map(|shard| shard.recorder.as_mut())
+        .zip(runs)
+    {
+        recorder.records = run;
+    }
+}
+
+/// Busy-wait rounds a thread spends polling a barrier condition before
+/// it parks: [`SPIN_ROUNDS`] with a pause instruction (~5 µs on a
+/// current x86 core), then up to [`YIELD_ROUNDS`] that yield the core.
+/// On a host with a core per thread a yield returns at once, so the
+/// whole budget (well under a millisecond) covers a typical epoch
+/// imbalance without a sleep/wake round trip. On an oversubscribed host
+/// the yields hand the core to a thread that still has work, which pure
+/// spinning would starve.
+const SPIN_ROUNDS: u32 = 1 << 8;
+/// See [`SPIN_ROUNDS`].
+const YIELD_ROUNDS: u32 = 1 << 11;
+
+/// Polls `ready` for the bounded spin-then-yield budget, then parks
+/// until it holds. Whoever makes `ready` true unparks the waiter
+/// afterwards; an unpark that lands before the park leaves a token, so
+/// none is lost.
+fn spin_then_park(ready: impl Fn() -> bool) {
+    for round in 0..SPIN_ROUNDS + YIELD_ROUNDS {
+        if ready() {
+            return;
+        }
+        if round < SPIN_ROUNDS {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    while !ready() {
+        std::thread::park();
+    }
+}
+
+/// The one reusable epoch barrier. A worker counts itself into
+/// `arrived` when its epoch is done and waits for the next release; the
+/// coordinator waits for every arrival, runs the serial arbitration step
+/// with all shards at rest, and releases the next epoch (or the stop).
+/// `released` is the synchronising flag: its `Release` increment
+/// publishes `arrived`, `epoch_end` and `stop` to the workers' `Acquire`
+/// loads, and each worker's `AcqRel` arrival publishes its epoch to the
+/// coordinator's `Acquire` load of `arrived`.
+struct EpochBarrier {
+    /// Workers done with the current epoch.
+    arrived: AtomicUsize,
+    /// Release count; each release starts one epoch or the stop.
+    released: AtomicU64,
+    /// Exclusive end cycle of the released epoch.
+    epoch_end: AtomicU64,
+    /// Set with the last release: workers exit instead of simulating.
+    stop: AtomicBool,
+    /// Set by a worker that is unwinding from a panic, so the
+    /// coordinator stops waiting for it.
+    lost: AtomicBool,
+    coordinator: Thread,
+}
+
+/// The coordinator's side of the barrier: the worker threads to wake.
+/// Dropping it releases the stop, so the workers exit however the
+/// coordinator leaves the loop, a panic included.
+struct Coordinator<'b> {
+    barrier: &'b EpochBarrier,
+    workers: Vec<Thread>,
+}
+
+impl Coordinator<'_> {
+    fn release(&self, epoch_end: Cycles) {
+        self.barrier.arrived.store(0, Ordering::Relaxed);
+        self.barrier.epoch_end.store(epoch_end, Ordering::Relaxed);
+        self.barrier.released.fetch_add(1, Ordering::Release);
+        for worker in &self.workers {
+            worker.unpark();
+        }
+    }
+
+    /// Waits until every worker has arrived; `false` if one unwound.
+    fn wait_for_workers(&self) -> bool {
+        let barrier = self.barrier;
+        let all = self.workers.len();
+        spin_then_park(|| {
+            barrier.arrived.load(Ordering::Acquire) == all || barrier.lost.load(Ordering::Acquire)
+        });
+        !barrier.lost.load(Ordering::Acquire)
+    }
+}
+
+impl Drop for Coordinator<'_> {
+    fn drop(&mut self) {
+        self.barrier.stop.store(true, Ordering::Relaxed);
+        self.release(0);
+    }
+}
+
+/// Flags an unwinding worker on the barrier and wakes the coordinator.
+struct UnwindAlarm<'b>(&'b EpochBarrier);
+
+impl Drop for UnwindAlarm<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lost.store(true, Ordering::Release);
+            self.0.coordinator.unpark();
         }
     }
 }
 
+/// A worker thread's life: wait for a release, simulate its own shard up
+/// to the released epoch end, arrive, until the stop.
+fn worker(barrier: &EpochBarrier, slot: &Mutex<Shard<'_>>, workers: usize) {
+    let _alarm = UnwindAlarm(barrier);
+    let mut seen = 0;
+    loop {
+        let wait_start = now_ns();
+        spin_then_park(|| barrier.released.load(Ordering::Acquire) != seen);
+        seen += 1;
+        if barrier.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut shard = lock(slot);
+        shard.stall_ns += now_ns().saturating_sub(wait_start);
+        shard.run_epoch_timed(barrier.epoch_end.load(Ordering::Relaxed));
+        drop(shard);
+        if barrier.arrived.fetch_add(1, Ordering::AcqRel) + 1 == workers {
+            barrier.coordinator.unpark();
+        }
+    }
+}
+
+/// Locks a worker's shard. The barrier already orders every access, so
+/// the lock is never contended; it is how safe code hands the shard
+/// between its worker and the coordinator's serial step. A poisoned
+/// lock means its worker panicked, and the coordinator stops locking
+/// once `lost` is set, so the guard is only recovered on a clean lock.
+fn lock<'m, 'a>(slot: &'m Mutex<Shard<'a>>) -> MutexGuard<'m, Shard<'a>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the coordinator decides at a barrier, with every shard at rest.
+enum Step {
+    /// Simulate `[start, end)` on every shard.
+    Epoch { start: Cycles, end: Cycles },
+    /// The cycle-limit endgame ran inline; the run is over.
+    Limit(Outcome),
+    /// Every shard is done or stuck; the run is over.
+    Finished(Outcome),
+}
+
+/// Classifies every shard and picks the next step. The cycle-limit
+/// endgame runs here: the serial loop would process exactly that one
+/// cycle, observe the limit, and break — cheap enough to run inline.
+fn next_step(
+    shards: &mut [&mut Shard<'_>],
+    l2: &mut SimpleCache,
+    image: &mut MemImage,
+    shadow: &mut Option<&mut (dyn ShadowCheck + 'static)>,
+    config: &GpuConfig,
+    stats: &mut KernelStats,
+) -> Step {
+    let mut any_stuck = false;
+    let mut epoch_start: Option<Cycles> = None;
+    for shard in shards.iter().filter(|s| s.done_at.is_none()) {
+        match shard.next_candidate() {
+            Some(c) => epoch_start = Some(epoch_start.map_or(c, |s| s.min(c))),
+            None => any_stuck = true,
+        }
+    }
+    let Some(epoch_start) = epoch_start else {
+        if any_stuck {
+            // Workload deadlock: the serial loop would coast to one
+            // cycle past the last issuing cycle and bail.
+            let cycle = shards
+                .iter()
+                .map(|s| s.last.unwrap_or(0) + u64::from(s.issued_last))
+                .max()
+                .unwrap_or(0);
+            return Step::Finished(Outcome {
+                cycle,
+                fallback: Some(TerminationReason::Deadlock),
+            });
+        }
+        let cycle = shards.iter().filter_map(|s| s.done_at).max().unwrap_or(0);
+        return Step::Finished(Outcome {
+            cycle,
+            fallback: None,
+        });
+    };
+    if epoch_start >= config.max_cycles_per_kernel {
+        for shard in shards.iter_mut() {
+            if shard.done_at.is_none() && shard.next_candidate() == Some(epoch_start) {
+                shard.process_cycle(epoch_start);
+            }
+        }
+        arbitrate(shards, l2, image, config, stats);
+        replay_shadow(shards, shadow);
+        let all_done = shards.iter().all(|s| s.done_at.is_some());
+        return Step::Limit(Outcome {
+            cycle: epoch_start,
+            fallback: (!all_done).then_some(TerminationReason::CycleLimit),
+        });
+    }
+    let delta = config.l2_latency.min(config.dram_latency);
+    Step::Epoch {
+        start: epoch_start,
+        end: epoch_start.saturating_add(delta),
+    }
+}
+
 /// Runs the kernel's cycle loop across `threads` shards of SMs with a
-/// deterministic epoch barrier. On return, `sms`/`policies` are restored
-/// in id order and `stats` holds the same counters a serial run would
-/// have produced; the caller runs the common epilogue.
+/// deterministic epoch barrier, on `threads` threads: the calling thread
+/// coordinates and simulates the lightest shard, and every other shard
+/// stays on one scoped worker thread for the whole kernel. On return,
+/// `sms`/`policies` are restored in id order and `stats` holds the same
+/// counters a serial run would have produced; the caller runs the
+/// common epilogue.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cycles<'k>(
+pub(crate) fn run_cycles(
     threads: usize,
     sms: &mut Vec<Sm>,
     policies: &mut Vec<Box<dyn L1CompressionPolicy>>,
@@ -556,215 +841,193 @@ pub(crate) fn run_cycles<'k>(
     image: &mut MemImage,
     mut shadow: Option<&mut (dyn ShadowCheck + 'static)>,
     shadow_every: u64,
-    config: &'k GpuConfig,
-    kernel: &'k dyn Kernel,
+    config: &GpuConfig,
+    kernel: &dyn Kernel,
     stats: &mut KernelStats,
     epoch_stats: &mut EpochStats,
 ) -> Outcome {
-    let delta = config.l2_latency.min(config.dram_latency);
-    let limit = config.max_cycles_per_kernel;
-    let total = sms.len();
-    let chunk = total.div_ceil(threads).max(1);
-    let shadowed = shadow.is_some();
+    let work: Vec<usize> = sms
+        .iter()
+        .map(|sm| kernel.warps_on_sm(sm.id).min(config.max_warps_per_sm))
+        .collect();
+    let ids = assign_shards(&work, threads);
+    let mut slot_of = vec![0; sms.len()];
+    for members in &ids {
+        for (slot, &sm) in members.iter().enumerate() {
+            slot_of[sm] = slot;
+        }
+    }
+    let slot_of = &slot_of;
 
-    // Move the SMs and their policies into contiguous shards.
-    let mut drained: Vec<ShardUnit> = sms
+    // Move the SMs and their policies into their shards.
+    let mut units: Vec<Option<ShardUnit>> = sms
         .drain(..)
         .zip(policies.drain(..))
-        .map(|(sm, policy)| ShardUnit { sm, policy })
+        .map(|(sm, policy)| Some(ShardUnit { sm, policy }))
         .collect();
-    let mut shards: Vec<Option<Box<Shard<'k>>>> = Vec::with_capacity(total.div_ceil(chunk));
-    while !drained.is_empty() {
-        let tail = if drained.len() > chunk {
-            drained.split_off(chunk)
-        } else {
-            Vec::new()
-        };
-        let units = std::mem::replace(&mut drained, tail);
-        shards.push(Some(Box::new(Shard {
-            base: units.first().map_or(0, |u| u.sm.id),
-            units,
-            events: BinaryHeap::new(),
-            buffer: L2Buffer::default(),
-            recorder: shadowed.then(ShadowRecorder::default),
-            stats: KernelStats::default(),
-            last: None,
-            issued_last: false,
-            done_at: None,
-            kernel,
-            config,
-            shadow_every,
-        })));
-    }
-    let workers = shards.len();
-    let mut busy = vec![0u64; workers];
-    let mut stall = vec![0u64; workers];
+    let mut new_shard = |members: &[usize]| Shard {
+        units: members.iter().filter_map(|&sm| units[sm].take()).collect(),
+        events: BinaryHeap::new(),
+        buffer: L2Buffer::default(),
+        recorder: shadow.is_some().then(ShadowRecorder::default),
+        stats: KernelStats::default(),
+        last: None,
+        issued_last: false,
+        done_at: None,
+        busy_ns: 0,
+        stall_ns: 0,
+        slot_of,
+        kernel,
+        config,
+        shadow_every,
+    };
+    // `assign_shards` returns at least one shard; the first is the
+    // lightest, and the coordinator runs it.
+    let mut own = new_shard(&ids[0]);
+    let others: Vec<Mutex<Shard<'_>>> = ids[1..]
+        .iter()
+        .map(|members| Mutex::new(new_shard(members)))
+        .collect();
+    let barrier = EpochBarrier {
+        arrived: AtomicUsize::new(0),
+        released: AtomicU64::new(0),
+        epoch_end: AtomicU64::new(0),
+        stop: AtomicBool::new(false),
+        lost: AtomicBool::new(false),
+        coordinator: std::thread::current(),
+    };
     let mut epochs = 0u64;
     let mut max_advance = 0u64;
     let mut prev_start: Option<Cycles> = None;
+    let mut arbiter_ns = 0u64;
 
-    let exit = std::thread::scope(|scope| {
-        let mut to_worker = Vec::with_capacity(workers);
-        let mut from_worker = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = mpsc::channel::<EpochJob<'k>>();
-            let (res_tx, res_rx) = mpsc::channel::<EpochJob<'k>>();
-            scope.spawn(move || {
-                while let Ok(mut job) = job_rx.recv() {
-                    let start = now_ns();
-                    job.shard.run_epoch(job.epoch_end);
-                    job.busy_ns = now_ns().saturating_sub(start);
-                    if res_tx.send(job).is_err() {
-                        break;
-                    }
-                }
-            });
-            to_worker.push(job_tx);
-            from_worker.push(res_rx);
-        }
-
+    let outcome = std::thread::scope(|scope| {
+        let coordinator = Coordinator {
+            barrier: &barrier,
+            workers: others
+                .iter()
+                .map(|slot| {
+                    let (barrier, workers) = (&barrier, others.len());
+                    scope
+                        .spawn(move || worker(barrier, slot, workers))
+                        .thread()
+                        .clone()
+                })
+                .collect(),
+        };
         loop {
-            // Classify every shard at the barrier.
-            let mut any_stuck = false;
-            let mut running: Vec<(usize, Cycles)> = Vec::new();
-            for (i, slot) in shards.iter().enumerate() {
-                let Some(shard) = slot.as_ref() else { continue };
-                if shard.done_at.is_some() {
-                    continue;
+            // Every shard is at rest: arbitrate the epoch just run, then
+            // pick the next one.
+            let mut guards: Vec<MutexGuard<'_, Shard<'_>>> = others.iter().map(lock).collect();
+            let mut all: Vec<&mut Shard<'_>> = std::iter::once(&mut own)
+                .chain(guards.iter_mut().map(|guard| &mut **guard))
+                .collect();
+            let arbiter_start = now_ns();
+            arbitrate(&mut all, l2, image, config, stats);
+            replay_shadow(&mut all, &mut shadow);
+            arbiter_ns += now_ns().saturating_sub(arbiter_start);
+            let (start, end) = match next_step(&mut all, l2, image, &mut shadow, config, stats) {
+                Step::Epoch { start, end } => (start, end),
+                Step::Limit(outcome) => {
+                    epochs += 1;
+                    return outcome;
                 }
-                match shard.next_candidate() {
-                    Some(c) => running.push((i, c)),
-                    None => any_stuck = true,
-                }
-            }
+                Step::Finished(outcome) => return outcome,
+            };
+            drop(all);
+            drop(guards);
 
-            if running.is_empty() {
-                let live = || shards.iter().flatten();
-                if any_stuck {
-                    // Workload deadlock: the serial loop would coast to
-                    // one cycle past the last issuing cycle and bail.
-                    let cycle = live()
-                        .map(|s| s.last.unwrap_or(0) + u64::from(s.issued_last))
-                        .max()
-                        .unwrap_or(0);
-                    return LoopExit::Finished {
-                        cycle,
-                        fallback: Some(TerminationReason::Deadlock),
-                    };
-                }
-                let cycle = live().filter_map(|s| s.done_at).max().unwrap_or(0);
-                return LoopExit::Finished { cycle, fallback: None };
-            }
-
-            let epoch_start = running.iter().map(|&(_, c)| c).min().unwrap_or(0);
-            if epoch_start >= limit {
-                // Cycle-limit endgame: the serial loop would process
-                // exactly this one cycle, observe the limit, and break.
-                // Cheap enough to run inline on the coordinator.
-                for &(i, c) in &running {
-                    if c == epoch_start {
-                        if let Some(shard) = shards[i].as_mut() {
-                            shard.process_cycle(epoch_start);
-                        }
-                    }
-                }
-                arbitrate(&mut shards, chunk, l2, image, config, stats);
-                replay_shadow(&mut shards, &mut shadow);
-                epochs += 1;
-                let all_done = shards.iter().flatten().all(|s| s.done_at.is_some());
-                return LoopExit::Finished {
-                    cycle: epoch_start,
-                    fallback: (!all_done).then_some(TerminationReason::CycleLimit),
+            coordinator.release(end);
+            own.run_epoch_timed(end);
+            let wait_start = now_ns();
+            if !coordinator.wait_for_workers() {
+                // A worker is unwinding: stop here. The scope re-raises
+                // its panic, so this value is never observed.
+                return Outcome {
+                    cycle: 0,
+                    fallback: None,
                 };
             }
-
-            // Normal epoch: [epoch_start, epoch_start + Δ).
-            let epoch_end = epoch_start.saturating_add(delta);
-            let mut dispatched: Vec<usize> = Vec::new();
-            for &(i, c) in &running {
-                if c < epoch_end && c < limit {
-                    let Some(shard) = shards[i].take() else { continue };
-                    let job = EpochJob {
-                        shard,
-                        epoch_end,
-                        busy_ns: 0,
-                    };
-                    match to_worker[i].send(job) {
-                        Ok(()) => dispatched.push(i),
-                        Err(mpsc::SendError(job)) => {
-                            shards[i] = Some(job.shard);
-                            return LoopExit::WorkerLost;
-                        }
-                    }
-                }
-            }
-            let wait_start = now_ns();
-            let mut job_busy = vec![0u64; dispatched.len()];
-            for (slot, &i) in job_busy.iter_mut().zip(&dispatched) {
-                match from_worker[i].recv() {
-                    Ok(job) => {
-                        busy[i] += job.busy_ns;
-                        *slot = job.busy_ns;
-                        shards[i] = Some(job.shard);
-                    }
-                    Err(_) => return LoopExit::WorkerLost,
-                }
-            }
-            let span = now_ns().saturating_sub(wait_start);
-            for (&i, &b) in dispatched.iter().zip(&job_busy) {
-                stall[i] += span.saturating_sub(b);
-            }
-
-            arbitrate(&mut shards, chunk, l2, image, config, stats);
-            replay_shadow(&mut shards, &mut shadow);
-
+            own.stall_ns += now_ns().saturating_sub(wait_start);
             epochs += 1;
             if let Some(prev) = prev_start {
-                max_advance = max_advance.max(epoch_start - prev);
+                max_advance = max_advance.max(start - prev);
             }
-            prev_start = Some(epoch_start);
+            prev_start = Some(start);
         }
     });
 
     // Reassemble the machine in SM id order and fold the shard counters
     // into the launch totals.
-    for slot in &mut shards {
-        let Some(shard) = slot.take() else { continue };
-        let shard = *shard;
+    let shards: Vec<Shard<'_>> = std::iter::once(own)
+        .chain(
+            others
+                .into_iter()
+                .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner)),
+        )
+        .collect();
+    let mut busy = Vec::with_capacity(shards.len());
+    let mut stall = Vec::with_capacity(shards.len());
+    for shard in shards {
         merge_counters(stats, &shard.stats);
+        busy.push(shard.busy_ns);
+        stall.push(shard.stall_ns);
         for unit in shard.units {
-            sms.push(unit.sm);
-            policies.push(unit.policy);
+            let id = unit.sm.id;
+            units[id] = Some(unit);
         }
     }
+    for unit in units.into_iter().flatten() {
+        sms.push(unit.sm);
+        policies.push(unit.policy);
+    }
 
-    let outcome = match exit {
-        LoopExit::Finished { cycle, fallback } => Outcome { cycle, fallback },
-        LoopExit::WorkerLost => Outcome {
-            cycle: 0,
-            fallback: Some(TerminationReason::FaultAbort),
-        },
-    };
-
-    epoch_stats.epochs += epochs;
-    epoch_stats.advanced_cycles += outcome.cycle;
     if let Some(prev) = prev_start {
         max_advance = max_advance.max(outcome.cycle.saturating_sub(prev));
     }
-    epoch_stats.max_epoch_cycles = epoch_stats.max_epoch_cycles.max(max_advance);
-    epoch_stats.shards = epoch_stats.shards.max(workers);
-    if epoch_stats.busy_ns.len() < workers {
-        epoch_stats.busy_ns.resize(workers, 0);
-    }
-    if epoch_stats.stall_ns.len() < workers {
-        epoch_stats.stall_ns.resize(workers, 0);
-    }
-    for (into, from) in epoch_stats.busy_ns.iter_mut().zip(&busy) {
-        *into += from;
-    }
-    for (into, from) in epoch_stats.stall_ns.iter_mut().zip(&stall) {
-        *into += from;
+    epoch_stats.merge(&EpochStats {
+        epochs,
+        advanced_cycles: outcome.cycle,
+        max_epoch_cycles: max_advance,
+        shards: busy.len(),
+        busy_ns: busy,
+        stall_ns: stall,
+        arbiter_ns,
+    });
+    outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::assign_shards;
+
+    #[test]
+    fn equal_work_interleaves_and_the_lighter_shard_comes_first() {
+        // The 15-SM Table II machine at 2 threads: 8 SMs against 7, and
+        // the coordinator takes the 7.
+        let shards = assign_shards(&[48; 15], 2);
+        assert_eq!(
+            shards,
+            vec![vec![1, 3, 5, 7, 9, 11, 13], vec![0, 2, 4, 6, 8, 10, 12, 14]]
+        );
     }
 
-    outcome
+    #[test]
+    fn uneven_work_balances_into_non_contiguous_non_empty_shards() {
+        let work = [6, 0, 3, 8, 1];
+        assert_eq!(assign_shards(&work, 2), vec![vec![0, 2], vec![1, 3, 4]]);
+        assert_eq!(
+            assign_shards(&work, 3),
+            vec![vec![1, 2, 4], vec![0], vec![3]]
+        );
+        assert_eq!(
+            assign_shards(&work, 4),
+            vec![vec![1, 4], vec![2], vec![0], vec![3]]
+        );
+        // Zero-work SMs still spread so that no shard is empty.
+        assert_eq!(
+            assign_shards(&[0; 4], 4),
+            vec![vec![0], vec![1], vec![2], vec![3]]
+        );
+    }
 }

@@ -15,8 +15,9 @@ use latte_gpusim::{
     VecStream,
 };
 
-/// Five SMs: at 2 threads the shards split 3+2, at 4 threads 2+2+1 —
-/// deliberately uneven so the arbiter's sm→shard routing is exercised.
+/// Five SMs: at 2 threads the shards split 3+2, at 4 threads 2+1+1+1 —
+/// deliberately uneven, and interleaved by the balanced assignment, so
+/// the arbiter's completion routing is exercised.
 fn config() -> GpuConfig {
     GpuConfig {
         num_sms: 5,
@@ -206,6 +207,59 @@ impl Kernel for TailStoreKernel {
     }
 }
 
+/// Warps per SM for [`UnevenKernel`]: SM 1 launches none, and the
+/// warp-count-balanced assignment splits the five SMs into
+/// non-contiguous shards at every thread count from 2 to 4 (for
+/// example `{0, 2}` and `{1, 3, 4}` at 2 threads).
+const UNEVEN_WARPS: [usize; 5] = [6, 0, 3, 8, 1];
+
+/// [`MixedKernel`]'s programs with a load that varies by SM, including
+/// an SM with no warps at all.
+#[derive(Clone)]
+struct UnevenKernel;
+
+impl Kernel for UnevenKernel {
+    fn name(&self) -> &str {
+        "uneven-test"
+    }
+
+    fn warps_on_sm(&self, sm: usize) -> usize {
+        UNEVEN_WARPS[sm % UNEVEN_WARPS.len()]
+    }
+
+    fn warp_program(&self, sm: usize, warp: usize) -> Box<dyn OpStream> {
+        MixedKernel.warp_program(sm, warp)
+    }
+
+    fn line_data(&self, addr: latte_cache::LineAddr) -> latte_compress::CacheLine {
+        MixedKernel.line_data(addr)
+    }
+}
+
+/// [`MixedKernel`], except that filling any line of SM `sm` panics.
+struct PanickingKernel {
+    sm: u64,
+}
+
+impl Kernel for PanickingKernel {
+    fn name(&self) -> &str {
+        "panicking-test"
+    }
+
+    fn warps_on_sm(&self, sm: usize) -> usize {
+        MixedKernel.warps_on_sm(sm)
+    }
+
+    fn warp_program(&self, sm: usize, warp: usize) -> Box<dyn OpStream> {
+        MixedKernel.warp_program(sm, warp)
+    }
+
+    fn line_data(&self, addr: latte_cache::LineAddr) -> latte_compress::CacheLine {
+        assert_ne!(addr.line_number() >> 20, self.sm, "planted line_data failure");
+        MixedKernel.line_data(addr)
+    }
+}
+
 fn run_with_threads(
     config: &GpuConfig,
     threads: usize,
@@ -343,6 +397,51 @@ fn deadlock_termination_is_identical() {
 }
 
 #[test]
+fn uneven_load_with_an_idle_sm_is_identical_at_every_thread_count() {
+    let (serial, _) = run_with_threads(&config(), 1, true, &[&UnevenKernel]);
+    assert!(serial[0].instructions > 0);
+    for threads in [2, 3, 4] {
+        let (parallel, _) = run_with_threads(&config(), threads, true, &[&UnevenKernel]);
+        assert_eq!(
+            serial, parallel,
+            "uneven load at sim_threads={threads} must be byte-identical to serial"
+        );
+    }
+    let (serial_log, serial_stats) = shadow_transcript_of(1, None, false, &[&UnevenKernel]);
+    assert!(!serial_log.is_empty(), "shadow hook must actually fire");
+    for threads in [2, 3, 4] {
+        let (par_log, par_stats) = shadow_transcript_of(threads, None, false, &[&UnevenKernel]);
+        assert_eq!(serial_stats, par_stats);
+        assert_eq!(
+            serial_log, par_log,
+            "uneven-load shadow replay at sim_threads={threads} must keep the serial order"
+        );
+    }
+}
+
+#[test]
+fn a_panic_on_any_thread_reaches_the_caller() {
+    // At 2 threads SMs {1, 3} run on the coordinator (the calling
+    // thread) and {0, 2, 4} on the worker. Either side panicking must
+    // unwind out of `run_kernel` rather than leave the other waiting at
+    // the barrier.
+    let cfg = GpuConfig {
+        sim_threads: 2,
+        ..config()
+    };
+    for sm in [0, 1] {
+        let mut gpu = Gpu::new(&cfg, |_| {
+            Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>
+        });
+        let kernel = PanickingKernel { sm };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gpu.run_kernel(&kernel)
+        }));
+        assert!(outcome.is_err(), "a panic simulating SM {sm} must propagate");
+    }
+}
+
+#[test]
 fn oversized_thread_count_clamps_and_stays_identical() {
     let strided = StridedKernel::new(8, 150, 256);
     let (serial, _) = run_with_threads(&config(), 1, false, &[&strided]);
@@ -415,6 +514,16 @@ fn shadow_transcript(
     faults: Option<FaultConfig>,
     write_back: bool,
 ) -> (Vec<String>, KernelStats) {
+    let strided = StridedKernel::new(10, 260, 320);
+    shadow_transcript_of(threads, faults, write_back, &[&strided, &MixedKernel])
+}
+
+fn shadow_transcript_of(
+    threads: usize,
+    faults: Option<FaultConfig>,
+    write_back: bool,
+    kernels: &[&dyn Kernel],
+) -> (Vec<String>, KernelStats) {
     let cfg = GpuConfig {
         sim_threads: threads,
         faults,
@@ -427,10 +536,8 @@ fn shadow_transcript(
         Box::new(TranscriptShadow(Arc::clone(&log))),
         ShadowConfig::default(),
     );
-    let strided = StridedKernel::new(10, 260, 320);
-    let kernels: [&dyn Kernel; 2] = [&strided, &MixedKernel];
     let mut total = KernelStats::default();
-    for stats in gpu.run_kernels(kernels) {
+    for stats in gpu.run_kernels(kernels.iter().copied()) {
         total.accumulate(&stats);
     }
     let transcript = log.lock().map(|l| l.clone()).unwrap_or_default();
