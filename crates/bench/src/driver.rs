@@ -1,5 +1,5 @@
 //! The parallel experiment driver: runs a batch of experiments on the
-//! work-stealing [`crate::pool`], captures each experiment's stdout into
+//! thread pool in [`crate::pool`], captures each experiment's stdout into
 //! a private buffer, and reports finished experiments one block at a
 //! time from the calling thread so tables never interleave.
 //!

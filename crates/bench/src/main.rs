@@ -6,8 +6,8 @@
 //! latte-bench [options] all
 //! ```
 //!
-//! Experiments run on a work-stealing thread pool (`--jobs`, default =
-//! available parallelism). The run is deterministic: `--jobs N` writes
+//! Experiments run on a thread pool (`--jobs`, default = available
+//! parallelism). The run is deterministic: `--jobs N` writes
 //! byte-identical `results/` files to `--jobs 1`; only the order of the
 //! finished-experiment blocks on stdout may differ.
 //!

@@ -1,27 +1,33 @@
-//! A small hand-rolled work-stealing thread pool for the experiment
-//! driver, with **two-level scheduling**: the driver submits experiments
-//! as *main tasks*, and a running experiment may fan its simulations out
-//! as *subtasks* onto the same workers via [`run_subtasks`], so one big
+//! A small hand-rolled thread pool for the experiment driver, with
+//! **two-level scheduling**: the driver submits experiments as *main
+//! tasks*, and a running experiment may fan its simulations out as
+//! *subtasks* onto the same workers via [`run_subtasks`], so one big
 //! experiment saturates every core instead of serializing behind the
 //! driver-level parallelism.
 //!
 //! The container this project builds in has no route to a crates
 //! registry, so instead of `rayon` this is a couple hundred lines of
-//! `std`:
+//! `std`. Each [`run_tasks`] call owns one queue, and nothing outlives
+//! the call:
 //!
-//! * **Main tasks** — each worker owns a deque seeded round-robin with
-//!   its share, pops from the front of its own deque, and steals from
-//!   the back of a sibling's when it runs dry.
-//! * **Subtasks** — a process-wide injector queue. Workers prefer
-//!   injector work over main tasks (a queued simulation is always on
-//!   some experiment's critical path), and the submitting thread *helps*:
-//!   while waiting for its batch it executes injector work itself, so
-//!   [`run_subtasks`] also functions (serially) outside any pool — unit
+//! * **Main tasks** are taken in submission order from one shared
+//!   cursor, a locked iterator that nothing ever waits on.
+//! * **Subtasks** go into the queue of the pool whose worker submitted
+//!   them. Workers take subtasks before main tasks (a queued simulation
+//!   is always on some running experiment's critical path, while a main
+//!   task only *starts* a new experiment), and the submitting worker
+//!   helps run the queue while it waits for its batch. On a thread that
+//!   belongs to no pool, [`run_subtasks`] runs its batch inline, so unit
 //!   tests and examples need no special case.
-//! * Since tasks now spawn subtasks, an idle worker may not exit just
-//!   because every deque is empty — more work can appear while any main
-//!   task is still running. Idle workers park on a condvar with a short
-//!   timeout and exit only when the batch's main-task count hits zero.
+//! * A worker left without a main task may not exit while any main task
+//!   still runs, since that task can still submit subtasks. It runs
+//!   subtasks until the last main task completes.
+//!
+//! All waiting goes through one mutex and one condvar. The mutex guards
+//! the subtask queue and the count of unfinished main tasks; the
+//! condvar, signalled with the mutex held, wakes every waiter: an idle
+//! worker, or a submitter waiting for its batch. Each re-checks its
+//! condition under the mutex, so no wakeup is lost and nothing polls.
 //!
 //! Determinism note: the pool imposes no ordering on task *execution*,
 //! so anything a task touches must be task-private. Both levels deliver
@@ -33,49 +39,70 @@
 
 use crate::report;
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A unit of pool work, tagged with its index in the submission order.
+/// A unit of pool work.
 type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// A worker's deque of (submission index, task) pairs.
-type TaskQueue<'a, T> = VecDeque<(usize, Task<'a, T>)>;
-
-/// An enqueued subtask, already wrapped so it stores its own result.
+/// An enqueued subtask, already wrapped so it delivers its own result.
 type Subtask = Box<dyn FnOnce() + Send + 'static>;
 
 /// Locks `m`, recovering from a poisoned lock: pool tasks are run under
 /// `catch_unwind`, so if a panic does escape while a lock is held the
-/// protected data only ever holds plain jobs/slots and remains
+/// protected data only ever holds plain jobs and counters and remains
 /// structurally valid.
 fn lock<'a, T: ?Sized>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The process-wide subtask injector. Subtasks carry everything they
-/// need (`'static + Send`), so one queue serves every concurrently
-/// running batch; results find their way back through the per-batch
-/// latch each wrapped subtask holds an `Arc` to.
-static INJECTOR: Mutex<VecDeque<Subtask>> = Mutex::new(VecDeque::new());
+/// The subtask queue one [`run_tasks`] call shares with its workers.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled, with `state` locked, when subtasks are queued, when a
+    /// subtask finishes and when the last main task completes.
+    changed: Condvar,
+}
 
-/// Signalled (with the [`INJECTOR`] lock held) when subtasks are pushed;
-/// idle workers park here with a short timeout.
-static INJECTOR_SIGNAL: Condvar = Condvar::new();
+struct PoolState {
+    subtasks: VecDeque<Subtask>,
+    /// Main tasks not yet *completed* (not merely not yet started).
+    unfinished: usize,
+}
 
-/// Pops and runs one injector subtask. Returns `false` if the injector
-/// was empty.
-fn run_one_subtask() -> bool {
-    let job = lock(&INJECTOR).pop_front();
-    match job {
-        Some(job) => {
-            job();
-            true
+thread_local! {
+    /// The pool this thread works for: set on [`run_tasks`]'s workers,
+    /// `None` everywhere else.
+    static POOL: RefCell<Option<Arc<Pool>>> = const { RefCell::new(None) };
+}
+
+impl Pool {
+    /// Runs queued subtasks until `done` holds, blocking on the condvar
+    /// while the queue is empty. `done` is evaluated with the lock held,
+    /// and every change it can observe is made under the lock and then
+    /// signalled, so the wait cannot miss the change it waits for.
+    fn help_until(&self, mut done: impl FnMut(&PoolState) -> bool) {
+        let mut state = lock(&self.state);
+        while !done(&state) {
+            match state.subtasks.pop_front() {
+                Some(job) => {
+                    drop(state);
+                    job();
+                    state = lock(&self.state);
+                    // The job's submitter may be waiting for exactly
+                    // this result.
+                    self.changed.notify_all();
+                }
+                None => {
+                    state = self
+                        .changed
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+            }
         }
-        None => false,
     }
 }
 
@@ -99,76 +126,37 @@ where
     F: FnMut(usize, &T),
 {
     let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let jobs = jobs.max(1);
-
-    // Seed the per-worker deques round-robin so long-running experiments
-    // registered next to each other start on different workers.
-    let mut deques: Vec<TaskQueue<'env, T>> = (0..jobs).map(|_| VecDeque::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        deques[i % jobs].push_back((i, task));
-    }
-    let deques: Vec<Mutex<TaskQueue<'env, T>>> = deques.into_iter().map(Mutex::new).collect();
-
-    // Main tasks not yet *completed* (not merely not-yet-started): while
-    // any is running it may still enqueue subtasks, so idle workers park
-    // instead of exiting until this reaches zero.
-    let remaining = AtomicUsize::new(n);
-
+    let pool = Arc::new(Pool {
+        state: Mutex::new(PoolState {
+            subtasks: VecDeque::new(),
+            unfinished: n,
+        }),
+        changed: Condvar::new(),
+    });
+    let mains = Mutex::new(tasks.into_iter().enumerate());
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let (tx, rx) = mpsc::channel::<(usize, T)>();
 
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let tx = tx.clone();
-            let deques = &deques;
-            let remaining = &remaining;
-            scope.spawn(move || loop {
-                // Subtasks first: an injected simulation always sits on
-                // some running experiment's critical path, while a main
-                // task only *starts* a new experiment.
-                if run_one_subtask() {
-                    continue;
-                }
-                // Own work next (front: submission order within the
-                // worker), then steal from the back of the most loaded
-                // sibling.
-                let mut job = lock(&deques[w]).pop_front();
-                if job.is_none() {
-                    let mut best: Option<(usize, usize)> = None; // (len, victim)
-                    for off in 1..deques.len() {
-                        let v = (w + off) % deques.len();
-                        let len = lock(&deques[v]).len();
-                        if len > 0 && best.is_none_or(|(l, _)| len > l) {
-                            best = Some((len, v));
-                        }
+        for _ in 0..jobs.max(1) {
+            let (pool, mains, tx) = (Arc::clone(&pool), &mains, tx.clone());
+            scope.spawn(move || {
+                POOL.with(|handle| *handle.borrow_mut() = Some(Arc::clone(&pool)));
+                loop {
+                    pool.help_until(|state| state.subtasks.is_empty());
+                    let next = lock(mains).next();
+                    let Some((i, task)) = next else { break };
+                    let result = task();
+                    let mut state = lock(&pool.state);
+                    state.unfinished -= 1;
+                    if state.unfinished == 0 {
+                        pool.changed.notify_all();
                     }
-                    if let Some((_, victim)) = best {
-                        job = lock(&deques[victim]).pop_back();
-                    }
+                    drop(state);
+                    // `rx` outlives every worker, so the send cannot fail.
+                    let _ = tx.send((i, result));
                 }
-                if let Some((i, f)) = job {
-                    let result = f();
-                    remaining.fetch_sub(1, Ordering::SeqCst);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                // No visible work. Exit once every main task completed
-                // (nothing can enqueue more subtasks for this batch);
-                // otherwise park briefly for injector work to appear.
-                if remaining.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                let guard = lock(&INJECTOR);
-                if guard.is_empty() {
-                    // Timeout bounds the race between our emptiness
-                    // checks and a concurrent push + notify.
-                    let _ = INJECTOR_SIGNAL.wait_timeout(guard, Duration::from_millis(1));
-                }
+                pool.help_until(|state| state.unfinished == 0);
             });
         }
         drop(tx);
@@ -183,30 +171,19 @@ where
     results
 }
 
-/// Result slot of one subtask: its value (or escaped panic payload) and
+/// Result of one subtask: its value (or escaped panic payload) and
 /// everything it printed through the output capture.
 type SubtaskResult<T> = (Result<T, Box<dyn Any + Send>>, String);
-
-/// The synchronization point of one [`run_subtasks`] batch.
-struct Latch<T> {
-    state: Mutex<LatchState<T>>,
-    done: Condvar,
-}
-
-struct LatchState<T> {
-    slots: Vec<Option<SubtaskResult<T>>>,
-    remaining: usize,
-}
 
 /// Runs `tasks` as pool subtasks and returns their results in submission
 /// order, blocking until all complete. Safe to call from anywhere:
 ///
 /// * On a pool worker (the normal case — an experiment fanning out its
-///   simulations), the tasks are pushed onto the process-wide injector
-///   where **every** worker can pick them up, and the calling worker
-///   helps execute injector work while it waits.
-/// * Outside any pool, the calling thread just executes everything
-///   itself via the same help loop — a plain serial fallback.
+///   simulations), the tasks go into that pool's queue, where **every**
+///   worker of the pool can pick them up, and the calling worker helps
+///   run the queue while it waits.
+/// * On any other thread, the calling thread runs the batch itself, in
+///   order.
 ///
 /// Each task's captured output (`out!`/`outln!`, replayed sim
 /// diagnostics) is re-emitted into the *calling* thread's capture in
@@ -228,60 +205,51 @@ where
     T: Send + 'static,
 {
     let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let latch = std::sync::Arc::new(Latch {
-        state: Mutex::new(LatchState {
-            slots: (0..n).map(|_| None).collect(),
-            remaining: n,
-        }),
-        done: Condvar::new(),
+    let (tx, rx) = mpsc::channel::<(usize, SubtaskResult<T>)>();
+    let jobs = tasks.into_iter().enumerate().map(|(i, task)| {
+        let tx = tx.clone();
+        Box::new(move || {
+            // Isolate the subtask's output no matter which thread runs
+            // it: a subtask run by another experiment's worker must not
+            // leak into that experiment's buffer, and one run by its own
+            // submitter must not write into its buffer *out of order*.
+            let saved = report::swap_capture(Some(String::new()));
+            let result = catch_unwind(AssertUnwindSafe(task));
+            let text = report::swap_capture(saved).unwrap_or_default();
+            // The submitter holds `rx` until every result has arrived.
+            let _ = tx.send((i, (result, text)));
+        }) as Subtask
     });
-    {
-        let mut injector = lock(&INJECTOR);
-        for (i, task) in tasks.into_iter().enumerate() {
-            let latch = std::sync::Arc::clone(&latch);
-            injector.push_back(Box::new(move || {
-                // Isolate the subtask's output no matter which thread
-                // runs it: a stolen subtask must not leak into a foreign
-                // experiment's buffer, and a helped one must not write
-                // into its own experiment's buffer *out of order*.
-                let saved = report::swap_capture(Some(String::new()));
-                let result = catch_unwind(AssertUnwindSafe(task));
-                let text = report::swap_capture(saved).unwrap_or_default();
-                let mut state = lock(&latch.state);
-                state.slots[i] = Some((result, text));
-                state.remaining -= 1;
-                if state.remaining == 0 {
-                    latch.done.notify_all();
-                }
-            }));
+    let mut slots: Vec<Option<SubtaskResult<T>>> = (0..n).map(|_| None).collect();
+    let mut missing = n;
+    let mut collect = || {
+        for (i, result) in rx.try_iter() {
+            slots[i] = Some(result);
+            missing -= 1;
         }
-        INJECTOR_SIGNAL.notify_all();
+        missing == 0
+    };
+    match POOL.with(|handle| handle.borrow().clone()) {
+        Some(pool) => {
+            let mut state = lock(&pool.state);
+            state.subtasks.extend(jobs);
+            pool.changed.notify_all();
+            drop(state);
+            // Our own unfinished subtasks are always either still queued,
+            // where this loop finds them, or running on a worker that
+            // signals when it is done, so the wait always ends.
+            pool.help_until(|_| collect());
+        }
+        None => {
+            jobs.for_each(|job| job());
+            collect();
+        }
     }
-    // Help: execute injector work (ours or anyone's) while waiting. Our
-    // own remaining subtasks are always either still in the injector —
-    // where this loop will find them — or being executed by a worker
-    // that will count them down, so the wait below always terminates.
-    loop {
-        if run_one_subtask() {
-            continue;
-        }
-        let state = lock(&latch.state);
-        if state.remaining == 0 {
-            break;
-        }
-        // Short timeout: re-check the injector for foreign work so a
-        // waiting submitter stays a useful worker.
-        let _ = latch.done.wait_timeout(state, Duration::from_millis(1));
-    }
-    let slots = std::mem::take(&mut lock(&latch.state).slots);
     let mut out = Vec::with_capacity(n);
     for slot in slots {
-        // Every slot is filled once `remaining` hits zero.
+        // Every slot is filled once `missing` hits zero.
         let Some((result, text)) = slot else {
-            unreachable!("latch reported done with an unfilled slot");
+            unreachable!("batch reported done with an unfilled slot");
         };
         report::emit(format_args!("{text}"));
         match result {
@@ -296,6 +264,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn runs_every_task_once_across_worker_counts() {
@@ -329,9 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn uneven_task_durations_are_stolen() {
-        // One deque gets all the slow tasks; with stealing, 4 workers
-        // must still finish well under the serial time.
+    fn uneven_task_durations_overlap() {
+        // Every fourth task is slow; 4 workers taking tasks from one
+        // queue must still finish well under the serial time.
         let tasks: Vec<Task<'_, ()>> = (0..8)
             .map(|i| {
                 Box::new(move || {
@@ -361,6 +330,40 @@ mod tests {
         );
         assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(run_subtasks(Vec::<Box<dyn FnOnce() + Send>>::new()), vec![]);
+    }
+
+    #[test]
+    fn subtasks_outside_a_pool_stay_on_the_caller() {
+        // Another pool runs alongside with an idle worker: its one main
+        // task blocks until the end of the test. A batch submitted from a
+        // thread that belongs to no pool must not run on that worker.
+        let (release, blocked) = mpsc::channel::<()>();
+        let (started_tx, started) = mpsc::channel::<()>();
+        let other = std::thread::spawn(move || {
+            let task: Task<'_, ()> = Box::new(move || {
+                let _ = started_tx.send(());
+                let _ = blocked.recv();
+            });
+            run_tasks(2, vec![task], |_, _| {});
+        });
+        started.recv().expect("the other pool's main task starts");
+        let ran_on = run_subtasks(
+            (0..8)
+                .map(|_| {
+                    Box::new(|| {
+                        std::thread::sleep(Duration::from_millis(5));
+                        std::thread::current().id()
+                    }) as Box<dyn FnOnce() -> std::thread::ThreadId + Send>
+                })
+                .collect(),
+        );
+        drop(release);
+        other.join().expect("the other pool finishes");
+        let caller = std::thread::current().id();
+        assert!(
+            ran_on.iter().all(|&id| id == caller),
+            "subtasks ran off the calling thread: {ran_on:?}"
+        );
     }
 
     #[test]
@@ -449,24 +452,38 @@ mod tests {
 
     #[test]
     fn subtask_panic_propagates_to_the_submitter() {
-        let caught = catch_unwind(|| {
-            run_subtasks(
-                (0..4usize)
-                    .map(|i| {
-                        Box::new(move || {
-                            assert!(i != 2, "intentional subtask failure");
-                            i
-                        }) as Box<dyn FnOnce() -> usize + Send>
-                    })
-                    .collect(),
+        // Returns the message of the panic the batch re-raised, if any;
+        // it must not panic itself, since it also runs on a pool worker.
+        fn submit_failing_batch() -> Option<String> {
+            let caught = catch_unwind(|| {
+                run_subtasks(
+                    (0..4usize)
+                        .map(|i| {
+                            Box::new(move || {
+                                assert!(i != 2, "intentional subtask failure");
+                                i
+                            }) as Box<dyn FnOnce() -> usize + Send>
+                        })
+                        .collect(),
+                )
+            });
+            let payload = caught.err()?;
+            Some(
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default(),
             )
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        }
+        let msg = submit_failing_batch().expect("panic must propagate");
+        assert!(msg.contains("intentional subtask failure"), "{msg}");
+        // Submitted from a pool worker, the batch goes through the
+        // pool's queue instead of running inline.
+        let task: Task<'_, Option<String>> = Box::new(submit_failing_batch);
+        let results = run_tasks(2, vec![task], |_, _| {});
+        let msg = results.into_iter().next().flatten().flatten();
+        let msg = msg.expect("panic must propagate through the pool");
         assert!(msg.contains("intentional subtask failure"), "{msg}");
     }
 }

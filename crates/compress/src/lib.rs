@@ -162,15 +162,6 @@ pub trait Compressor {
         }
     }
 
-    /// Compresses a whole burst, appending one [`Compression`] per line
-    /// to `out`. Byte-identical to looping [`Compressor::compress`].
-    fn compress_batch(&self, lines: &[CacheLine], out: &mut Vec<Compression>) {
-        out.reserve(lines.len());
-        for line in lines {
-            out.push(self.compress(line));
-        }
-    }
-
     /// Latency of decompressing a line on the hit path, in cycles
     /// (Table I / §IV-C of the paper).
     fn decompression_latency(&self) -> Cycles;

@@ -7,7 +7,7 @@
 //! * `probe(line) == compress(line)` (fast path vs reference size),
 //! * `probe(line)` equals the byte length of the materialised bitstream,
 //! * `decode(encode(line)) == line` (full-encode fidelity),
-//! * batch probing/compressing is byte-identical to the per-line loops.
+//! * batch probing is byte-identical to the per-line probe loop.
 
 use latte_compress::{
     Bdi, Bpc, CacheLine, Compression, Compressor, CpackZ, Fpc, Sc, VftBuilder,
@@ -120,24 +120,13 @@ fn assert_sc_size_parity(sc: &Sc, line: &CacheLine) {
 }
 
 fn assert_batch_parity(algo: &dyn Compressor, lines: &[CacheLine]) {
-    // Batches append: pre-seed the outputs to pin that contract too.
+    // Batches append: pre-seed the output to pin that contract too.
     let sentinel = Compression::new(7);
     let mut probed = vec![sentinel];
     algo.probe_batch(lines, &mut probed);
-    let mut compressed = vec![sentinel];
-    algo.compress_batch(lines, &mut compressed);
-
     assert_eq!(probed[0], sentinel, "{} probe_batch must append", algo.name());
-    assert_eq!(compressed[0], sentinel, "{} compress_batch must append", algo.name());
     let looped_probe: Vec<Compression> = lines.iter().map(|l| algo.probe(l)).collect();
-    let looped_compress: Vec<Compression> = lines.iter().map(|l| algo.compress(l)).collect();
     assert_eq!(&probed[1..], &looped_probe[..], "{} probe_batch", algo.name());
-    assert_eq!(
-        &compressed[1..],
-        &looped_compress[..],
-        "{} compress_batch",
-        algo.name()
-    );
 }
 
 proptest! {

@@ -144,10 +144,10 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "S1",
         title: "per-SM state must be Send-partitionable; shared edges need a boundary marker",
-        rationale: "the planned --sim-threads refactor moves each Sm to a worker thread; that \
-                    is only sound if everything Sm transitively owns is Send and free of \
-                    shared mutability, and every edge into shared Gpu-level state (L2, DRAM \
-                    queue, TraceSink, stats) is explicit and auditable",
+        rationale: "--sim-threads steps shards of Sms on separate threads between epoch \
+                    barriers; that is only sound if everything Sm transitively owns is Send \
+                    and free of shared mutability, and every edge into shared Gpu-level \
+                    state (L2, DRAM queue, TraceSink, stats) is explicit and auditable",
         explain: "Graph tier. Walks the type-field graph from the partition roots (Sm, \
                   MemCtx, Gpu) and classifies every reachable field as per_sm, shared or \
                   violating; the result is exported as results/lint_partition.json. \
@@ -251,8 +251,10 @@ pub struct Violation {
     pub snippet: String,
 }
 
-const D1_IDENTS: &[&str] = &["Instant", "SystemTime"];
-const D2_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
+/// Wall-clock types (D1); the taint engine seeds T1 from the same list.
+pub(crate) const D1_IDENTS: &[&str] = &["Instant", "SystemTime"];
+/// Ambient RNG sources (D2); the taint engine seeds T1 from the same list.
+pub(crate) const D2_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
 const D3_IDENTS: &[&str] = &["HashMap", "HashSet"];
 const D4_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 const P1_MACROS: &[&str] = &["panic", "todo", "unimplemented"];

@@ -342,7 +342,7 @@ mod tests {
         assert_eq!(lib, Some((true, FileKind::Lib)));
         let bin = classify("crates/bench/src/main.rs").map(|c| (c.is_sim_crate, c.kind));
         assert_eq!(bin, Some((false, FileKind::Bin)));
-        let tool = classify("crates/bench/src/bin/probe.rs").map(|c| c.kind);
+        let tool = classify("crates/bench/src/bin/tool.rs").map(|c| c.kind);
         assert_eq!(tool, Some(FileKind::Bin));
         let test = classify("crates/cache/tests/proptests.rs").map(|c| c.kind);
         assert_eq!(test, Some(FileKind::Test));

@@ -24,7 +24,7 @@
 
 use crate::graph::TypeIndex;
 use crate::parser::{Callee, FnDef};
-use crate::rules::{FileKind, Severity, Violation};
+use crate::rules::{FileKind, Severity, Violation, D1_IDENTS, D2_IDENTS};
 use crate::scan::FileUnit;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -188,20 +188,14 @@ impl<'a> Tainter<'a> {
         for call in &fun.calls {
             match &call.callee {
                 Callee::Path(segs) => {
-                    if let Some(tok) =
-                        segs.iter().find(|s| *s == "Instant" || *s == "SystemTime")
-                    {
+                    if let Some(tok) = segs.iter().find(|s| D1_IDENTS.contains(&s.as_str())) {
                         out.push(Seed {
                             kind: SeedKind::Clock,
                             line: call.line,
                             col: call.col,
                             desc: format!("wall-clock read (`{tok}`)"),
                         });
-                    } else if segs.iter().any(|s| s == "OsRng")
-                        || segs
-                            .last()
-                            .is_some_and(|s| s == "thread_rng" || s == "from_entropy")
-                    {
+                    } else if segs.iter().any(|s| D2_IDENTS.contains(&s.as_str())) {
                         out.push(Seed {
                             kind: SeedKind::Rng,
                             line: call.line,
@@ -210,7 +204,7 @@ impl<'a> Tainter<'a> {
                         });
                     }
                 }
-                Callee::Free(name) if name == "thread_rng" || name == "from_entropy" => {
+                Callee::Free(name) if D2_IDENTS.contains(&name.as_str()) => {
                     out.push(Seed {
                         kind: SeedKind::Rng,
                         line: call.line,
