@@ -56,8 +56,7 @@ fn bench_compressors(c: &mut Criterion) {
 /// actually produces — so this number tracks the staged/no-alloc work
 /// directly. The `*_full_encode` entries run the payload-materialising
 /// `BitWriter` path over the same stream: the probe/encode gap is the
-/// point of the staging split. The `*_probe_batch` entries size the
-/// stream through one batched call (per-burst setup amortised).
+/// point of the staging split.
 fn bench_hot_path_stream(c: &mut Criterion) {
     let mut stream: Vec<CacheLine> = Vec::new();
     for profile in [
@@ -89,17 +88,6 @@ fn bench_hot_path_stream(c: &mut Criterion) {
                 for line in &stream {
                     total += black_box(algo.probe(black_box(line))).size_bytes();
                 }
-                black_box(total)
-            });
-        });
-    }
-    for (name, algo) in &algos {
-        group.bench_function(format!("{name}_probe_batch"), |b| {
-            let mut sizes = Vec::with_capacity(stream.len());
-            b.iter(|| {
-                sizes.clear();
-                algo.probe_batch(black_box(&stream), &mut sizes);
-                let total: usize = sizes.iter().map(|c| c.size_bytes()).sum();
                 black_box(total)
             });
         });

@@ -67,8 +67,8 @@ pub fn run_experiments(selected: &[&Experiment], jobs: usize) -> usize {
 }
 
 /// [`run_experiments`], additionally returning every completed
-/// [`ExperimentOutcome`] in submission order (experiments whose worker
-/// died are absent). The `--timings` report and the determinism
+/// [`ExperimentOutcome`] in submission order (experiments whose panic
+/// escaped are absent). The `--timings` report and the determinism
 /// integration test consume the outcomes.
 pub fn run_experiments_with_outcomes(
     selected: &[&Experiment],
@@ -96,8 +96,8 @@ pub fn run_experiments_with_outcomes(
             }
         }
     });
-    // Workers only die if a panic escapes `catch_unwind` (e.g. an abort
-    // in a dependency); count the experiments that never reported.
+    // An entry is `None` only if a panic escaped `run_one`'s own
+    // `catch_unwind`; count the experiments that never reported.
     let died = outcomes.iter().filter(|o| o.is_none()).count();
     (failed + died, outcomes.into_iter().flatten().collect())
 }

@@ -56,12 +56,9 @@ pub fn ratios_for(bench: &BenchmarkSpec) -> [f64; 5] {
         &sc,
     ];
     let mut out = [0.0; 5];
-    let mut sizes = Vec::with_capacity(lines.len());
     for (i, algo) in algos.iter().enumerate() {
-        // Batched size probe over the whole insertion stream.
-        sizes.clear();
-        algo.probe_batch(&lines, &mut sizes);
-        let stored: usize = sizes.iter().map(|c| c.size_bytes()).sum();
+        // Size probe over the whole insertion stream.
+        let stored: usize = lines.iter().map(|l| algo.probe(l).size_bytes()).sum();
         out[i] = (lines.len() * CacheLine::SIZE_BYTES) as f64 / stored.max(1) as f64;
     }
     out

@@ -34,11 +34,8 @@ fn mean_ratio(algo: CompressionAlgo) -> f64 {
             }
             CompressionAlgo::None => unreachable!("table covers real algorithms"),
         };
-        // Batched size probe: one dictionary/transform setup per burst.
-        let mut sizes = Vec::with_capacity(lines.len());
-        compressor.probe_batch(&lines, &mut sizes);
         total_raw += lines.len() * latte_compress::CacheLine::SIZE_BYTES;
-        total_stored += sizes.iter().map(|c| c.size_bytes()).sum::<usize>();
+        total_stored += lines.iter().map(|l| compressor.probe(l).size_bytes()).sum::<usize>();
     }
     total_raw as f64 / total_stored as f64
 }

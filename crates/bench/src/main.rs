@@ -429,17 +429,12 @@ fn main() {
                 for warning in &report.warnings {
                     eprintln!("latte-bench: warning: {warning}");
                 }
-                if report.disk_enabled {
-                    let r = report.recovery;
+                if let Some(open) = latte_bench::sim::store_stats() {
                     println!(
-                        "[store at {} — recovery: {} torn removed, {} adopted, \
-                         {} quarantined, {} missing dropped{}]",
+                        "[store at {} — open: {} torn write(s) removed, {} foreign file(s) quarantined]",
                         dir.display(),
-                        r.torn_removed,
-                        r.adopted,
-                        r.quarantined,
-                        r.missing_dropped,
-                        if r.index_rebuilt { ", index rebuilt" } else { "" }
+                        open.torn_removed,
+                        open.quarantined
                     );
                 }
             }

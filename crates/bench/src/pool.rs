@@ -109,8 +109,8 @@ impl Pool {
 /// Runs `tasks` on `jobs` worker threads, calling `on_complete(index,
 /// &result)` on the **calling thread** as each task finishes (in
 /// completion order). Returns the results in submission order; an entry
-/// is `None` only if the worker executing it died (a panic escaping the
-/// task closure).
+/// is `None` only if a panic escaped its task closure, and such a panic
+/// neither stops the other tasks nor keeps `run_tasks` from returning.
 ///
 /// Starts `jobs.max(1)` workers even when there are fewer tasks: a
 /// worker left without a main task runs the subtasks the others fan out
@@ -146,7 +146,10 @@ where
                     pool.help_until(|state| state.subtasks.is_empty());
                     let next = lock(mains).next();
                     let Some((i, task)) = next else { break };
-                    let result = task();
+                    // A panic that escapes the task must not take the
+                    // worker with it: the task still counts as finished,
+                    // or the other workers would wait for it forever.
+                    let result = catch_unwind(AssertUnwindSafe(task));
                     let mut state = lock(&pool.state);
                     state.unfinished -= 1;
                     if state.unfinished == 0 {
@@ -154,15 +157,18 @@ where
                     }
                     drop(state);
                     // `rx` outlives every worker, so the send cannot fail.
-                    let _ = tx.send((i, result));
+                    // A panicked task sends nothing; its entry stays `None`.
+                    if let Ok(result) = result {
+                        let _ = tx.send((i, result));
+                    }
                 }
                 pool.help_until(|state| state.unfinished == 0);
             });
         }
         drop(tx);
         // Single consumer: every completion is reported from this thread,
-        // so callers get serialized output for free. If all workers died
-        // the channel closes early and the remaining slots stay `None`.
+        // so callers get serialized output for free. The channel closes
+        // once every worker has exited.
         while let Ok((i, v)) = rx.recv() {
             on_complete(i, &v);
             results[i] = Some(v);
@@ -485,5 +491,23 @@ mod tests {
         let msg = results.into_iter().next().flatten().flatten();
         let msg = msg.expect("panic must propagate through the pool");
         assert!(msg.contains("intentional subtask failure"), "{msg}");
+    }
+
+    #[test]
+    fn main_task_panic_leaves_none_and_returns() {
+        let (done_tx, done_rx) = mpsc::channel();
+        // On a helper thread, so a hang fails the test on the timeout
+        // instead of hanging the test binary.
+        std::thread::spawn(move || {
+            let tasks: Vec<Task<'_, u32>> = vec![
+                Box::new(|| panic!("intentional main-task failure")),
+                Box::new(|| 7),
+            ];
+            let _ = done_tx.send(run_tasks(2, tasks, |_, _| {}));
+        });
+        let results = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_tasks must return after a main task panics");
+        assert_eq!(results, [None, Some(7)]);
     }
 }

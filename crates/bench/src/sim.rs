@@ -35,7 +35,8 @@
 //! directory) degrades to a recompute; the store can cost time, never
 //! correctness. `--store-verify` re-simulates every store hit and
 //! byte-compares the re-encoded outcome against the stored record,
-//! counting (and healing) any divergence.
+//! counting any divergence and overwriting the record with the
+//! recompute, so the next run replays the healed record.
 //!
 //! The memo map holds the only in-memory copy of an outcome, and every
 //! resolved cell stays resident for the whole process; the store is a
@@ -111,9 +112,9 @@ struct Service {
 static SERVICE: OnceLock<Service> = OnceLock::new();
 
 /// The persistent result store, configured at most once per process
-/// from `--store`. `None` (never configured) means the service behaves
-/// exactly as the original process-local memo cache.
-static STORE: OnceLock<Arc<Store>> = OnceLock::new();
+/// from `--store`. Unset, or set to `None` because the directory was
+/// unusable, the service behaves exactly as a process-local memo cache.
+static STORE: OnceLock<Option<Store>> = OnceLock::new();
 /// Whether `--store-verify` re-simulates and byte-compares store hits.
 static STORE_VERIFY: OnceLock<bool> = OnceLock::new();
 
@@ -137,17 +138,13 @@ fn service() -> &'static Service {
 ///
 /// Returns `Err` if a store was already configured (write-once, same
 /// discipline as the other process-global switches); the redundant
-/// store is shut down before returning.
+/// store is shut down (dropped) before returning.
 pub fn configure_store(config: StoreConfig) -> Result<OpenReport, &'static str> {
     let (store, open_report) = Store::open(config);
-    let store = Arc::new(store);
-    match STORE.set(Arc::clone(&store)) {
-        Ok(()) => Ok(open_report),
-        Err(_) => {
-            store.shutdown();
-            Err("result store already configured")
-        }
-    }
+    STORE
+        .set(store)
+        .map(|()| open_report)
+        .map_err(|_| "result store already configured")
 }
 
 /// Enables `--store-verify`. Returns `false` if already set.
@@ -159,19 +156,19 @@ fn store_verify_enabled() -> bool {
     STORE_VERIFY.get().copied().unwrap_or(false)
 }
 
-fn store() -> Option<&'static Arc<Store>> {
-    STORE.get()
+fn store() -> Option<&'static Store> {
+    STORE.get()?.as_ref()
 }
 
-/// The persistent store's counters, when one is configured.
+/// The persistent store's counters, when one is open.
 #[must_use]
 pub fn store_stats() -> Option<StoreStats> {
-    STORE.get().map(|s| s.stats())
+    store().map(Store::stats)
 }
 
 /// Blocks until every pending store write is durable.
 pub fn flush_store() {
-    if let Some(store) = STORE.get() {
+    if let Some(store) = store() {
         store.flush();
     }
 }
@@ -179,7 +176,7 @@ pub fn flush_store() {
 /// Flushes and stops the store's writer. Called by the driver before
 /// printing timings so `durable_writes` is final.
 pub fn shutdown_store() {
-    if let Some(store) = STORE.get() {
+    if let Some(store) = store() {
         store.shutdown();
     }
 }
@@ -285,8 +282,7 @@ fn resolve(key: SimKey, state: CellState, from_store: bool) {
 /// Encodes and writes `outcome` through to the store (if configured).
 fn persist(disk_key: u128, outcome: &SimOutcome) {
     if let Some(store) = store() {
-        let bytes = codec::encode_outcome(&outcome.result, &outcome.diag);
-        store.put(disk_key, Arc::new(bytes));
+        store.put(disk_key, codec::encode_outcome(&outcome.result, &outcome.diag));
     }
 }
 
@@ -294,7 +290,8 @@ fn persist(disk_key: u128, outcome: &SimOutcome) {
 /// decoded outcome together with the stored bytes, or `None` on miss /
 /// undecodable payload (the store already quarantined anything that
 /// failed its checksum; a codec-level reject here means a record from
-/// an incompatible build — treated identically as a miss).
+/// an incompatible build — treated identically as a miss, and the
+/// recompute's write-through replaces it).
 fn load_from_store(
     disk_key: u128,
     policy: PolicyKind,
@@ -311,7 +308,8 @@ fn count_verify_failure() {
 
 /// `--store-verify`: re-simulates a store hit and byte-compares the
 /// re-encoded outcome against the stored record. On mismatch, prefers
-/// the freshly computed result and heals the store with it.
+/// the freshly computed result and overwrites the stored record with
+/// it.
 fn verify_store_hit(
     disk_key: u128,
     policy: PolicyKind,
@@ -355,7 +353,7 @@ fn verify_store_hit(
         fresh.len()
     ));
     if let Some(store) = store() {
-        store.put(disk_key, Arc::new(fresh));
+        store.put(disk_key, fresh);
     }
     Some(Arc::new(SimOutcome { result, diag }))
 }

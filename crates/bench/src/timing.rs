@@ -111,9 +111,9 @@ pub fn take_epoch_stats() -> Option<latte_gpusim::EpochStats> {
 
 /// Prints the `--timings` report to stdout: per-experiment wall time
 /// (slowest first), then per-sim-job compute time, then the simulation
-/// cache's counters (split by tier: in-process replay vs store memory
-/// vs store disk vs computed), then — when a persistent store is
-/// configured — the store's write/quarantine/fault counters, then the
+/// cache's counters (in-process replay vs store read vs computed),
+/// then — when a persistent store is open — the store's
+/// write/quarantine/fault counters, then the
 /// cumulative compressor work split by stage (probe/encode/decode).
 ///
 /// `experiments` is `(name, secs)` per completed experiment; `cache` is
@@ -162,13 +162,12 @@ pub fn print_report(experiments: &[(&str, f64)], cache: &crate::sim::SimStats) {
     if let Some(store) = crate::sim::store_stats() {
         println!(
             "store: {} durable writes, {} dropped, {} write failures; {} quarantined, \
-             {} missing, {} adopted, {} torn removed; {} fault(s) injected",
+             {} missing, {} torn removed; {} fault(s) injected",
             store.durable_writes,
             store.dropped_writes,
             store.write_failures,
             store.quarantined,
             store.missing,
-            store.adopted,
             store.torn_removed,
             store.injected_faults
         );

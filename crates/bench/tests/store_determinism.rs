@@ -11,6 +11,9 @@
 //!    byte-identical results.
 //! 5. A `--store-verify` rerun re-simulates every hit, finds no
 //!    divergence, and exits 0.
+//! 6. A record that is well formed but wrong is caught by
+//!    `--store-verify` (exit 1, one divergence) and overwritten with the
+//!    recompute, so the next `--store-verify` run exits 0.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -148,6 +151,36 @@ fn warm_store_replays_byte_identically_and_survives_corruption() {
     //    recompute.
     let (code, stdout) = run_bench(&runs, &["--store-verify"]);
     assert_eq!(code, 0, "--store-verify run failed:\n{stdout}");
+    assert_eq!(snapshot_results(&runs), cold);
+
+    // 6. A wrong but well-formed record: bump the cycle counter inside
+    //    one payload and re-seal the envelope, so both the checksum and
+    //    the outcome codec accept it. The first --store-verify run
+    //    catches it and overwrites it with the recompute; the second
+    //    finds nothing left to heal.
+    let victim = first_segment(&runs.store);
+    let key = victim
+        .file_stem()
+        .and_then(|stem| u128::from_str_radix(&stem.to_string_lossy(), 16).ok())
+        .expect("segment names are hex keys");
+    let sealed = fs::read(&victim).expect("read victim segment");
+    let mut payload = latte_store::record::decode(&sealed, key)
+        .expect("victim segment is valid")
+        .to_vec();
+    // Payload layout: codec version (u32), policy tag (u8), benchmark
+    // abbreviation (u64 length + bytes), then the cycle count (u64).
+    let abbr_len = u64::from_le_bytes(payload[5..13].try_into().expect("8 bytes")) as usize;
+    payload[13 + abbr_len] ^= 0x01;
+    fs::write(&victim, latte_store::record::encode(key, &payload)).expect("rewrite victim");
+    let (code, stdout) = run_bench(&runs, &["--store-verify"]);
+    assert_eq!(code, 1, "a wrong record must fail --store-verify:\n{stdout}");
+    assert!(
+        stdout.contains("store verify: 1 stored record(s) diverged"),
+        "exactly the edited record diverges:\n{stdout}"
+    );
+    assert_eq!(snapshot_results(&runs), cold, "verify serves the recompute");
+    let (code, stdout) = run_bench(&runs, &["--store-verify"]);
+    assert_eq!(code, 0, "the diverging record must have been overwritten:\n{stdout}");
     assert_eq!(snapshot_results(&runs), cold);
 
     let _ = fs::remove_dir_all(runs.work.parent().expect("base dir"));

@@ -410,16 +410,6 @@ impl Compressor for Bpc {
         Compression::new(bits.div_ceil(8))
     }
 
-    fn probe_batch(&self, lines: &[CacheLine], out: &mut Vec<Compression>) {
-        // One dispatch and one timing record for the whole burst.
-        let t = stats::start();
-        out.reserve(lines.len());
-        for line in lines {
-            out.push(Compression::new(self.probe_size_bits(line).div_ceil(8)));
-        }
-        stats::record_probe(t);
-    }
-
     fn decompression_latency(&self) -> Cycles {
         11
     }
@@ -461,11 +451,11 @@ mod tests {
         }
         let orig = a;
         transpose32(&mut a);
-        for b in 0..32 {
-            for j in 0..32 {
+        for (b, plane) in a.iter().enumerate() {
+            for (j, word) in orig.iter().enumerate() {
                 assert_eq!(
-                    (a[b] >> j) & 1,
-                    (orig[j] >> b) & 1,
+                    (plane >> j) & 1,
+                    (word >> b) & 1,
                     "plane {b} bit {j}"
                 );
             }
@@ -498,32 +488,11 @@ mod tests {
             (0..32).map(|i| 3u32 << (i % 30)).collect(), // walking pair
             (0..32).map(|i| 0x9e37_79b9u32.wrapping_mul(i)).collect(), // noisy
             vec![0x8000_0000; 32], // sign-plane stress
-            (0..32).map(|i| (i as i32 - 16) as u32).collect(), // negative deltas
+            (0..32).map(|i: i32| (i - 16) as u32).collect(), // negative deltas
         ];
         for words in cases {
             round_trip(&CacheLine::from_u32_words(&words));
         }
-    }
-
-    #[test]
-    fn batch_probe_matches_per_line_loop() {
-        let bpc = Bpc::new();
-        let lines: Vec<CacheLine> = (0..48u32)
-            .map(|i| {
-                let words: Vec<u32> = (0..32)
-                    .map(|j| match i % 3 {
-                        0 => 0x1000 + j * i,
-                        1 => f32::to_bits(1.5 + (j as f32) * 0.01 * i as f32),
-                        _ => 0x9e37_79b9u32.wrapping_mul(i * 37 + j),
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
-            })
-            .collect();
-        let mut batched = Vec::new();
-        bpc.probe_batch(&lines, &mut batched);
-        let looped: Vec<Compression> = lines.iter().map(|l| bpc.probe(l)).collect();
-        assert_eq!(batched, looped);
     }
 
     #[test]

@@ -270,19 +270,6 @@ impl Compressor for CpackZ {
         Compression::new(c.byte_len())
     }
 
-    fn probe_batch(&self, lines: &[CacheLine], out: &mut Vec<Compression>) {
-        // One dictionary and one dispatch for the whole burst.
-        let t = stats::start();
-        let mut dict = Dictionary::default();
-        out.reserve(lines.len());
-        for line in lines {
-            let mut c = BitCounter::new();
-            self.encode_with(line, &mut c, &mut dict);
-            out.push(Compression::new(c.byte_len()));
-        }
-        stats::record_probe(t);
-    }
-
     fn decompression_latency(&self) -> Cycles {
         8
     }
@@ -404,27 +391,5 @@ mod tests {
         let mut words: Vec<u32> = (0..20).map(|i| 0xa000_0000 + i * 0x0101_0101).collect();
         words.extend_from_slice(&[0xa000_0000 + 18 * 0x0101_0101; 12]);
         round_trip(&CacheLine::from_u32_words(&words));
-    }
-
-    #[test]
-    fn batch_probe_matches_per_line_loop() {
-        let cp = CpackZ::new();
-        let lines: Vec<CacheLine> = (0..64u32)
-            .map(|i| {
-                let words: Vec<u32> = (0..32)
-                    .map(|j| match i % 4 {
-                        0 => 0,
-                        1 => j % 3,
-                        2 => 0xaa00_0000 | (i * 31 + j),
-                        _ => 0x9e37_79b9u32.wrapping_mul(i * 33 + j),
-                    })
-                    .collect();
-                CacheLine::from_u32_words(&words)
-            })
-            .collect();
-        let mut batched = Vec::new();
-        cp.probe_batch(&lines, &mut batched);
-        let looped: Vec<Compression> = lines.iter().map(|l| cp.probe(l)).collect();
-        assert_eq!(batched, looped);
     }
 }

@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_error() {
         let fpc = Fpc::new();
-        let w = fpc.encode(&CacheLine::from_u32_words(&vec![0xdead_beef; 32]));
+        let w = fpc.encode(&CacheLine::from_u32_words(&[0xdead_beef; 32]));
         let mut cut = BitWriter::new();
         let mut r = BitReader::new(w.as_slice(), w.bit_len());
         for _ in 0..w.bit_len() / 2 {
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn small_signed_values() {
-        let words: Vec<u32> = (0..32).map(|i| (i as i32 - 16) as u32).collect();
+        let words: Vec<u32> = (0..32).map(|i: i32| (i - 16) as u32).collect();
         let size = round_trip(&CacheLine::from_u32_words(&words));
         // Mostly 4/8-bit sign-extended encodings: far below 128 bytes.
         assert!(size < 64, "got {size}");
@@ -271,14 +271,14 @@ mod tests {
     #[test]
     fn half_padded_pattern() {
         let words = [0xabcd_0000u32; 32];
-        let size = round_trip(&CacheLine::from_u32_words(&words.to_vec()));
+        let size = round_trip(&CacheLine::from_u32_words(&words));
         assert_eq!(size, (32 * 19usize).div_ceil(8));
     }
 
     #[test]
     fn repeated_byte_pattern() {
         let words = [0x4747_4747u32; 32];
-        let size = round_trip(&CacheLine::from_u32_words(&words.to_vec()));
+        let size = round_trip(&CacheLine::from_u32_words(&words));
         assert_eq!(size, (32 * 11usize).div_ceil(8));
     }
 
@@ -287,7 +287,7 @@ mod tests {
         // 0x00ff00fe: halves 0x00ff (=255, not a SE byte) — ensure the
         // encoder handles borderline half-word cases by round-tripping.
         let words = [0x0042_0017u32; 32];
-        let size = round_trip(&CacheLine::from_u32_words(&words.to_vec()));
+        let size = round_trip(&CacheLine::from_u32_words(&words));
         assert_eq!(size, (32 * 19usize).div_ceil(8));
     }
 

@@ -123,7 +123,7 @@ impl Compression {
 ///
 /// The trait separates two stages of compression:
 ///
-/// * **Size probe** ([`Compressor::probe`], [`Compressor::probe_batch`]) —
+/// * **Size probe** ([`Compressor::probe`]) —
 ///   computes the exact compressed footprint without emitting a single
 ///   payload bit. This is the cache's hot path: every fill probes one or
 ///   more algorithms to make a compressibility decision, and only the
@@ -148,18 +148,6 @@ pub trait Compressor {
     /// report exactly the same size as `compress`.
     fn probe(&self, line: &CacheLine) -> Compression {
         self.compress(line)
-    }
-
-    /// Probes a whole fill burst, appending one [`Compression`] per line
-    /// to `out`. The default loops [`Compressor::probe`]; backends
-    /// override it to amortise per-line setup (dictionary reset, delta
-    /// transforms) and dynamic dispatch across the burst. Byte-identical
-    /// to the per-line loop.
-    fn probe_batch(&self, lines: &[CacheLine], out: &mut Vec<Compression>) {
-        out.reserve(lines.len());
-        for line in lines {
-            out.push(self.probe(line));
-        }
     }
 
     /// Latency of decompressing a line on the hit path, in cycles

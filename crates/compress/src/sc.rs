@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn hot_values_get_short_codes() {
-        let hot = CacheLine::from_u32_words(&vec![7u32; 32]);
+        let hot = CacheLine::from_u32_words(&[7u32; 32]);
         let cold = CacheLine::from_u32_words(&(100..132).collect::<Vec<_>>());
         let mut lines = vec![hot; 50];
         lines.push(cold);
@@ -578,16 +578,16 @@ mod tests {
         // Encode under one codebook, decode under a disjoint one: either a
         // detected error or a (wrong) well-formed line — never a panic,
         // never the original data by accident.
-        let line = CacheLine::from_u32_words(&vec![7u32; 32]);
+        let line = CacheLine::from_u32_words(&[7u32; 32]);
         let a = train(&[line]);
-        let b = train(&[CacheLine::from_u32_words(&vec![0xdead_beefu32; 32])]);
+        let b = train(&[CacheLine::from_u32_words(&[0xdead_beefu32; 32])]);
         let w = a.encode_line(&line);
         assert_ne!(b.decode_line(&w), Ok(line));
     }
 
     #[test]
     fn encode_decode_round_trip_with_escapes() {
-        let trained = CacheLine::from_u32_words(&vec![42u32; 32]);
+        let trained = CacheLine::from_u32_words(&[42u32; 32]);
         let cb = train(&[trained]);
         // A line full of values the codebook never saw.
         let unseen = CacheLine::from_u32_words(&(0..32).map(|i| 0xdead_0000 + i).collect::<Vec<_>>());
@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn untrained_sc_never_compresses() {
         let sc = Sc::untrained();
-        let line = CacheLine::from_u32_words(&vec![1u32; 32]);
+        let line = CacheLine::from_u32_words(&[1u32; 32]);
         assert!(!sc.compress(&line).is_compressed());
     }
 

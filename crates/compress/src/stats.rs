@@ -113,9 +113,9 @@ mod tests {
         record_encode(start());
         record_decode(start());
         let after = snapshot();
-        assert!(after.probe_ops >= before.probe_ops + 1);
-        assert!(after.encode_ops >= before.encode_ops + 1);
-        assert!(after.decode_ops >= before.decode_ops + 1);
+        assert!(after.probe_ops > before.probe_ops);
+        assert!(after.encode_ops > before.encode_ops);
+        assert!(after.decode_ops > before.decode_ops);
         assert!(after.total_ops() >= before.total_ops() + 3);
     }
 }

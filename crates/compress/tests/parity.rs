@@ -6,8 +6,7 @@
 //!
 //! * `probe(line) == compress(line)` (fast path vs reference size),
 //! * `probe(line)` equals the byte length of the materialised bitstream,
-//! * `decode(encode(line)) == line` (full-encode fidelity),
-//! * batch probing is byte-identical to the per-line probe loop.
+//! * `decode(encode(line)) == line` (full-encode fidelity).
 
 use latte_compress::{
     Bdi, Bpc, CacheLine, Compression, Compressor, CpackZ, Fpc, Sc, VftBuilder,
@@ -119,16 +118,6 @@ fn assert_sc_size_parity(sc: &Sc, line: &CacheLine) {
     assert_eq!(sc.probe(line), Compression::new(w.byte_len()), "SC size");
 }
 
-fn assert_batch_parity(algo: &dyn Compressor, lines: &[CacheLine]) {
-    // Batches append: pre-seed the output to pin that contract too.
-    let sentinel = Compression::new(7);
-    let mut probed = vec![sentinel];
-    algo.probe_batch(lines, &mut probed);
-    assert_eq!(probed[0], sentinel, "{} probe_batch must append", algo.name());
-    let looped_probe: Vec<Compression> = lines.iter().map(|l| algo.probe(l)).collect();
-    assert_eq!(&probed[1..], &looped_probe[..], "{} probe_batch", algo.name());
-}
-
 proptest! {
     #[test]
     fn probe_matches_encode_on_arbitrary_lines(line in any_line()) {
@@ -159,24 +148,6 @@ proptest! {
         assert_sc_size_parity(&untrained, &line);
     }
 
-    #[test]
-    fn batch_apis_match_per_line_loops(
-        raw in prop::collection::vec(any_line(), 0..12),
-        structured in prop::collection::vec(structured_line(), 0..12),
-        temporal in prop::collection::vec(temporal_line(), 0..12),
-    ) {
-        let mut lines = raw;
-        lines.extend(structured);
-        let sc = trained_sc(&temporal);
-        lines.extend(temporal);
-        lines.push(CacheLine::zeroed());
-
-        assert_batch_parity(&Bdi::new(), &lines);
-        assert_batch_parity(&Fpc::new(), &lines);
-        assert_batch_parity(&CpackZ::new(), &lines);
-        assert_batch_parity(&Bpc::new(), &lines);
-        assert_batch_parity(&sc, &lines);
-    }
 }
 
 #[test]

@@ -1,12 +1,11 @@
-//! Store-level fault injection: deterministic, seeded corruption of the
-//! on-disk tier, used to prove the recovery path end to end.
+//! Store-level fault injection: deterministic, seeded corruption of
+//! segment files, used to prove the recovery path end to end.
 //!
-//! The injector sits between the index lookup and the segment read: on
-//! each disk read it rolls a seeded splitmix64 stream and, at the
-//! configured rate, mutilates the segment file *before* the store reads
-//! it — truncation, a single bit flip, a stale schema stamp, or outright
-//! deletion, cycled deterministically. A separate roll at open time
-//! deletes the index file to exercise the full-rescan rebuild.
+//! The injector sits between the key lookup and the segment read: on
+//! each read of a listed key it rolls a seeded splitmix64 stream and,
+//! at the configured rate, mutilates the segment file *before* the
+//! store reads it — truncation, a single bit flip, a stale schema
+//! stamp, or outright deletion, cycled deterministically.
 //!
 //! Faults only ever touch files the store owns, and only when the store
 //! is writable (corrupting a read-only store would mutate state the
@@ -89,15 +88,6 @@ impl StoreFaultInjector {
     /// `salt`.
     fn draw(&self, n: u64, salt: u64) -> u64 {
         splitmix(self.config.seed ^ splitmix(n.wrapping_mul(2).wrapping_add(salt)))
-    }
-
-    /// Rolls whether the *open-time* fault (index deletion) fires. Uses
-    /// a fixed slot outside the per-read stream so it does not shift
-    /// read faults.
-    #[must_use]
-    pub fn roll_index_delete(&self) -> bool {
-        let v = self.draw(u64::MAX, 0x1d0e);
-        (v as f64 / u64::MAX as f64) < self.config.rate
     }
 
     /// Rolls the next per-read fault. Returns the selected kind when
@@ -193,7 +183,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(inj.roll_read().is_none());
         }
-        assert!(!inj.roll_index_delete());
     }
 
     #[test]
@@ -217,7 +206,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.roll_read(), b.roll_read());
         }
-        assert_eq!(a.roll_index_delete(), b.roll_index_delete());
     }
 
     #[test]

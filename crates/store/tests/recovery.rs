@@ -1,6 +1,6 @@
 //! Property tests for store recovery: under *arbitrary* injected
 //! corruption — truncation at any offset, any flipped byte, deleted
-//! segments, a deleted or torn index — reopening the store always
+//! segments, stray temp files — reopening the store always
 //! succeeds, and every subsequent read returns either the exact
 //! original bytes or a miss. Corruption may cost a recompute; it may
 //! never produce a wrong answer.
@@ -8,7 +8,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use latte_store::{Store, StoreConfig, StoreFaultConfig};
 use proptest::prelude::*;
@@ -33,16 +32,22 @@ fn payload_for(key: u128) -> Vec<u8> {
 
 /// Builds a store with `keys` populated and durably flushed.
 fn populate(root: &Path, keys: u128) {
-    let (store, report) = Store::open(StoreConfig::at(root.to_path_buf()));
-    assert!(report.disk_enabled);
+    let store = open(root);
     for key in 0..keys {
-        store.put(key, Arc::new(payload_for(key)));
+        store.put(key, payload_for(key));
     }
     store.flush();
     for key in 0..keys {
         assert_eq!(store.get(key), Some(payload_for(key)), "key {key} not durable after flush");
     }
     store.shutdown();
+}
+
+/// Opens the store at `root`; damage must never disable it.
+fn open(root: &Path) -> Store {
+    let (store, report) = Store::open(StoreConfig::at(root.to_path_buf()));
+    assert!(report.disk_enabled, "damage must never disable the store");
+    store.expect("an enabled store")
 }
 
 fn segment_path(root: &Path, key: u128) -> PathBuf {
@@ -57,8 +62,6 @@ enum Damage {
     Truncate { key: u128, pos: u64 },
     FlipByte { key: u128, pos: u64, mask: u8 },
     DeleteSegment { key: u128 },
-    DeleteIndex,
-    TornIndex { keep: u64 },
     StrayTmp { name_salt: u64 },
 }
 
@@ -72,8 +75,6 @@ fn damage_strategy(keys: u128) -> impl Strategy<Value = Damage> {
             mask,
         }),
         1 => (0..keys).prop_map(|k| Damage::DeleteSegment { key: k as u128 }),
-        1 => Just(Damage::DeleteIndex),
-        1 => (0u64..1 << 16).prop_map(|keep| Damage::TornIndex { keep }),
         1 => (0u64..1 << 16).prop_map(|name_salt| Damage::StrayTmp { name_salt }),
     ]
 }
@@ -103,16 +104,6 @@ fn apply(root: &Path, damage: &Damage) {
         Damage::DeleteSegment { key } => {
             let _ = fs::remove_file(segment_path(root, *key));
         }
-        Damage::DeleteIndex => {
-            let _ = fs::remove_file(root.join("index.v1"));
-        }
-        Damage::TornIndex { keep } => {
-            let path = root.join("index.v1");
-            if let Ok(text) = fs::read_to_string(&path) {
-                let cut = (*keep as usize) % (text.len() + 1);
-                let _ = fs::write(&path, &text[..cut]);
-            }
-        }
         Damage::StrayTmp { name_salt } => {
             let _ = fs::write(
                 root.join("segments")
@@ -131,8 +122,7 @@ fn check_recovery(root: &Path, keys: u128, damages: &[Damage]) {
         apply(root, damage);
     }
 
-    let (store, report) = Store::open(StoreConfig::at(root.to_path_buf()));
-    assert!(report.disk_enabled, "damage must never disable the store");
+    let store = open(root);
     let mut lost = Vec::new();
     for key in 0..keys {
         match store.get(key) {
@@ -149,7 +139,7 @@ fn check_recovery(root: &Path, keys: u128, damages: &[Damage]) {
     // Compute-through: every lost key is rewritable, and the store is
     // whole again afterwards.
     for &key in &lost {
-        store.put(key, Arc::new(payload_for(key)));
+        store.put(key, payload_for(key));
     }
     store.flush();
     for key in 0..keys {
@@ -161,7 +151,7 @@ fn check_recovery(root: &Path, keys: u128, damages: &[Damage]) {
     store.shutdown();
 
     // A second reopen must also be clean (recovery is idempotent).
-    let (store, _) = Store::open(StoreConfig::at(root.to_path_buf()));
+    let store = open(root);
     for key in 0..keys {
         let bytes = store
             .get(key)
@@ -197,10 +187,9 @@ fn every_truncation_offset_of_one_segment_recovers() {
     for cut in cuts {
         populate(&root, 1); // restore
         apply(&root, &Damage::Truncate { key: 0, pos: cut });
-        let (store, _) = Store::open(StoreConfig::at(root.clone()));
-        match store.get(0) {
-            Some(bytes) => assert_eq!(bytes.as_slice(), payload_for(0).as_slice()),
-            None => {}
+        let store = open(&root);
+        if let Some(bytes) = store.get(0) {
+            assert_eq!(bytes.as_slice(), payload_for(0).as_slice());
         }
         store.shutdown();
     }
@@ -214,8 +203,7 @@ fn seeded_injector_full_sweep_never_serves_wrong_bytes() {
         populate(&root, 12);
         let mut config = StoreConfig::at(root.clone());
         config.faults = Some(StoreFaultConfig { seed, rate: 0.5 });
-        let (store, report) = Store::open(config);
-        assert!(report.disk_enabled);
+        let store = Store::open(config).0.expect("an enabled store");
         let mut misses = 0u64;
         for key in 0..12u128 {
             match store.get(key) {
