@@ -16,7 +16,7 @@
 //!   the caller asked for, and trailing bytes are an error. A payload
 //!   that decodes is exactly a result this binary could have produced.
 
-use crate::runner::{BenchResult, PolicyKind};
+use crate::runner::{BenchResult, KernelSummary, PolicyKind};
 use latte_cache::{CacheStats, LineAddr};
 use latte_compress::CompressionAlgo;
 use latte_energy::EnergyReport;
@@ -33,7 +33,8 @@ use std::fmt;
 /// v2: `writebacks` kernel counter, write-back fault counters
 /// (`writeback_faults`/`writeback_retry_cycles`/`writebacks_dropped`),
 /// Assist-Warp policy tag.
-pub const CODEC_VERSION: u32 = 2;
+/// v3: per-kernel records (`BenchResult::kernels`).
+pub const CODEC_VERSION: u32 = 3;
 
 /// Everything that can be wrong with a stored payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,6 +282,14 @@ pub fn encode_outcome(result: &BenchResult, diag: &str) -> Vec<u8> {
         }
     }
 
+    w.u64(result.kernels.len() as u64);
+    for k in &result.kernels {
+        w.u64(k.cycles);
+        for m in k.eps_in_mode {
+            w.u64(m);
+        }
+    }
+
     match &result.shadow {
         None => w.u8(0),
         Some(o) => {
@@ -510,6 +519,15 @@ pub fn decode_outcome(
         });
     }
 
+    let n_kernels = r.len_prefix()?;
+    let mut kernels = Vec::with_capacity(n_kernels);
+    for _ in 0..n_kernels {
+        kernels.push(KernelSummary {
+            cycles: r.u64()?,
+            eps_in_mode: [r.u64()?, r.u64()?, r.u64()?],
+        });
+    }
+
     let shadow = match r.u8()? {
         0 => None,
         1 => {
@@ -568,6 +586,7 @@ pub fn decode_outcome(
             stats,
             energy,
             reports,
+            kernels,
             shadow,
         },
         diag,
@@ -617,6 +636,10 @@ mod tests {
                 selected_mode: None,
             },
         ];
+        result.kernels.push(KernelSummary {
+            cycles: u64::MAX,
+            eps_in_mode: [3, 0, 40],
+        });
         result.stats.timed_out = true;
         result.stats.termination = TerminationReason::CycleLimit;
         result.stats.faults.bitflips_injected = 7;
@@ -651,6 +674,7 @@ mod tests {
         assert_eq!(a.policy, b.policy);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.reports, b.reports);
+        assert_eq!(a.kernels, b.kernels);
         assert_eq!(
             format!("{:?}", a.shadow),
             format!("{:?}", b.shadow),
@@ -741,12 +765,13 @@ mod tests {
         let bench = nw();
         let result = sample_result(&bench);
         let mut bytes = encode_outcome(&result, "");
-        // Overwrite the trace-count length prefix region with a huge
-        // value: find the diag length at the very end instead — easier
-        // and equally structural. The last 8 bytes before the (empty)
-        // diag payload are its length prefix.
-        let n = bytes.len();
-        bytes[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        // Corrupt the kernel-record count. It precedes the records
+        // (32 bytes each), the shadow flag byte and the empty diag
+        // string's 8-byte length prefix.
+        let n = result.kernels.len();
+        let at = bytes.len() - 8 - 1 - 32 * n - 8;
+        assert_eq!(bytes[at..at + 8], (n as u64).to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             decode_outcome(&bytes, PolicyKind::StaticBdi, &bench),
             Err(CodecError::Truncated)

@@ -4,15 +4,15 @@
 //! sampling sets, and the warp scheduler.
 //!
 //! Each ablation reports the C-Sens-subset geomean speedup of LATTE-CC
-//! under the varied parameter, everything else held at the defaults.
+//! under the varied parameter, everything else held at the defaults
+//! (including any command-line controller overrides).
 
 use crate::report::outln;
 use crate::experiments::{lookup_benchmark, write_csv};
-use crate::pool;
-use crate::runner::{experiment_config, geomean, PolicyKind};
-use crate::sim;
-use latte_core::{LatteCc, LatteConfig};
-use latte_gpusim::{Gpu, GpuConfig, Kernel, SchedulerKind};
+use crate::runner::{experiment_config, geomean, latte_config, PolicyKind, PolicySpec};
+use crate::sim::{self, SimJob};
+use latte_core::LatteConfig;
+use latte_gpusim::{GpuConfig, SchedulerKind};
 use latte_workloads::BenchmarkSpec;
 
 /// A representative cache-sensitive subset (one per behaviour class) that
@@ -24,46 +24,38 @@ fn subset() -> std::io::Result<Vec<BenchmarkSpec>> {
         .collect()
 }
 
-fn run_latte(config: &GpuConfig, latte: &LatteConfig, bench: &BenchmarkSpec) -> u64 {
-    let latte = latte.clone();
-    let mut gpu = Gpu::new(config, move |_| Box::new(LatteCc::new(latte.clone())));
-    bench
-        .build_kernels()
-        .iter()
-        .map(|k| gpu.run_kernel(k as &dyn Kernel).cycles)
-        .sum()
-}
-
-fn latte_defaults(config: &GpuConfig) -> LatteConfig {
-    LatteConfig {
-        num_l1_sets: config.l1_geometry.num_sets(),
-        l1_base_hit_latency: config.l1_hit_latency as f64,
-        ..LatteConfig::paper()
-    }
-}
-
-/// Geomean LATTE-CC speedup over the subset for one (gpu, latte) config.
+/// Geomean speedup of `latte` (a LATTE-CC spec) over the Baseline on
+/// `config`, across the subset.
 ///
-/// Each benchmark runs as a pool subtask: the varied-parameter LATTE run
-/// is a bespoke `LatteConfig` (not a named policy), while its Baseline
-/// reference is a standard simulation served by the memo cache and shared
-/// across every ablation point that keeps the machine config fixed.
-fn subset_geomean(config: &GpuConfig, latte: &LatteConfig) -> std::io::Result<f64> {
-    let speedups = pool::run_subtasks(
-        subset()?
-            .into_iter()
-            .map(|bench| {
-                let config = config.clone();
-                let latte = latte.clone();
-                Box::new(move || {
-                    let base =
-                        sim::run_cached(PolicyKind::Baseline, &bench, &config).cycles();
-                    base as f64 / run_latte(&config, &latte, &bench).max(1) as f64
-                }) as Box<dyn FnOnce() -> f64 + Send>
+/// Every run is a memoized request: the Baseline references are shared
+/// across every ablation point that keeps the machine config fixed, and
+/// a point equal to the defaults shares its LATTE-CC runs with the
+/// figures.
+fn subset_geomean(config: &GpuConfig, latte: &PolicySpec) -> std::io::Result<f64> {
+    let baseline = PolicySpec::named(PolicyKind::Baseline, config);
+    let jobs = subset()?
+        .into_iter()
+        .flat_map(|bench| {
+            [&baseline, latte].map(|spec| SimJob {
+                spec: spec.clone(),
+                bench: bench.clone(),
+                config: config.clone(),
             })
-            .collect(),
-    );
+        })
+        .collect();
+    let speedups: Vec<f64> = sim::run_batch(jobs)
+        .chunks(2)
+        .map(|pair| pair[1].speedup_over(&pair[0]))
+        .collect();
     Ok(geomean(&speedups))
+}
+
+/// LATTE-CC on `config` with its controller config changed by `vary`.
+fn latte_with(config: &GpuConfig, vary: impl FnOnce(LatteConfig) -> LatteConfig) -> PolicySpec {
+    PolicySpec {
+        kind: PolicyKind::LatteCc,
+        latte: vary(latte_config(config)),
+    }
 }
 
 /// Tolerance-awareness ablation: scale the Eq. (4) estimate from 0
@@ -73,10 +65,7 @@ pub fn tolerance() -> std::io::Result<()> {
     let config = experiment_config();
     let mut rows = vec![vec!["tolerance_scale".to_owned(), "csens_subset_geomean".to_owned()]];
     for scale in [0.0, 0.5, 1.0, 2.0, 4.0] {
-        let latte = LatteConfig {
-            tolerance_scale: scale,
-            ..latte_defaults(&config)
-        };
+        let latte = latte_with(&config, |l| l.with_tolerance_scale(scale));
         let g = subset_geomean(&config, &latte)?;
         outln!("scale {scale:>4.1}: {g:.4}");
         rows.push(vec![format!("{scale}"), format!("{g:.4}")]);
@@ -91,10 +80,7 @@ pub fn miss_latency() -> std::io::Result<()> {
     let config = experiment_config();
     let mut rows = vec![vec!["miss_latency".to_owned(), "csens_subset_geomean".to_owned()]];
     for ml in [40.0, 80.0, 110.0, 150.0, 230.0] {
-        let latte = LatteConfig {
-            miss_latency: ml,
-            ..latte_defaults(&config)
-        };
+        let latte = latte_with(&config, |l| l.with_miss_latency(ml));
         let g = subset_geomean(&config, &latte)?;
         outln!("miss_latency {ml:>5.0}: {g:.4}");
         rows.push(vec![format!("{ml}"), format!("{g:.4}")]);
@@ -113,7 +99,7 @@ pub fn ep_length() -> std::io::Result<()> {
             ep_accesses: ep,
             ..base.clone()
         };
-        let latte = latte_defaults(&config);
+        let latte = PolicySpec::named(PolicyKind::LatteCc, &config);
         let g = subset_geomean(&config, &latte)?;
         outln!("EP {ep:>5}: {g:.4}");
         rows.push(vec![ep.to_string(), format!("{g:.4}")]);
@@ -130,10 +116,10 @@ pub fn dedicated_sets() -> std::io::Result<()> {
         "csens_subset_geomean".to_owned(),
     ]];
     for d in [1usize, 2, 4, 8] {
-        let latte = LatteConfig {
+        let latte = latte_with(&config, |l| LatteConfig {
             dedicated_sets_per_mode: d,
-            ..latte_defaults(&config)
-        };
+            ..l
+        });
         let g = subset_geomean(&config, &latte)?;
         outln!("dedicated {d}: {g:.4}  (overhead {:.0}% of sets)", 3.0 * d as f64 / 32.0 * 100.0);
         rows.push(vec![d.to_string(), format!("{g:.4}")]);
@@ -154,7 +140,7 @@ pub fn scheduler() -> std::io::Result<()> {
             scheduler: kind,
             ..base.clone()
         };
-        let latte = latte_defaults(&config);
+        let latte = PolicySpec::named(PolicyKind::LatteCc, &config);
         let g = subset_geomean(&config, &latte)?;
         outln!("{name}: {g:.4}");
         rows.push(vec![name.to_owned(), format!("{g:.4}")]);

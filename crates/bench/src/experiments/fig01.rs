@@ -5,7 +5,7 @@
 
 use crate::report::{out, outln};
 use crate::experiments::{lookup_benchmark, write_csv};
-use crate::runner::{experiment_config, PolicyKind};
+use crate::runner::{experiment_config, PolicyKind, PolicySpec};
 use crate::sim;
 use latte_gpusim::GpuConfig;
 
@@ -32,13 +32,14 @@ pub fn run() -> std::io::Result<()> {
     for abbr in BENCHES {
         let bench = lookup_benchmark(abbr)?;
         for &extra in &LATENCIES {
+            let config = GpuConfig {
+                extra_hit_latency: extra,
+                ..experiment_config()
+            };
             jobs.push(sim::SimJob {
-                policy: PolicyKind::Baseline,
+                spec: PolicySpec::named(PolicyKind::Baseline, &config),
                 bench: bench.clone(),
-                config: GpuConfig {
-                    extra_hit_latency: extra,
-                    ..experiment_config()
-                },
+                config,
             });
         }
     }

@@ -5,8 +5,9 @@
 
 use crate::report::outln;
 use crate::experiments::{lookup_benchmark, write_csv};
-use crate::runner::experiment_config;
-use latte_gpusim::{Gpu, GpuConfig, Kernel, UncompressedPolicy};
+use crate::runner::{experiment_config, PolicyKind};
+use crate::sim;
+use latte_gpusim::GpuConfig;
 
 /// Runs the Fig 5 tolerance trace.
 pub fn run() -> std::io::Result<()> {
@@ -16,18 +17,13 @@ pub fn run() -> std::io::Result<()> {
         record_traces: true,
         ..experiment_config()
     };
-    let mut gpu = Gpu::new(&config, |_| Box::new(UncompressedPolicy));
+    let all = sim::run_cached(PolicyKind::Baseline, &bench, &config).stats.traces;
     let mut rows = vec![vec![
         "ep".to_owned(),
         "end_cycle".to_owned(),
         "latency_tolerance".to_owned(),
         "l1_hit_rate".to_owned(),
     ]];
-    let mut all = Vec::new();
-    for kernel in bench.build_kernels() {
-        let stats = gpu.run_kernel(&kernel as &dyn Kernel);
-        all.extend(stats.traces);
-    }
     // Print a compact sparkline-style summary: one line per 8 EPs.
     let mut i = 0;
     for chunk in all.chunks(8) {

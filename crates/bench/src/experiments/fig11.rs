@@ -8,11 +8,9 @@
 
 use crate::report::outln;
 use crate::experiments::write_csv;
-use crate::pool;
-use crate::runner::{experiment_config, geomean, PolicyKind};
+use crate::runner::{experiment_config, geomean, BenchResult, PolicyKind};
 use crate::sim;
-use latte_core::run_kernel_opt;
-use latte_gpusim::Kernel;
+use latte_core::{kernel_opt, KernelOptKernel};
 use latte_workloads::{suite, Category};
 
 /// One benchmark's Fig 11 numbers.
@@ -26,42 +24,43 @@ pub struct Fig11Row {
     pub speedups: [f64; 4],
 }
 
-/// Computes the Fig 11 data set (reused by `summary`).
+/// The runs Fig 11 and Fig 15 read: the three static modes Kernel-OPT
+/// folds over, then LATTE-CC.
+pub(crate) const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::Baseline,
+    PolicyKind::StaticBdi,
+    PolicyKind::StaticSc,
+    PolicyKind::LatteCc,
+];
+
+/// Kernel-OPT over one benchmark, folded from the per-kernel cycles of
+/// its Baseline, Static-BDI and Static-SC runs.
+pub(crate) fn kernel_opt_of(
+    base: &BenchResult,
+    bdi: &BenchResult,
+    sc: &BenchResult,
+) -> Vec<KernelOptKernel> {
+    let cycles: Vec<[u64; 3]> = base
+        .kernels
+        .iter()
+        .zip(&bdi.kernels)
+        .zip(&sc.kernels)
+        .map(|((none, low), high)| [none.cycles, low.cycles, high.cycles])
+        .collect();
+    kernel_opt(&cycles)
+}
+
+/// Computes the Fig 11 data set.
 #[must_use]
 pub fn collect() -> Vec<Fig11Row> {
-    let config = experiment_config();
     let benches = suite();
-    let policies = [
-        PolicyKind::Baseline,
-        PolicyKind::StaticBdi,
-        PolicyKind::StaticSc,
-        PolicyKind::LatteCc,
-    ];
-    let matrix = sim::run_matrix(&policies, &benches, &config);
-    // The Kernel-OPT oracle is not a policy simulation (it sweeps every
-    // mode per kernel), so it bypasses the memo cache — but it is the
-    // most expensive column, so fan it out as one subtask per benchmark.
-    let opt_cycles = pool::run_subtasks(
-        benches
-            .iter()
-            .map(|bench| {
-                let bench = bench.clone();
-                let config = config.clone();
-                Box::new(move || {
-                    let kernels = bench.build_kernels();
-                    let refs: Vec<&dyn Kernel> =
-                        kernels.iter().map(|k| k as &dyn Kernel).collect();
-                    run_kernel_opt(&config, &refs).total_cycles()
-                }) as Box<dyn FnOnce() -> u64 + Send>
-            })
-            .collect(),
-    );
+    let matrix = sim::run_matrix(&POLICIES, &benches, &experiment_config());
     benches
         .iter()
         .zip(matrix)
-        .zip(opt_cycles)
-        .map(|((bench, runs), opt_cycles)| {
+        .map(|(bench, runs)| {
             let (base, bdi, sc, latte) = (&runs[0], &runs[1], &runs[2], &runs[3]);
+            let opt_cycles: u64 = kernel_opt_of(base, bdi, sc).iter().map(|k| k.cycles).sum();
             Fig11Row {
                 abbr: bench.abbr,
                 category: bench.category,

@@ -5,22 +5,11 @@
 //! kernels.
 
 use crate::report::outln;
+use crate::experiments::fig11::{kernel_opt_of, POLICIES};
 use crate::experiments::write_csv;
-use crate::pool;
-use crate::runner::{experiment_config, PolicyKind};
+use crate::runner::experiment_config;
 use crate::sim;
-use latte_core::run_kernel_opt;
-use latte_gpusim::{Gpu, Kernel};
 use latte_workloads::c_sens;
-
-/// One benchmark's agreement numbers (computed in a pool subtask).
-struct Row {
-    abbr: &'static str,
-    agreement: f64,
-    spd_latte: f64,
-    spd_opt: f64,
-    delta: f64,
-}
 
 /// Runs the Fig 15 agreement analysis.
 pub fn run() -> std::io::Result<()> {
@@ -29,7 +18,6 @@ pub fn run() -> std::io::Result<()> {
         "{:6} {:>8} {:>11} {:>11} {:>9}",
         "bench", "agree%", "spd-LATTE", "spd-K-OPT", "perfΔ%"
     );
-    let config = experiment_config();
     let mut csv = vec![vec![
         "benchmark".to_owned(),
         "agreement_pct".to_owned(),
@@ -37,69 +25,32 @@ pub fn run() -> std::io::Result<()> {
         "kernel_opt_speedup".to_owned(),
         "perf_delta_pct".to_owned(),
     ]];
-    // One subtask per benchmark: each runs the Kernel-OPT oracle and the
-    // per-kernel LATTE-CC histogram loop (neither is a plain policy
-    // simulation), while the Baseline reference comes from the memo
-    // cache shared with every other figure.
-    let rows = pool::run_subtasks(
-        c_sens()
-            .iter()
-            .map(|bench| {
-                let bench = bench.clone();
-                let config = config.clone();
-                Box::new(move || {
-                    let kernels = bench.build_kernels();
-                    let refs: Vec<&dyn Kernel> =
-                        kernels.iter().map(|k| k as &dyn Kernel).collect();
-                    let opt = run_kernel_opt(&config, &refs);
-
-                    // Baseline cycles for speedups (memoized).
-                    let base_cycles =
-                        sim::run_cached(PolicyKind::Baseline, &bench, &config).cycles();
-
-                    // LATTE-CC kernel by kernel, collecting per-kernel
-                    // mode histograms.
-                    let mut latte_gpu = Gpu::new(&config, |_| PolicyKind::LatteCc.build(&config));
-                    let mut latte_cycles = 0u64;
-                    let mut agree_eps = 0u64;
-                    let mut total_eps = 0u64;
-                    for (kernel, opt_kernel) in kernels.iter().zip(&opt.kernels) {
-                        latte_cycles += latte_gpu.run_kernel(kernel as &dyn Kernel).cycles;
-                        let oracle_mode = opt_kernel.best.index();
-                        for report in latte_gpu.policy_reports() {
-                            agree_eps += report.eps_in_mode[oracle_mode];
-                            total_eps += report.total_eps();
-                        }
-                    }
-                    let agreement = if total_eps == 0 {
-                        0.0
-                    } else {
-                        agree_eps as f64 / total_eps as f64 * 100.0
-                    };
-                    let spd_latte = base_cycles as f64 / latte_cycles.max(1) as f64;
-                    let spd_opt = base_cycles as f64 / opt.total_cycles().max(1) as f64;
-                    Row {
-                        abbr: bench.abbr,
-                        agreement,
-                        spd_latte,
-                        spd_opt,
-                        delta: (spd_opt - spd_latte) * 100.0,
-                    }
-                }) as Box<dyn FnOnce() -> Row + Send>
-            })
-            .collect(),
-    );
-    for row in rows {
+    let benches = c_sens();
+    let matrix = sim::run_matrix(&POLICIES, &benches, &experiment_config());
+    for (bench, runs) in benches.iter().zip(&matrix) {
+        let (base, latte) = (&runs[0], &runs[3]);
+        let opt = kernel_opt_of(base, &runs[1], &runs[2]);
+        // The share of LATTE-CC's EPs spent in each kernel's oracle mode.
+        let (mut agree_eps, mut total_eps) = (0u64, 0u64);
+        for (kernel, choice) in latte.kernels.iter().zip(&opt) {
+            agree_eps += kernel.eps_in_mode[choice.best.index()];
+            total_eps += kernel.eps_in_mode.iter().sum::<u64>();
+        }
+        let agreement = agree_eps as f64 / total_eps.max(1) as f64 * 100.0;
+        let opt_cycles: u64 = opt.iter().map(|k| k.cycles).sum();
+        let spd_latte = latte.speedup_over(base);
+        let spd_opt = base.stats.cycles as f64 / opt_cycles.max(1) as f64;
+        let delta = (spd_opt - spd_latte) * 100.0;
         outln!(
             "{:6} {:>7.1}% {:>11.3} {:>11.3} {:>9.1}",
-            row.abbr, row.agreement, row.spd_latte, row.spd_opt, row.delta
+            bench.abbr, agreement, spd_latte, spd_opt, delta
         );
         csv.push(vec![
-            row.abbr.to_owned(),
-            format!("{:.2}", row.agreement),
-            format!("{:.4}", row.spd_latte),
-            format!("{:.4}", row.spd_opt),
-            format!("{:.2}", row.delta),
+            bench.abbr.to_owned(),
+            format!("{agreement:.2}"),
+            format!("{spd_latte:.4}"),
+            format!("{spd_opt:.4}"),
+            format!("{delta:.2}"),
         ]);
     }
     outln!("\n(negative perfΔ: LATTE-CC beats the oracle via intra-kernel adaptation)");

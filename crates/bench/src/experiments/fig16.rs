@@ -7,31 +7,23 @@
 use crate::report::outln;
 use crate::experiments::{lookup_benchmark, write_csv};
 use crate::runner::{experiment_config, PolicyKind};
-use latte_gpusim::{Gpu, GpuConfig, Kernel};
-
-fn trace(policy: PolicyKind) -> std::io::Result<Vec<f64>> {
-    let bench = lookup_benchmark("SS")?;
-    let config = GpuConfig {
-        record_traces: true,
-        ..experiment_config()
-    };
-    let mut gpu = Gpu::new(&config, |_| policy.build(&config));
-    let mut capacities = Vec::new();
-    for kernel in bench.build_kernels() {
-        let stats = gpu.run_kernel(&kernel as &dyn Kernel);
-        capacities.extend(stats.traces.iter().map(|t| t.effective_capacity));
-    }
-    Ok(capacities)
-}
+use crate::sim;
+use latte_gpusim::GpuConfig;
 
 /// Runs the Fig 16 capacity trace.
 pub fn run() -> std::io::Result<()> {
     outln!("Figure 16: effective L1 capacity over time (SS, SM 0, 1.0 = baseline)\n");
     let policies = [PolicyKind::StaticBdi, PolicyKind::StaticSc, PolicyKind::LatteCc];
-    let traces: Vec<Vec<f64>> = policies
+    let config = GpuConfig {
+        record_traces: true,
+        ..experiment_config()
+    };
+    let runs = sim::run_matrix(&policies, &[lookup_benchmark("SS")?], &config);
+    let traces: Vec<Vec<f64>> = runs
         .iter()
-        .map(|&p| trace(p))
-        .collect::<std::io::Result<_>>()?;
+        .flatten()
+        .map(|r| r.stats.traces.iter().map(|t| t.effective_capacity).collect())
+        .collect();
     let len = traces.iter().map(Vec::len).min().unwrap_or(0);
     outln!("{:>6} {:>9} {:>9} {:>9}", "EP", "BDI", "SC", "LATTE");
     let mut rows = vec![vec![

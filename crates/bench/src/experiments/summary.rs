@@ -23,7 +23,7 @@ pub fn run() -> std::io::Result<()> {
         "{:20} {:>10} {:>10} {:>10} {:>10}",
         "policy", "spd-Sens", "spd-InSens", "mr-Sens%", "en-Sens"
     );
-    // One 9-policy × full-suite matrix: every simulation the summary
+    // One 10-policy × full-suite matrix: every simulation the summary
     // needs, fanned out across the whole pool in a single batch.
     let matrix = sim::run_matrix_default(&ALL_POLICIES, &benches);
     for (pi, &policy) in ALL_POLICIES.iter().enumerate() {

@@ -5,7 +5,7 @@
 
 use crate::report::outln;
 use crate::experiments::write_csv;
-use crate::runner::{experiment_config, PolicyKind};
+use crate::runner::{experiment_config, PolicyKind, PolicySpec};
 use crate::sim;
 use latte_cache::CacheGeometry;
 use latte_gpusim::GpuConfig;
@@ -42,7 +42,7 @@ pub fn run() -> std::io::Result<()> {
     for config in [&base_config, &big_config] {
         for bench in &benches {
             jobs.push(sim::SimJob {
-                policy: PolicyKind::Baseline,
+                spec: PolicySpec::named(PolicyKind::Baseline, config),
                 bench: bench.clone(),
                 config: config.clone(),
             });

@@ -4,10 +4,10 @@
 //! rate on SM 0.
 
 use crate::report::outln;
-use crate::experiments::write_csv;
+use crate::experiments::{lookup_benchmark, write_csv};
 use crate::runner::{experiment_config, PolicyKind};
-use latte_gpusim::{EpTraceEntry, Gpu, GpuConfig, Kernel};
-use latte_workloads::benchmark;
+use crate::sim;
+use latte_gpusim::GpuConfig;
 
 fn mode_glyph(m: Option<usize>) -> char {
     match m {
@@ -18,12 +18,9 @@ fn mode_glyph(m: Option<usize>) -> char {
     }
 }
 
-/// Runs the decision trace for one benchmark (default SS).
-pub fn run_for(abbr: &str) -> std::io::Result<()> {
-    let Some(bench) = benchmark(abbr) else {
-        eprintln!("unknown benchmark: {abbr}");
-        return Ok(());
-    };
+/// Runs the decision trace for SS.
+pub fn run() -> std::io::Result<()> {
+    let bench = lookup_benchmark("SS")?;
     outln!(
         "LATTE-CC decision trace: {} ({}), SM 0\n",
         bench.name, bench.abbr
@@ -32,11 +29,7 @@ pub fn run_for(abbr: &str) -> std::io::Result<()> {
         record_traces: true,
         ..experiment_config()
     };
-    let mut gpu = Gpu::new(&config, |_| PolicyKind::LatteCc.build(&config));
-    let mut traces: Vec<EpTraceEntry> = Vec::new();
-    for kernel in bench.build_kernels() {
-        traces.extend(gpu.run_kernel(&kernel as &dyn Kernel).traces);
-    }
+    let traces = sim::run_cached(PolicyKind::LatteCc, &bench, &config).stats.traces;
 
     // Mode strip, 64 EPs per row.
     outln!("mode per EP ('.' none, 'L' low-latency, 'H' high-capacity):");
@@ -78,10 +71,5 @@ pub fn run_for(abbr: &str) -> std::io::Result<()> {
         .filter(|w| w[0].selected_mode != w[1].selected_mode)
         .count();
     outln!("\n{} EPs, {} mode switches", traces.len(), switches);
-    write_csv(&format!("trace_{}", abbr.to_lowercase()), &rows)
-}
-
-/// Default entry: trace SS.
-pub fn run() -> std::io::Result<()> {
-    run_for("SS")
+    write_csv("trace_ss", &rows)
 }

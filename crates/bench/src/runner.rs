@@ -149,13 +149,8 @@ pub fn latte_overrides() -> LatteOverrides {
     LATTE_OVERRIDES.get().copied().unwrap_or_default()
 }
 
-/// Applies the process-wide overrides to a freshly built [`LatteConfig`].
-fn apply_overrides(latte: LatteConfig) -> LatteConfig {
-    apply_overrides_with(latte, latte_overrides())
-}
-
-/// Applies one specific set of overrides ([`apply_overrides`] minus the
-/// global lookup, so it is unit-testable without mutating process state).
+/// Applies one set of overrides to a freshly built [`LatteConfig`]
+/// (unit-testable without mutating process state).
 fn apply_overrides_with(mut latte: LatteConfig, ov: LatteOverrides) -> LatteConfig {
     if let Some(miss) = ov.miss_latency {
         latte = latte.with_miss_latency(miss);
@@ -240,13 +235,65 @@ impl PolicyKind {
     /// five set-sampling policies are all [`LatteCc`]s.
     #[must_use]
     pub fn build(self, gpu_config: &GpuConfig) -> Box<dyn L1CompressionPolicy> {
+        PolicySpec::named(self, gpu_config).build()
+    }
+
+    /// Whether this policy is a [`LatteCc`] built from a
+    /// [`PolicySpec::latte`] config.
+    #[must_use]
+    pub(crate) fn is_latte_family(self) -> bool {
+        matches!(
+            self,
+            PolicyKind::LatteCc
+                | PolicyKind::LatteCcBdiBpc
+                | PolicyKind::LatteCcMulti
+                | PolicyKind::AdaptiveHitCount
+                | PolicyKind::AdaptiveCmp
+        )
+    }
+}
+
+/// The controller config the LATTE-family policies start from on
+/// `gpu_config`'s L1, with the command-line overrides applied.
+#[must_use]
+pub(crate) fn latte_config(gpu_config: &GpuConfig) -> LatteConfig {
+    let latte = LatteConfig {
+        num_l1_sets: gpu_config.l1_geometry.num_sets(),
+        l1_base_hit_latency: gpu_config.l1_hit_latency as f64,
+        ..LatteConfig::paper()
+    };
+    apply_overrides_with(latte, latte_overrides())
+}
+
+/// A policy as a simulation request names it: its kind, and the
+/// controller config a LATTE-family kind runs under (other kinds ignore
+/// it). Ablations send explicit configs; every other request uses the
+/// default controller config with the command-line overrides.
+#[derive(Debug, Clone)]
+pub struct PolicySpec {
+    /// The policy.
+    pub kind: PolicyKind,
+    /// The controller config before the kind's own option list.
+    pub latte: LatteConfig,
+}
+
+impl PolicySpec {
+    /// `kind` with the default controller config for `gpu_config`
+    /// ([`latte_config`]).
+    #[must_use]
+    pub(crate) fn named(kind: PolicyKind, gpu_config: &GpuConfig) -> PolicySpec {
+        PolicySpec {
+            kind,
+            latte: latte_config(gpu_config),
+        }
+    }
+
+    /// Builds a fresh policy instance.
+    #[must_use]
+    pub(crate) fn build(&self) -> Box<dyn L1CompressionPolicy> {
         use CompressionAlgo::{Bdi, Bpc, Sc};
-        let latte = apply_overrides(LatteConfig {
-            num_l1_sets: gpu_config.l1_geometry.num_sets(),
-            l1_base_hit_latency: gpu_config.l1_hit_latency as f64,
-            ..LatteConfig::paper()
-        });
-        match self {
+        let latte = self.latte.clone();
+        match self.kind {
             PolicyKind::Baseline => Box::new(UncompressedPolicy),
             PolicyKind::StaticBdi => Box::new(StaticBdi::new()),
             PolicyKind::StaticSc => Box::new(StaticSc::new()),
@@ -272,6 +319,17 @@ impl PolicyKind {
     }
 }
 
+/// One kernel of a benchmark run: what Kernel-OPT and the Fig 15
+/// agreement analysis read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelSummary {
+    /// Execution cycles.
+    pub cycles: u64,
+    /// EPs the policies spent in [none, low-latency, high-capacity]
+    /// mode during this kernel, summed over SMs.
+    pub eps_in_mode: [u64; 3],
+}
+
 /// Aggregate result of one benchmark under one policy.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -285,6 +343,8 @@ pub struct BenchResult {
     pub energy: EnergyReport,
     /// Per-SM policy decision reports after the final kernel.
     pub reports: Vec<latte_gpusim::PolicyReport>,
+    /// Per-kernel records, in execution order.
+    pub kernels: Vec<KernelSummary>,
     /// Oracle verification report, when the run was shadow-checked.
     pub shadow: Option<OracleReport>,
 }
@@ -366,7 +426,8 @@ pub fn run_benchmark_uncached(
     bench: &BenchmarkSpec,
     config: &GpuConfig,
 ) -> BenchResult {
-    run_instrumented(policy, bench, config, shadow_check_enabled())
+    let spec = PolicySpec::named(policy, config);
+    run_instrumented(&spec, bench, config, shadow_check_enabled())
 }
 
 /// Runs `bench` under `policy` with the oracle shadow check attached,
@@ -384,17 +445,18 @@ pub fn run_benchmark_shadowed(
     // shadowed runs (including the `verify` experiment's deliberate
     // corruption demos) must not trip the driver's "--shadow-check found
     // violations" exit.
-    let mut result = run_instrumented(policy, bench, config, true);
+    let mut result = run_instrumented(&PolicySpec::named(policy, config), bench, config, true);
     let report = result.shadow.take().unwrap_or_default();
     result.shadow = Some(report.clone());
     (result, report)
 }
 
-/// The one place a simulator is actually constructed and driven.
-/// `shadowed` attaches a [`MemoryOracle`] before the first kernel and
-/// folds its report into the result (and the output capture) afterwards.
-fn run_instrumented(
-    policy: PolicyKind,
+/// The one place a simulator is actually constructed and driven for a
+/// benchmark. `shadowed` attaches a [`MemoryOracle`] before the first
+/// kernel and folds its report into the result (and the output capture)
+/// afterwards.
+pub(crate) fn run_instrumented(
+    spec: &PolicySpec,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
     shadowed: bool,
@@ -409,14 +471,15 @@ fn run_instrumented(
         // (which is why `sim_threads` stays outside the fingerprint).
         config.sim_threads = sim_threads();
     }
-    if latte_overrides().debug_decide {
+    if spec.latte.decide_trace.is_some() {
         // The controller's decision trace emits into the per-experiment
         // output capture from *inside* SM stepping; under the epoch
         // barrier those calls would run on worker threads and miss the
         // capture. The trace is a debugging aid, so trade speed for it.
         config.sim_threads = 1;
     }
-    let mut gpu = Gpu::new(&config, |_| policy.build(&config));
+    let policy = spec.kind;
+    let mut gpu = Gpu::new(&config, |_| spec.build());
     // Simulator diagnostics (watchdog, early termination) join the same
     // per-experiment capture as the runner's own output.
     gpu.set_diag_sink(latte_gpusim::TraceSink::new(|line| {
@@ -431,8 +494,21 @@ fn run_instrumented(
     };
     let kernels = bench.build_kernels();
     let mut stats = KernelStats::default();
+    let mut summaries = Vec::with_capacity(kernels.len());
     for kernel in &kernels {
         let ks = gpu.run_kernel(kernel as &dyn Kernel);
+        // Policy reports reset at each kernel start, so these count
+        // this kernel's EPs only.
+        let mut eps_in_mode = [0; 3];
+        for report in gpu.policy_reports() {
+            for (sum, eps) in eps_in_mode.iter_mut().zip(report.eps_in_mode) {
+                *sum += eps;
+            }
+        }
+        summaries.push(KernelSummary {
+            cycles: ks.cycles,
+            eps_in_mode,
+        });
         if !ks.termination.is_clean() {
             outln!(
                 "latte-bench: {}/{} under {} stopped early: {} after {} cycles \
@@ -471,6 +547,7 @@ fn run_instrumented(
         stats,
         energy,
         reports: gpu.policy_reports(),
+        kernels: summaries,
         shadow,
     }
 }

@@ -5,7 +5,8 @@
 //! [`run_cached`]: the job is keyed by *what would be simulated* — the
 //! policy, a structural fingerprint of the [`BenchmarkSpec`], a
 //! structural fingerprint of the [`GpuConfig`] (including fault
-//! injection) and the process-wide controller overrides — and a
+//! injection) and, for the LATTE-family policies, the resolved
+//! controller config ([`PolicySpec::latte`]) — and a
 //! process-wide cache guarantees each unique key is **computed exactly
 //! once per invocation**, no matter how many experiments request it.
 //! The default sweep requests the Baseline/`experiment_config` run of
@@ -49,8 +50,8 @@
 //! requester claims the cell and computes inline, outside the lock;
 //! later requesters block on the service's condvar until it resolves. A
 //! compute never requests another simulation (single-level, enforced by
-//! structure: computes call [`runner::run_benchmark_uncached`] which
-//! goes straight to the simulator), so cell waits cannot cycle. A
+//! structure: computes call `runner::run_instrumented`, which goes
+//! straight to the simulator), so cell waits cannot cycle. A
 //! panicking compute parks the panic message in the cell, and every
 //! requester re-raises it — one poisoned simulation fails exactly the
 //! experiments that depend on it.
@@ -58,7 +59,7 @@
 use crate::codec;
 use crate::pool;
 use crate::report;
-use crate::runner::{self, BenchResult, PolicyKind, ShadowTally};
+use crate::runner::{self, BenchResult, PolicyKind, PolicySpec, ShadowTally};
 use crate::timing;
 use latte_gpusim::{Fingerprinter, GpuConfig};
 use latte_store::{OpenReport, Store, StoreConfig, StoreStats};
@@ -73,7 +74,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 struct SimKey {
     policy: PolicyKind,
     /// Structural fingerprint of (benchmark spec, gpu config, controller
-    /// overrides).
+    /// config).
     fingerprint: u128,
 }
 
@@ -181,31 +182,25 @@ pub fn shutdown_store() {
     }
 }
 
-fn key_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> SimKey {
+fn key_for(spec: &PolicySpec, bench: &BenchmarkSpec, config: &GpuConfig) -> SimKey {
     let mut fp = Fingerprinter::new();
     bench.write_fingerprint(&mut fp);
     fp.write_u64(0x5e70_ffff); // domain separator: spec | config
     let cfg_fp = config.fingerprint();
     fp.write_u64(cfg_fp as u64);
     fp.write_u64((cfg_fp >> 64) as u64);
-    // The controller overrides are process-global and write-once, but
-    // folding them in keeps the key honest about everything that shapes
-    // the simulation.
-    let ov = runner::latte_overrides();
-    fp.write_opt_f64(ov.miss_latency);
-    fp.write_opt_f64(ov.tolerance_scale);
-    fp.write_u64(match ov.force_mode {
-        None => 0,
-        Some(latte_core::CompressionMode::None) => 1,
-        Some(latte_core::CompressionMode::LowLatency) => 2,
-        Some(latte_core::CompressionMode::HighCapacity) => 3,
-    });
-    fp.write_bool(ov.debug_decide);
+    if spec.kind.is_latte_family() {
+        // The derived `Debug` form names every controller field, prints
+        // floats exactly (shortest round trip) and a decision-trace sink
+        // as a constant, so equal configs share a key and no field can be
+        // left out.
+        fp.write_str(&format!("{:?}", spec.latte));
+    }
     // A shadow-checked simulation prints a verification summary and
     // carries an oracle report, so it must not alias an unchecked run.
     fp.write_bool(runner::shadow_check_enabled());
     SimKey {
-        policy,
+        policy: spec.kind,
         fingerprint: fp.finish(),
     }
 }
@@ -222,31 +217,41 @@ fn disk_key_for(key: &SimKey) -> u128 {
     fp.finish()
 }
 
-/// Computes one simulation with its printed output harvested into the
-/// returned [`SimOutcome`] instead of the current capture.
-fn compute(
-    policy: PolicyKind,
+/// Runs one simulation with its printed output harvested instead of
+/// emitted, timed under the label `<policy>/<bench><tag>`.
+fn simulate(
+    spec: &PolicySpec,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
-) -> Result<Arc<SimOutcome>, String> {
+    tag: &str,
+) -> (std::thread::Result<BenchResult>, String) {
     let watch = timing::Stopwatch::start();
     let saved = report::swap_capture(Some(String::new()));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        runner::run_benchmark_uncached(policy, bench, config)
+        runner::run_instrumented(spec, bench, config, runner::shadow_check_enabled())
     }));
     let diag = report::swap_capture(saved).unwrap_or_default();
-    let shadow_suffix = if runner::shadow_check_enabled() {
+    timing::record_sim(
+        format!("{}/{}{tag}", spec.kind.name(), bench.abbr),
+        watch.elapsed_secs(),
+    );
+    (result, diag)
+}
+
+/// Computes one simulation into a [`SimOutcome`].
+fn compute(
+    spec: &PolicySpec,
+    bench: &BenchmarkSpec,
+    config: &GpuConfig,
+) -> Result<Arc<SimOutcome>, String> {
+    let tag = if runner::shadow_check_enabled() {
         " [shadow]"
     } else {
         ""
     };
-    timing::record_sim(
-        format!("{}/{}{shadow_suffix}", policy.name(), bench.abbr),
-        watch.elapsed_secs(),
-    );
-    match result {
-        Ok(result) => Ok(Arc::new(SimOutcome { result, diag })),
-        Err(payload) => {
+    match simulate(spec, bench, config, tag) {
+        (Ok(result), diag) => Ok(Arc::new(SimOutcome { result, diag })),
+        (Err(payload), diag) => {
             // The experiment that triggered the compute still gets the
             // partial diagnostics; the panic itself is parked in the
             // cell and re-raised by every requester.
@@ -258,7 +263,7 @@ fn compute(
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
             Err(format!(
                 "simulation {}/{} panicked: {msg}",
-                policy.name(),
+                spec.kind.name(),
                 bench.abbr
             ))
         }
@@ -312,21 +317,13 @@ fn count_verify_failure() {
 /// it.
 fn verify_store_hit(
     disk_key: u128,
-    policy: PolicyKind,
+    spec: &PolicySpec,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
     stored_bytes: &[u8],
 ) -> Option<Arc<SimOutcome>> {
-    let watch = timing::Stopwatch::start();
-    let saved = report::swap_capture(Some(String::new()));
-    let recomputed = catch_unwind(AssertUnwindSafe(|| {
-        runner::run_benchmark_uncached(policy, bench, config)
-    }));
-    let diag = report::swap_capture(saved).unwrap_or_default();
-    timing::record_sim(
-        format!("{}/{} [store-verify]", policy.name(), bench.abbr),
-        watch.elapsed_secs(),
-    );
+    let (recomputed, diag) = simulate(spec, bench, config, " [store-verify]");
+    let policy = spec.kind;
     let Ok(result) = recomputed else {
         // The reference recompute itself died: the stored record cannot
         // be confirmed, which is exactly what --store-verify exists to
@@ -362,21 +359,21 @@ fn verify_store_hit(
 /// compute (written through to the store).
 fn resolve_claimed(
     key: SimKey,
-    policy: PolicyKind,
+    spec: &PolicySpec,
     bench: &BenchmarkSpec,
     config: &GpuConfig,
 ) -> Arc<SimOutcome> {
     let disk_key = disk_key_for(&key);
-    if let Some((outcome, bytes)) = load_from_store(disk_key, policy, bench) {
+    if let Some((outcome, bytes)) = load_from_store(disk_key, spec.kind, bench) {
         let outcome = if store_verify_enabled() {
-            verify_store_hit(disk_key, policy, bench, config, &bytes).unwrap_or(outcome)
+            verify_store_hit(disk_key, spec, bench, config, &bytes).unwrap_or(outcome)
         } else {
             outcome
         };
         resolve(key, CellState::Ready(Arc::clone(&outcome)), true);
         return outcome;
     }
-    match compute(policy, bench, config) {
+    match compute(spec, bench, config) {
         Ok(outcome) => {
             persist(disk_key, &outcome);
             resolve(key, CellState::Ready(Arc::clone(&outcome)), false);
@@ -391,15 +388,15 @@ fn resolve_claimed(
 
 /// Returns the memoized outcome for a key, computing it if this is the
 /// first request.
-fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> Arc<SimOutcome> {
-    let key = key_for(policy, bench, config);
+fn outcome_for(spec: &PolicySpec, bench: &BenchmarkSpec, config: &GpuConfig) -> Arc<SimOutcome> {
+    let key = key_for(spec, bench, config);
     let service = service();
     let mut memo = lock(&service.memo);
     memo.stats.requests += 1;
     if let Entry::Vacant(cell) = memo.cells.entry(key) {
         cell.insert(CellState::InFlight);
         drop(memo);
-        return resolve_claimed(key, policy, bench, config);
+        return resolve_claimed(key, spec, bench, config);
     }
     memo.stats.replay_hits += 1;
     loop {
@@ -423,9 +420,15 @@ fn outcome_for(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) ->
 
 /// Runs (or replays) `bench` under `policy` on `config`, re-emitting the
 /// simulation's diagnostics into the current output capture. This is the
-/// single entry point behind [`runner::run_benchmark_with_config`].
+/// entry point behind [`runner::run_benchmark_with_config`].
 pub fn run_cached(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig) -> BenchResult {
-    let outcome = outcome_for(policy, bench, config);
+    run_spec(&PolicySpec::named(policy, config), bench, config)
+}
+
+/// [`run_cached`] for an explicit [`PolicySpec`]. A spec equal to the
+/// named one resolves to the same cell.
+pub(crate) fn run_spec(spec: &PolicySpec, bench: &BenchmarkSpec, config: &GpuConfig) -> BenchResult {
+    let outcome = outcome_for(spec, bench, config);
     report::emit(format_args!("{}", outcome.diag));
     outcome.result.clone()
 }
@@ -434,7 +437,7 @@ pub fn run_cached(policy: PolicyKind, bench: &BenchmarkSpec, config: &GpuConfig)
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Policy to evaluate.
-    pub policy: PolicyKind,
+    pub spec: PolicySpec,
     /// Benchmark to run.
     pub bench: BenchmarkSpec,
     /// Machine configuration.
@@ -452,7 +455,7 @@ pub fn run_batch(jobs: Vec<SimJob>) -> Vec<BenchResult> {
     let tasks: Vec<Box<dyn FnOnce() -> BenchResult + Send>> = jobs
         .into_iter()
         .map(|job| {
-            Box::new(move || run_cached(job.policy, &job.bench, &job.config))
+            Box::new(move || run_spec(&job.spec, &job.bench, &job.config))
                 as Box<dyn FnOnce() -> BenchResult + Send>
         })
         .collect();
@@ -471,7 +474,7 @@ pub fn run_matrix(
         .iter()
         .flat_map(|bench| {
             policies.iter().map(|&policy| SimJob {
-                policy,
+                spec: PolicySpec::named(policy, config),
                 bench: bench.clone(),
                 config: config.clone(),
             })
@@ -583,6 +586,7 @@ pub fn verify_each_sim_ran_once() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latte_core::LatteConfig;
 
     fn nw() -> BenchmarkSpec {
         latte_workloads::benchmark("NW").expect("NW exists")
@@ -632,6 +636,57 @@ mod tests {
         let ra = run_cached(PolicyKind::Baseline, &bench, &a);
         let rb = run_cached(PolicyKind::Baseline, &bench, &b);
         assert_ne!(ra.stats.cycles, rb.stats.cycles);
+    }
+
+    /// An explicit controller config equal to the default resolves to
+    /// the named request's cell; a different one gets its own.
+    #[test]
+    fn explicit_latte_configs_alias_only_the_equal_default() {
+        let bench = nw();
+        let config = GpuConfig {
+            num_sms: 1,
+            ..GpuConfig::small()
+        };
+        let named = run_cached(PolicyKind::LatteCc, &bench, &config);
+        let default = PolicySpec {
+            kind: PolicyKind::LatteCc,
+            latte: LatteConfig {
+                num_l1_sets: config.l1_geometry.num_sets(),
+                l1_base_hit_latency: config.l1_hit_latency as f64,
+                ..LatteConfig::paper()
+            },
+        };
+        let key = key_for(&default, &bench, &config);
+        assert_eq!(
+            key,
+            key_for(&PolicySpec::named(PolicyKind::LatteCc, &config), &bench, &config)
+        );
+        // The cell is already resolved, so the explicit request replays
+        // it instead of computing.
+        assert!(matches!(
+            lock(&service().memo).cells.get(&key),
+            Some(CellState::Ready(_))
+        ));
+        let explicit = run_spec(&default, &bench, &config);
+        assert_eq!(explicit.stats, named.stats);
+        assert_eq!(explicit.kernels, named.kernels);
+
+        let wider = PolicySpec {
+            latte: LatteConfig {
+                dedicated_sets_per_mode: 4,
+                ..default.latte.clone()
+            },
+            ..default
+        };
+        assert_ne!(key_for(&wider, &bench, &config), key);
+        // Non-LATTE policies ignore the controller config.
+        let baseline = PolicySpec::named(PolicyKind::Baseline, &config);
+        let key = key_for(&baseline, &bench, &config);
+        let other = PolicySpec {
+            latte: wider.latte,
+            ..baseline
+        };
+        assert_eq!(key_for(&other, &bench, &config), key);
     }
 
     #[test]
@@ -698,7 +753,8 @@ mod tests {
         let cold_text = report::end_capture();
         flush_store();
 
-        let disk_key = disk_key_for(&key_for(PolicyKind::StaticBpc, &bench, &config));
+        let spec = PolicySpec::named(PolicyKind::StaticBpc, &config);
+        let disk_key = disk_key_for(&key_for(&spec, &bench, &config));
         let bytes = store()
             .and_then(|s| s.get(disk_key))
             .expect("the compute was written through");

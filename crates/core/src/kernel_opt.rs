@@ -1,160 +1,72 @@
-//! Kernel-OPT (§V-B): an offline oracle that replays every kernel under
+//! Kernel-OPT (§V-B): an offline oracle that runs every kernel under
 //! each static compression mode and commits, per kernel, the mode with the
 //! lowest execution time.
 //!
 //! The paper uses it as an upper-bound reference for coarse-grained
 //! (kernel-boundary) adaptation; LATTE-CC's fine-grained adaptation can
 //! beat it on workloads whose best mode changes *within* a kernel.
+//!
+//! The oracle is a pure fold over per-kernel cycle counts: the caller
+//! runs the three static configurations (whose policy state persists
+//! across kernels, exactly as a real static configuration would) and
+//! hands over each kernel's cycles. This requires
+//! `GpuConfig::flush_at_kernel_boundary`, so kernels are independent;
+//! that is the simulator's default.
 
 use crate::mode::CompressionMode;
-use crate::static_policies::{StaticBdi, StaticSc};
-use latte_gpusim::{Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, UncompressedPolicy};
 
-/// Per-kernel outcome of the oracle.
-#[derive(Debug, Clone)]
+/// Kernel-OPT's choice for one kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelOptKernel {
-    /// Kernel name.
-    pub name: String,
-    /// Execution cycles under [none, low-latency, high-capacity].
-    pub cycles: [u64; 3],
-    /// The oracle's choice.
+    /// The fastest static mode.
     pub best: CompressionMode,
-    /// Full statistics of the winning run.
-    pub best_stats: KernelStats,
+    /// Execution cycles under that mode.
+    pub cycles: u64,
 }
 
-/// Result of running Kernel-OPT over a kernel sequence.
-#[derive(Debug, Clone)]
-pub struct KernelOptResult {
-    /// Per-kernel outcomes, in execution order.
-    pub kernels: Vec<KernelOptKernel>,
-}
-
-impl KernelOptResult {
-    /// Total cycles of the oracle schedule.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.kernels.iter().map(|k| k.best_stats.cycles).sum()
-    }
-
-    /// Aggregated statistics of the oracle schedule.
-    #[must_use]
-    pub fn total_stats(&self) -> KernelStats {
-        let mut total = KernelStats::default();
-        for k in &self.kernels {
-            total.accumulate(&k.best_stats);
-        }
-        total
-    }
-
-    /// Fraction of kernels (weighted by their oracle runtime) whose best
-    /// mode is `mode` — the reference signal for the Fig 15 agreement
-    /// analysis.
-    #[must_use]
-    pub fn time_fraction_in(&self, mode: CompressionMode) -> f64 {
-        let total = self.total_cycles();
-        if total == 0 {
-            return 0.0;
-        }
-        let in_mode: u64 = self
-            .kernels
-            .iter()
-            .filter(|k| k.best == mode)
-            .map(|k| k.best_stats.cycles)
-            .sum();
-        in_mode as f64 / total as f64
-    }
-}
-
-/// Runs the Kernel-OPT oracle: each kernel is executed under all three
-/// static modes (on per-mode GPUs whose policy state persists across
-/// kernels, exactly as a real static configuration would) and the fastest
-/// run is committed.
-///
-/// Requires `config.flush_at_kernel_boundary` so kernels are independent;
-/// this matches the simulator's default.
-pub fn run_kernel_opt(config: &GpuConfig, kernels: &[&dyn Kernel]) -> KernelOptResult {
-    let mut gpus: [Gpu; 3] = [
-        Gpu::new(config, |_| {
-            Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>
-        }),
-        Gpu::new(config, |_| {
-            Box::new(StaticBdi::new()) as Box<dyn L1CompressionPolicy>
-        }),
-        Gpu::new(config, |_| {
-            Box::new(StaticSc::new()) as Box<dyn L1CompressionPolicy>
-        }),
-    ];
-    let mut result = KernelOptResult {
-        kernels: Vec::with_capacity(kernels.len()),
-    };
-    for &kernel in kernels {
-        let runs: Vec<KernelStats> = gpus.iter_mut().map(|g| g.run_kernel(kernel)).collect();
-        let cycles = [runs[0].cycles, runs[1].cycles, runs[2].cycles];
-        let best_idx = (0..3).min_by_key(|&i| cycles[i]).unwrap_or(0);
-        let best = CompressionMode::ALL[best_idx];
-        result.kernels.push(KernelOptKernel {
-            name: kernel.name().to_owned(),
-            cycles,
-            best,
-            best_stats: runs[best_idx].clone(),
-        });
-    }
-    result
+/// Picks each kernel's fastest mode from its execution cycles under
+/// [none, low-latency, high-capacity]. Ties go to the lowest mode index.
+#[must_use]
+pub fn kernel_opt(cycles: &[[u64; 3]]) -> Vec<KernelOptKernel> {
+    cycles
+        .iter()
+        .map(|modes| {
+            let best = (0..3).min_by_key(|&i| modes[i]).unwrap_or(0);
+            KernelOptKernel {
+                best: CompressionMode::ALL[best],
+                cycles: modes[best],
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latte_gpusim::testing::StridedKernel;
 
     #[test]
     fn oracle_picks_the_fastest_mode_per_kernel() {
-        let config = GpuConfig {
-            num_sms: 1,
-            ..GpuConfig::small()
-        };
-        // A thrashing kernel (compression helps) and a fitting one.
-        let big = StridedKernel::new(8, 400, 512);
-        let small = StridedKernel::new(8, 400, 16);
-        let result = run_kernel_opt(&config, &[&big, &small]);
-        assert_eq!(result.kernels.len(), 2);
-        for k in &result.kernels {
-            let min = *k.cycles.iter().min().expect("three modes");
-            assert_eq!(k.best_stats.cycles, min);
-        }
-        assert!(result.total_cycles() > 0);
-        let f: f64 = CompressionMode::ALL
-            .into_iter()
-            .map(|m| result.time_fraction_in(m))
-            .sum();
-        assert!((f - 1.0).abs() < 1e-9);
+        use CompressionMode as M;
+        let picks = kernel_opt(&[[900, 700, 800], [500, 600, 400], [300, 300, 300]]);
+        let picks: Vec<(M, u64)> = picks.iter().map(|k| (k.best, k.cycles)).collect();
+        // The all-equal kernel ties to the lowest mode.
+        assert_eq!(
+            picks,
+            [(M::LowLatency, 700), (M::HighCapacity, 400), (M::None, 300)]
+        );
     }
 
     #[test]
     fn oracle_beats_or_matches_every_static_mode() {
-        let config = GpuConfig {
-            num_sms: 1,
-            ..GpuConfig::small()
-        };
-        let k1 = StridedKernel::new(8, 300, 512);
-        let k2 = StridedKernel::new(4, 300, 16);
-        let kernels: Vec<&dyn Kernel> = vec![&k1, &k2];
-        let result = run_kernel_opt(&config, &kernels);
-        // Re-run each static mode over the full sequence.
-        for (i, make) in [
-            (0usize, &(|| Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>)
-                as &dyn Fn() -> Box<dyn L1CompressionPolicy>),
-            (1, &(|| Box::new(StaticBdi::new()) as Box<dyn L1CompressionPolicy>)),
-            (2, &(|| Box::new(StaticSc::new()) as Box<dyn L1CompressionPolicy>)),
-        ] {
-            let _ = i;
-            let mut gpu = Gpu::new(&config, |_| make());
-            let total: u64 = kernels.iter().map(|k| gpu.run_kernel(*k).cycles).sum();
+        let runs = [[1200, 1000, 1400], [350, 410, 380], [2000, 2000, 1990]];
+        let total: u64 = kernel_opt(&runs).iter().map(|k| k.cycles).sum();
+        for mode in 0..3 {
+            let static_total: u64 = runs.iter().map(|k| k[mode]).sum();
             assert!(
-                result.total_cycles() <= total,
+                total <= static_total,
                 "oracle must not lose to a static mode"
             );
         }
+        assert_eq!(total, 1000 + 350 + 1990);
     }
 }

@@ -19,7 +19,7 @@
 //! ([`LatteCc::adaptive_hit_count`], [`LatteCc::adaptive_cmp`]) and any
 //! option list, such as the four-mode None/BDI/BPC/SC extension — plus
 //! the static comparison policies [`StaticBdi`], [`StaticSc`],
-//! [`StaticBpc`] and the [`run_kernel_opt`] oracle. All plug into the
+//! [`StaticBpc`] and the [`kernel_opt()`] oracle. The policies plug into the
 //! `latte-gpusim` simulator through the
 //! [`latte_gpusim::L1CompressionPolicy`] hook.
 //!
@@ -54,7 +54,7 @@ pub use amat::{amat_cmp, amat_gpu, ModeSample};
 pub use assist::{AssistWarp, AssistWarpConfig};
 pub use controller::{LatteCc, LatteConfig};
 pub use error::SimError;
-pub use kernel_opt::{run_kernel_opt, KernelOptKernel, KernelOptResult};
+pub use kernel_opt::{kernel_opt, KernelOptKernel};
 pub use mode::CompressionMode;
 pub use sc_manager::ScManager;
 pub use static_policies::{StaticBdi, StaticBpc, StaticSc};

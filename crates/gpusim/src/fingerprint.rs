@@ -27,7 +27,7 @@
 /// versions never collide, so a persistent result store written by an
 /// older build simply misses (and re-records) instead of serving stale
 /// results under a new meaning.
-pub const FINGERPRINT_SCHEMA_VERSION: u64 = 2;
+pub const FINGERPRINT_SCHEMA_VERSION: u64 = 3;
 
 /// Accumulates a stable 128-bit fingerprint from a stream of typed
 /// field writes.
