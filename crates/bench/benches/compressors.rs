@@ -4,11 +4,25 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_cache::LineAddr;
 use latte_compress::{
-    Bdi, BitSink, Bpc, CacheLine, Compressor, CpackZ, Fpc, Sc, VftBuilder, VFT_COUNTER_MAX,
-    VFT_ENTRIES,
+    Bdi, BitSink, Bpc, CacheLine, CompressionAlgo, Compressor, CpackZ, Fpc, Sc, VftBuilder,
+    VFT_COUNTER_MAX, VFT_ENTRIES,
 };
-use latte_workloads::ValueProfile;
+use latte_core::SizeMemo;
+use latte_gpusim::{FillLine, Kernel};
+use latte_workloads::{
+    AccessPattern, BenchmarkSpec, Category, KernelSpec, LineGenerator, PhaseSpec, RegionSpec,
+    ValueProfile, REGION_SHIFT,
+};
 use std::hint::black_box;
+
+/// The value profiles of the mixed 640-line streams, 128 lines each.
+const STREAM_PROFILES: [ValueProfile; 5] = [
+    ValueProfile::Zeros,
+    ValueProfile::SmallInts { max: 1024 },
+    ValueProfile::Pointers,
+    ValueProfile::HotFloats { alphabet: 64 },
+    ValueProfile::RandomFloats,
+];
 
 fn lines_for(profile: ValueProfile) -> Vec<CacheLine> {
     (0..128).map(|i| profile.line(LineAddr::new(i), 7)).collect()
@@ -59,13 +73,7 @@ fn bench_compressors(c: &mut Criterion) {
 /// point of the staging split.
 fn bench_hot_path_stream(c: &mut Criterion) {
     let mut stream: Vec<CacheLine> = Vec::new();
-    for profile in [
-        ValueProfile::Zeros,
-        ValueProfile::SmallInts { max: 1024 },
-        ValueProfile::Pointers,
-        ValueProfile::HotFloats { alphabet: 64 },
-        ValueProfile::RandomFloats,
-    ] {
+    for profile in STREAM_PROFILES {
         stream.extend(lines_for(profile));
     }
     let mut vft = VftBuilder::new();
@@ -197,6 +205,91 @@ fn bench_size_probe_vs_encode(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one L1 fill spends to size its line, per 640-line stream: a
+/// refill answered by the fill-size memo, against what every fill paid
+/// without it (`line_data` to make the bytes, then a BDI or SC probe).
+/// The lines are a `SyntheticKernel`'s, one region per value profile of
+/// `hot_path_stream_640_lines`, 128 lines each. The memo rows start warm
+/// (every line sized once), as a refill finds them; `memo_hit` hands the
+/// memo pristine fill handles, so it never makes the bytes.
+fn bench_fill_path(c: &mut Criterion) {
+    let regions = STREAM_PROFILES
+        .iter()
+        .map(|&profile| RegionSpec {
+            profile,
+            zero_percent: 0,
+        })
+        .collect();
+    let bench = BenchmarkSpec {
+        abbr: "FILL",
+        name: "fill path",
+        category: Category::CSens,
+        kernels: vec![KernelSpec {
+            name: "fill".to_owned(),
+            warps_per_sm: 1,
+            phases: vec![PhaseSpec::loads(AccessPattern::Stream, 1, 0)],
+        }],
+        generator: LineGenerator::new(regions, 7),
+        seed: 7,
+    };
+    let kernel = &bench.build_kernels()[0];
+    let addrs: Vec<LineAddr> = (0..STREAM_PROFILES.len() as u64)
+        .flat_map(|region| (0..128).map(move |i| LineAddr::new(region << REGION_SHIFT | i)))
+        .collect();
+    let lines: Vec<CacheLine> = addrs.iter().map(|&a| kernel.line_data(a)).collect();
+    let mut vft = VftBuilder::new();
+    for l in &lines {
+        vft.observe_line(l);
+    }
+    let sc = Sc::new(vft.build());
+    let bdi = Bdi::new();
+    let mut memo = SizeMemo::new();
+    for &addr in &addrs {
+        let mut line = FillLine::pristine(kernel, addr);
+        let _ = memo.size(&mut line, CompressionAlgo::Bdi, |l| bdi.probe(l));
+    }
+
+    let mut group = c.benchmark_group("fill_path");
+    group.bench_function("memo_hit", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for &addr in &addrs {
+                let mut line = FillLine::pristine(kernel, black_box(addr));
+                total += memo.size(&mut line, CompressionAlgo::Bdi, |l| bdi.probe(l)).size_bytes();
+            }
+            black_box(total)
+        });
+    });
+    group.bench_function("bdi_probe", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for line in &lines {
+                total += bdi.probe(black_box(line)).size_bytes();
+            }
+            black_box(total)
+        });
+    });
+    group.bench_function("sc_probe", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for line in &lines {
+                total += sc.probe(black_box(line)).size_bytes();
+            }
+            black_box(total)
+        });
+    });
+    group.bench_function("line_data", |b| {
+        b.iter(|| {
+            let mut total = 0u64;
+            for &addr in &addrs {
+                total += u64::from(kernel.line_data(black_box(addr)).as_bytes()[0]);
+            }
+            black_box(total)
+        });
+    });
+    group.finish();
+}
+
 fn bench_sc_training(c: &mut Criterion) {
     let lines = lines_for(ValueProfile::HotFloats { alphabet: 256 });
     c.bench_function("sc_vft_train_and_build", |b| {
@@ -230,6 +323,7 @@ criterion_group!(
     bench_compressors,
     bench_hot_path_stream,
     bench_size_probe_vs_encode,
+    bench_fill_path,
     bench_sc_training,
     bench_sc_codebook_build
 );

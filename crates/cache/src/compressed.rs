@@ -307,8 +307,25 @@ impl CompressedCache {
         addr: LineAddr,
         algo: CompressionAlgo,
         compression: Compression,
-        _cycle: u64,
+        cycle: u64,
     ) -> Vec<EvictedLine> {
+        let mut evicted = Vec::new();
+        self.fill_into(addr, algo, compression, cycle, &mut evicted);
+        evicted
+    }
+
+    /// [`CompressedCache::fill`] into a caller-owned buffer: `evicted`
+    /// is cleared, then receives the evicted lines. A caller that reuses
+    /// one buffer fills without allocating.
+    pub fn fill_into(
+        &mut self,
+        addr: LineAddr,
+        algo: CompressionAlgo,
+        compression: Compression,
+        _cycle: u64,
+        evicted: &mut Vec<EvictedLine>,
+    ) {
+        evicted.clear();
         self.clock += 1;
         let clock = self.clock;
         let (algo, compressed) = if compression.is_compressed() {
@@ -331,12 +348,9 @@ impl CompressedCache {
             u64::from(needed) * crate::geometry::SUBBLOCK_BYTES as u64;
 
         let set_idx = self.geometry.set_of(addr);
-        let max_tags = self.geometry.tags_per_set();
-        let max_subblocks = self.geometry.subblocks_per_set() as u32;
-        let set = &mut self.sets[set_idx];
-
         // Re-fill in place when the line is already resident. The stale
         // payload and data go too; the caller re-records after the fill.
+        let set = &mut self.sets[set_idx];
         if let Some(pos) = set.tags.iter().position(|t| t.addr == addr) {
             set.tags.remove(pos);
             if let Some(map) = &mut self.payload_shadow {
@@ -347,17 +361,8 @@ impl CompressedCache {
             }
         }
 
-        let evicted = Self::make_room(
-            set,
-            needed,
-            max_tags,
-            max_subblocks,
-            &mut self.stats,
-            &mut self.payload_shadow,
-            &mut self.line_data,
-        );
-
-        set.tags.push(TagEntry {
+        self.make_room(set_idx, needed, evicted);
+        self.sets[set_idx].tags.push(TagEntry {
             addr,
             algo,
             compressed,
@@ -365,22 +370,16 @@ impl CompressedCache {
             lru: clock,
             dirty: false,
         });
-        evicted
     }
 
-    /// Evicts LRU lines from `set` until a `needed`-sub-block line fits,
-    /// returning the victims (with their dirty bits and, when tracking is
-    /// on, their architectural bytes — the caller owns writing them back).
-    fn make_room(
-        set: &mut Set,
-        needed: u8,
-        max_tags: usize,
-        max_subblocks: u32,
-        stats: &mut CacheStats,
-        payload_shadow: &mut Option<LineMap<CacheLine>>,
-        line_data: &mut Option<LineMap<CacheLine>>,
-    ) -> Vec<EvictedLine> {
-        let mut evicted = Vec::new();
+    /// Evicts LRU lines from set `set_idx` until a `needed`-sub-block
+    /// line fits, appending the victims to `evicted` (with their dirty
+    /// bits and, when tracking is on, their architectural bytes — the
+    /// caller owns writing them back).
+    fn make_room(&mut self, set_idx: usize, needed: u8, evicted: &mut Vec<EvictedLine>) {
+        let max_tags = self.geometry.tags_per_set();
+        let max_subblocks = self.geometry.subblocks_per_set() as u32;
+        let set = &mut self.sets[set_idx];
         loop {
             let used: u32 = set.tags.iter().map(|t| u32::from(t.subblocks)).sum();
             let tags_free = set.tags.len() < max_tags;
@@ -401,19 +400,21 @@ impl CompressedCache {
                 break;
             };
             let victim = set.tags.remove(victim_pos);
-            if let Some(map) = payload_shadow {
+            if let Some(map) = &mut self.payload_shadow {
                 map.remove(&victim.addr);
             }
-            let data = line_data.as_mut().and_then(|map| map.remove(&victim.addr));
+            let data = self
+                .line_data
+                .as_mut()
+                .and_then(|map| map.remove(&victim.addr));
             evicted.push(EvictedLine {
                 addr: victim.addr,
                 algo: victim.algo,
                 dirty: victim.dirty,
                 data,
             });
-            stats.evictions += 1;
+            self.stats.evictions += 1;
         }
-        evicted
     }
 
     /// Writes a full line image to a *resident* line: re-places it at its
@@ -449,8 +450,6 @@ impl CompressedCache {
         } as u8;
 
         let set_idx = self.geometry.set_of(addr);
-        let max_tags = self.geometry.tags_per_set();
-        let max_subblocks = self.geometry.subblocks_per_set() as u32;
         let set = &mut self.sets[set_idx];
         let pos = set.tags.iter().position(|t| t.addr == addr)?;
         // Pull the line out, make room for its new size, re-insert dirty.
@@ -458,16 +457,9 @@ impl CompressedCache {
         if let Some(map) = &mut self.payload_shadow {
             map.remove(&addr);
         }
-        let evicted = Self::make_room(
-            set,
-            needed,
-            max_tags,
-            max_subblocks,
-            &mut self.stats,
-            &mut self.payload_shadow,
-            &mut self.line_data,
-        );
-        set.tags.push(TagEntry {
+        let mut evicted = Vec::new();
+        self.make_room(set_idx, needed, &mut evicted);
+        self.sets[set_idx].tags.push(TagEntry {
             addr,
             algo,
             compressed,

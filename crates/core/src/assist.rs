@@ -19,8 +19,10 @@
 //!   now exposed — the hysteresis cost that distinguishes assist warps
 //!   from LATTE-CC's hardware decompressors.
 
+use crate::size_memo::SizeMemo;
+use latte_cache::CacheGeometry;
 use latte_compress::{Bdi, CacheLine, Compression, CompressionAlgo, Compressor, Cycles};
-use latte_gpusim::{EpProbe, L1CompressionPolicy, PolicyReport};
+use latte_gpusim::{EpProbe, FillLine, L1CompressionPolicy, PolicyReport};
 
 /// Tuning knobs for [`AssistWarp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +55,7 @@ impl Default for AssistWarpConfig {
 pub struct AssistWarp {
     config: AssistWarpConfig,
     bdi: Bdi,
+    memo: SizeMemo,
     /// Whether the current EP dispatches assist warps on fills.
     compressing: bool,
     eps_in_mode: [u64; 3],
@@ -71,6 +74,7 @@ impl AssistWarp {
         AssistWarp {
             config,
             bdi: Bdi::new(),
+            memo: SizeMemo::new(),
             // CABA ships with compression on; the first EP probe adjusts.
             compressing: true,
             eps_in_mode: [0; 3],
@@ -89,9 +93,18 @@ impl L1CompressionPolicy for AssistWarp {
         "Assist-Warp"
     }
 
-    fn compress_fill(&mut self, _set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+    fn compress_fill(&mut self, set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+        self.compress_fill_line(set, &mut FillLine::unkeyed(*line))
+    }
+
+    fn compress_fill_line(
+        &mut self,
+        _set: usize,
+        line: &mut FillLine<'_>,
+    ) -> (CompressionAlgo, Compression) {
         if self.compressing {
-            (CompressionAlgo::Bdi, self.bdi.probe(line))
+            let size = self.memo.size(line, CompressionAlgo::Bdi, |line| self.bdi.probe(line));
+            (CompressionAlgo::Bdi, size)
         } else {
             (CompressionAlgo::None, Compression::UNCOMPRESSED)
         }
@@ -118,9 +131,14 @@ impl L1CompressionPolicy for AssistWarp {
         self.eps_in_mode[usize::from(self.compressing)] += 1;
     }
 
+    fn on_attach(&mut self, l1: &CacheGeometry) {
+        self.memo = SizeMemo::for_l1(l1);
+    }
+
     fn on_kernel_start(&mut self) {
         self.compressing = true;
         self.eps_in_mode = [0; 3];
+        self.memo.clear();
     }
 
     fn report(&self) -> PolicyReport {

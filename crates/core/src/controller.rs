@@ -22,8 +22,10 @@
 use crate::amat::{amat_cmp, amat_gpu, ModeSample};
 use crate::mode::CompressionMode;
 use crate::sc_manager::ScManager;
+use crate::size_memo::SizeMemo;
+use latte_cache::CacheGeometry;
 use latte_compress::{Bdi, Bpc, CacheLine, Compression, CompressionAlgo, Compressor, CpackZ, Fpc};
-use latte_gpusim::{AccessEvent, EpProbe, L1CompressionPolicy, PolicyReport, TraceSink};
+use latte_gpusim::{AccessEvent, EpProbe, FillLine, L1CompressionPolicy, PolicyReport, TraceSink};
 
 /// Tunables of the set-sampling controller (§IV-C3 defaults).
 ///
@@ -214,6 +216,7 @@ pub struct LatteCc {
     cpack: CpackZ,
     bpc: Bpc,
     sc: ScManager,
+    memo: SizeMemo,
     tolerance: f64,
     /// Index into `cfg.options` that follower sets apply.
     selected: usize,
@@ -307,6 +310,7 @@ impl LatteCc {
             cpack: CpackZ::new(),
             bpc: Bpc::new(),
             sc: ScManager::new(cfg.eps_per_period),
+            memo: SizeMemo::new(),
             tolerance: 0.0,
             selected: 0,
             eps_in_mode: [0; 3],
@@ -389,16 +393,20 @@ impl LatteCc {
         false
     }
 
-    fn compress_with(&mut self, slot: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+    fn compress_with(
+        &mut self,
+        slot: usize,
+        line: &mut FillLine<'_>,
+    ) -> (CompressionAlgo, Compression) {
         let algo = self.cfg.options[slot];
-        let compression = match algo {
+        let compression = self.memo.size(line, algo, |line| match algo {
             CompressionAlgo::None => Compression::UNCOMPRESSED,
             CompressionAlgo::Bdi => self.bdi.probe(line),
             CompressionAlgo::Fpc => self.fpc.probe(line),
             CompressionAlgo::CpackZ => self.cpack.probe(line),
             CompressionAlgo::Bpc => self.bpc.probe(line),
             CompressionAlgo::Sc => self.sc.probe(line),
-        };
+        });
         (algo, compression)
     }
 
@@ -475,6 +483,14 @@ impl L1CompressionPolicy for LatteCc {
     }
 
     fn compress_fill(&mut self, set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+        self.compress_fill_line(set, &mut FillLine::unkeyed(*line))
+    }
+
+    fn compress_fill_line(
+        &mut self,
+        set: usize,
+        line: &mut FillLine<'_>,
+    ) -> (CompressionAlgo, Compression) {
         if self.demoted {
             // Demoted: store everything raw, dedicated sets included —
             // the compressed samples are untrustworthy when stored lines
@@ -482,7 +498,9 @@ impl L1CompressionPolicy for LatteCc {
             return (CompressionAlgo::None, Compression::UNCOMPRESSED);
         }
         // SC trains on inserted lines whenever its window is open.
-        self.sc.observe_fill(line);
+        if self.sc.reads_fills() {
+            self.sc.observe_fill(line.bytes());
+        }
         let slot = match self.dedicated_slot(set) {
             Some(slot) => {
                 if self.ep_in_period <= 1 {
@@ -514,7 +532,9 @@ impl L1CompressionPolicy for LatteCc {
     fn on_ep(&mut self, probe: &EpProbe) {
         self.tolerance = probe.latency_tolerance() * self.cfg.tolerance_scale;
         let fresh = self.advance_clock();
-        self.sc.on_ep_end();
+        if self.sc.on_ep_end() {
+            self.memo.forget(CompressionAlgo::Sc);
+        }
         // §III-C: LATTE-CC re-chooses for *every* EP of the adaptive
         // phase with the freshest tolerance estimate; the baselines
         // choose once per period, when the samples freeze.
@@ -524,10 +544,15 @@ impl L1CompressionPolicy for LatteCc {
         self.eps_in_mode[self.selected_mode().index()] += 1;
     }
 
+    fn on_attach(&mut self, l1: &CacheGeometry) {
+        self.memo = SizeMemo::for_l1(l1);
+    }
+
     fn on_kernel_start(&mut self) {
         self.ep_in_period = 0;
         self.live.fill(ModeSample::default());
         self.sc.on_kernel_start();
+        self.memo.clear();
         self.eps_in_mode = [0; 3];
         self.decode_errors = 0;
         self.demoted = false;

@@ -48,6 +48,7 @@ mod error;
 mod kernel_opt;
 mod mode;
 mod sc_manager;
+mod size_memo;
 mod static_policies;
 
 pub use amat::{amat_cmp, amat_gpu, ModeSample};
@@ -57,4 +58,5 @@ pub use error::SimError;
 pub use kernel_opt::{kernel_opt, KernelOptKernel};
 pub use mode::CompressionMode;
 pub use sc_manager::ScManager;
+pub use size_memo::SizeMemo;
 pub use static_policies::{StaticBdi, StaticBpc, StaticSc};

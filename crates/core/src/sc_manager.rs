@@ -88,6 +88,14 @@ impl ScManager {
         }
     }
 
+    /// Whether the current window reads fill bytes (training or
+    /// scoring). While it does not, [`ScManager::observe_fill`] is a
+    /// no-op and a caller may skip making the bytes.
+    #[must_use]
+    pub fn reads_fills(&self) -> bool {
+        !matches!(self.window, Window::Idle)
+    }
+
     /// Samples a line being inserted into the cache. Trains the VFT during
     /// a training window; scores codebooks during a scoring window.
     pub fn observe_fill(&mut self, line: &CacheLine) {
@@ -128,7 +136,15 @@ impl ScManager {
     }
 
     /// Advances the EP clock; must be called once per EP boundary.
-    pub fn on_ep_end(&mut self) {
+    /// Returns `true` when a new codebook took effect, which changes the
+    /// size SC gives a line.
+    pub fn on_ep_end(&mut self) -> bool {
+        let rebuilds = self.rebuilds;
+        self.advance_clock();
+        self.rebuilds != rebuilds
+    }
+
+    fn advance_clock(&mut self) {
         self.eps_completed_in_period += 1;
         if !self.bootstrap_done {
             // §IV-C2: the VFT is built during the first EP of the first
@@ -318,11 +334,14 @@ mod tests {
     #[test]
     fn bootstrap_after_first_ep() {
         let mut m = ScManager::new(10);
+        assert!(m.reads_fills(), "the first EP trains");
         for _ in 0..50 {
             m.observe_fill(&hot_line());
         }
         assert!(!m.compress(&hot_line()).is_compressed());
-        m.on_ep_end();
+        assert!(m.on_ep_end(), "the bootstrap installs a codebook");
+        assert!(!m.reads_fills(), "idle after the bootstrap");
+        assert!(!m.on_ep_end());
         assert!(m.take_invalidation());
         assert!(!m.take_invalidation(), "invalidation is one-shot");
         assert!(m.compress(&hot_line()).is_compressed());

@@ -2,13 +2,16 @@
 //! against: Static-BDI, Static-SC and Static-BPC (§V-A).
 
 use crate::sc_manager::ScManager;
+use crate::size_memo::SizeMemo;
+use latte_cache::CacheGeometry;
 use latte_compress::{Bdi, Bpc, CacheLine, Compression, CompressionAlgo, Compressor};
-use latte_gpusim::{EpProbe, L1CompressionPolicy};
+use latte_gpusim::{EpProbe, FillLine, L1CompressionPolicy};
 
 /// Static-BDI: compress every fill with BDI.
 #[derive(Debug, Clone, Default)]
 pub struct StaticBdi {
     bdi: Bdi,
+    memo: SizeMemo,
 }
 
 impl StaticBdi {
@@ -24,8 +27,25 @@ impl L1CompressionPolicy for StaticBdi {
         "Static-BDI"
     }
 
-    fn compress_fill(&mut self, _set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
-        (CompressionAlgo::Bdi, self.bdi.probe(line))
+    fn compress_fill(&mut self, set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+        self.compress_fill_line(set, &mut FillLine::unkeyed(*line))
+    }
+
+    fn compress_fill_line(
+        &mut self,
+        _set: usize,
+        line: &mut FillLine<'_>,
+    ) -> (CompressionAlgo, Compression) {
+        let size = self.memo.size(line, CompressionAlgo::Bdi, |line| self.bdi.probe(line));
+        (CompressionAlgo::Bdi, size)
+    }
+
+    fn on_attach(&mut self, l1: &CacheGeometry) {
+        self.memo = SizeMemo::for_l1(l1);
+    }
+
+    fn on_kernel_start(&mut self) {
+        self.memo.clear();
     }
 }
 
@@ -33,6 +53,7 @@ impl L1CompressionPolicy for StaticBdi {
 #[derive(Debug, Clone, Default)]
 pub struct StaticBpc {
     bpc: Bpc,
+    memo: SizeMemo,
 }
 
 impl StaticBpc {
@@ -48,8 +69,25 @@ impl L1CompressionPolicy for StaticBpc {
         "Static-BPC"
     }
 
-    fn compress_fill(&mut self, _set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
-        (CompressionAlgo::Bpc, self.bpc.probe(line))
+    fn compress_fill(&mut self, set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+        self.compress_fill_line(set, &mut FillLine::unkeyed(*line))
+    }
+
+    fn compress_fill_line(
+        &mut self,
+        _set: usize,
+        line: &mut FillLine<'_>,
+    ) -> (CompressionAlgo, Compression) {
+        let size = self.memo.size(line, CompressionAlgo::Bpc, |line| self.bpc.probe(line));
+        (CompressionAlgo::Bpc, size)
+    }
+
+    fn on_attach(&mut self, l1: &CacheGeometry) {
+        self.memo = SizeMemo::for_l1(l1);
+    }
+
+    fn on_kernel_start(&mut self) {
+        self.memo.clear();
     }
 }
 
@@ -58,6 +96,7 @@ impl L1CompressionPolicy for StaticBpc {
 #[derive(Debug, Clone)]
 pub struct StaticSc {
     manager: ScManager,
+    memo: SizeMemo,
 }
 
 impl StaticSc {
@@ -72,6 +111,7 @@ impl StaticSc {
     pub fn with_period(eps_per_period: u64) -> StaticSc {
         StaticSc {
             manager: ScManager::new(eps_per_period),
+            memo: SizeMemo::new(),
         }
     }
 }
@@ -87,17 +127,35 @@ impl L1CompressionPolicy for StaticSc {
         "Static-SC"
     }
 
-    fn compress_fill(&mut self, _set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
-        self.manager.observe_fill(line);
-        (CompressionAlgo::Sc, self.manager.probe(line))
+    fn compress_fill(&mut self, set: usize, line: &CacheLine) -> (CompressionAlgo, Compression) {
+        self.compress_fill_line(set, &mut FillLine::unkeyed(*line))
+    }
+
+    fn compress_fill_line(
+        &mut self,
+        _set: usize,
+        line: &mut FillLine<'_>,
+    ) -> (CompressionAlgo, Compression) {
+        if self.manager.reads_fills() {
+            self.manager.observe_fill(line.bytes());
+        }
+        let size = self.memo.size(line, CompressionAlgo::Sc, |line| self.manager.probe(line));
+        (CompressionAlgo::Sc, size)
     }
 
     fn on_ep(&mut self, _probe: &EpProbe) {
-        self.manager.on_ep_end();
+        if self.manager.on_ep_end() {
+            self.memo.forget(CompressionAlgo::Sc);
+        }
+    }
+
+    fn on_attach(&mut self, l1: &CacheGeometry) {
+        self.memo = SizeMemo::for_l1(l1);
     }
 
     fn on_kernel_start(&mut self) {
         self.manager.on_kernel_start();
+        self.memo.clear();
     }
 
     fn pending_invalidation(&mut self) -> Option<CompressionAlgo> {

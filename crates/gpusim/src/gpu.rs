@@ -62,7 +62,13 @@ impl Gpu {
         mut make_policy: impl FnMut(usize) -> Box<dyn L1CompressionPolicy>,
     ) -> Gpu {
         let sms = (0..config.num_sms).map(|i| Sm::new(i, config)).collect();
-        let policies = (0..config.num_sms).map(&mut make_policy).collect();
+        let policies = (0..config.num_sms)
+            .map(|sm| {
+                let mut policy = make_policy(sm);
+                policy.on_attach(&config.l1_geometry);
+                policy
+            })
+            .collect();
         let l2 = SimpleCache::new(config.l2_geometry);
         Gpu {
             config: config.clone(),

@@ -55,7 +55,9 @@ pub use fingerprint::{Fingerprinter, FINGERPRINT_SCHEMA_VERSION};
 pub use gpu::Gpu;
 pub use ops::{Kernel, Op, OpStream, VecStream};
 pub use parallel::{install_epoch_clock, EpochStats, ARBITER_SHARED_FIELDS};
-pub use policy::{AccessEvent, EpProbe, L1CompressionPolicy, PolicyReport, UncompressedPolicy};
+pub use policy::{
+    AccessEvent, EpProbe, FillLine, L1CompressionPolicy, PolicyReport, UncompressedPolicy,
+};
 pub use scheduler::{SchedulerProbe, WarpScheduler};
 pub use shadow::{
     roundtrip_stored, ShadowCheck, ShadowCheckpoint, ShadowConfig, ShadowViolation,

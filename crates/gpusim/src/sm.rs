@@ -4,13 +4,14 @@
 use crate::config::GpuConfig;
 use crate::faults::{BitflipOutcome, FaultInjector};
 use crate::ops::{Kernel, Op};
-use crate::policy::{AccessEvent, EpProbe, L1CompressionPolicy};
+use crate::policy::{AccessEvent, EpProbe, FillLine, L1CompressionPolicy};
 use crate::scheduler::WarpScheduler;
 use crate::shadow::{roundtrip_stored, ShadowCheck, ShadowCheckpoint};
 use crate::stats::{EpTraceEntry, KernelStats};
 use crate::warp::{Warp, WarpState};
 use latte_cache::{
-    CompressedCache, DecompressionQueue, LineAddr, LineMap, LookupOutcome, Mshr, MshrOutcome,
+    CompressedCache, DecompressionQueue, EvictedLine, LineAddr, LineMap, LookupOutcome, Mshr,
+    MshrOutcome,
 };
 use latte_compress::{CacheLine, Compression, Cycles};
 
@@ -253,6 +254,9 @@ pub(crate) struct Sm {
     /// is in flight, merged into the line when the fill arrives (last
     /// write to a sector wins). Keyed access only, never iterated.
     pending_stores: LineMap<[Option<[u8; 32]>; 4]>,
+    /// Reused buffer for the lines a fill evicts, so fills do not
+    /// allocate. Empty between fills.
+    victims: Vec<EvictedLine>,
     /// Warp ids per thread block (barrier scope).
     blocks: Vec<Vec<usize>>,
     /// Deterministic fault source (absent when injection is disabled).
@@ -286,6 +290,7 @@ impl Sm {
             dq: DecompressionQueue::new(),
             waiters: LineMap::default(),
             pending_stores: LineMap::default(),
+            victims: Vec::new(),
             blocks: Vec::new(),
             faults: config.faults.map(|fc| FaultInjector::new(fc, id)),
             ep_access_count: 0,
@@ -745,7 +750,7 @@ impl Sm {
     /// occupancy (counted) but no warp-visible latency.
     fn writeback_victim(
         &mut self,
-        victim: &latte_cache::EvictedLine,
+        victim: &EvictedLine,
         cycle: Cycles,
         phase: u8,
         ctx: &mut MemCtx<'_>,
@@ -811,8 +816,11 @@ impl Sm {
             .is_some_and(FaultInjector::roll_tag_corruption);
         // The ground-truth refill payload: the backing-store image's
         // bytes when a write-back landed on this line, pristine kernel
-        // data otherwise.
-        let data = payload.unwrap_or_else(|| ctx.kernel.line_data(addr));
+        // data otherwise, made only if something below reads it.
+        let mut line = match payload {
+            Some(bytes) => FillLine::unkeyed(bytes),
+            None => FillLine::pristine(ctx.kernel, addr),
+        };
         if drop_fill {
             ctx.stats.faults.tag_corruptions += 1;
             // Write-back mode: the allocation was lost, but a store that
@@ -821,7 +829,7 @@ impl Sm {
             // written bytes are not silently lost.
             if ctx.config.write_back {
                 if let Some(sectors) = self.pending_stores.remove(&addr) {
-                    let merged = merge_sectors(&data, &sectors);
+                    let merged = merge_sectors(line.bytes(), &sectors);
                     ctx.l2_writeback(addr, merged, cycle, self.id, 0);
                     if let Some(shadow) = ctx.shadow.as_deref_mut() {
                         shadow.on_store(self.id, addr, &merged, cycle);
@@ -830,7 +838,7 @@ impl Sm {
             }
         } else {
             let set = self.l1.set_of(addr);
-            let (algo, mut compression) = ctx.policy.compress_fill(set, &data);
+            let (algo, mut compression) = ctx.policy.compress_fill_line(set, &mut line);
             if algo != latte_compress::CompressionAlgo::None {
                 // The compressor ran regardless of whether it succeeded.
                 ctx.stats.compressions.bump(algo);
@@ -840,10 +848,15 @@ impl Sm {
                 // size (127 B quantises to the full four sub-blocks).
                 compression = Compression::new(latte_compress::CacheLine::SIZE_BYTES - 1);
             }
-            for victim in self.l1.fill(addr, algo, compression, cycle) {
+            let mut victims = std::mem::take(&mut self.victims);
+            self.l1.fill_into(addr, algo, compression, cycle, &mut victims);
+            for victim in victims.drain(..) {
                 self.writeback_victim(&victim, cycle, 0, ctx);
             }
-            self.l1.record_line_data(addr, data);
+            self.victims = victims;
+            if self.l1.data_tracking_enabled() {
+                self.l1.record_line_data(addr, *line.bytes());
+            }
             if self.l1.payload_shadow_enabled() {
                 // Record what the array actually holds: the encode/decode
                 // round trip under the stored algorithm (fill() downgrades
@@ -853,10 +866,10 @@ impl Sm {
                 } else {
                     latte_compress::CompressionAlgo::None
                 };
-                self.l1.record_payload(addr, roundtrip_stored(stored_algo, &data));
+                self.l1.record_payload(addr, roundtrip_stored(stored_algo, line.bytes()));
             }
             if let Some(shadow) = ctx.shadow.as_deref_mut() {
-                shadow.on_fill(self.id, addr, &data, cycle);
+                shadow.on_fill(self.id, addr, line.bytes(), cycle);
             }
             // Write-allocate commit: sectors stored while this fill was
             // in flight merge into the just-filled line, which becomes
@@ -864,7 +877,7 @@ impl Sm {
             // the delivered bytes before the store overlays them.
             if ctx.config.write_back {
                 if let Some(sectors) = self.pending_stores.remove(&addr) {
-                    let merged = merge_sectors(&data, &sectors);
+                    let merged = merge_sectors(line.bytes(), &sectors);
                     self.commit_store(addr, merged, cycle, 0, ctx);
                 }
             }

@@ -236,9 +236,11 @@ impl Kernel for UnevenKernel {
     }
 }
 
-/// [`MixedKernel`], except that filling any line of SM `sm` panics.
+/// [`MixedKernel`], except that SM `sm`'s warps panic on their first
+/// op. Warp programs are built at launch, on the calling thread; ops are
+/// drawn while the SM steps, so the panic fires inside the SM's shard.
 struct PanickingKernel {
-    sm: u64,
+    sm: usize,
 }
 
 impl Kernel for PanickingKernel {
@@ -251,12 +253,24 @@ impl Kernel for PanickingKernel {
     }
 
     fn warp_program(&self, sm: usize, warp: usize) -> Box<dyn OpStream> {
-        MixedKernel.warp_program(sm, warp)
+        if sm == self.sm {
+            Box::new(PanickingStream)
+        } else {
+            MixedKernel.warp_program(sm, warp)
+        }
     }
 
     fn line_data(&self, addr: latte_cache::LineAddr) -> latte_compress::CacheLine {
-        assert_ne!(addr.line_number() >> 20, self.sm, "planted line_data failure");
         MixedKernel.line_data(addr)
+    }
+}
+
+/// An op stream that panics when the SM draws from it.
+struct PanickingStream;
+
+impl OpStream for PanickingStream {
+    fn next_op(&mut self) -> Op {
+        panic!("planted next_op failure");
     }
 }
 
