@@ -710,6 +710,161 @@ mod tests {
         assert_eq!(bytes, encode_outcome(&decoded, &decoded_diag));
     }
 
+    /// A hand-built result with no simulation behind it: every counter
+    /// nonzero and distinct, both arms of every `Option`, two EP traces
+    /// and two shadow violations.
+    fn pinned_result() -> BenchResult {
+        let algo_counts = |base: u64| {
+            let mut c = AlgoCounts::default();
+            for (i, algo) in (0u64..).zip(ALGO_ORDER) {
+                c.add(algo, base + i);
+            }
+            c
+        };
+        let cache_stats = |base: u64| CacheStats {
+            hits: base + 1,
+            compressed_hits: base + 2,
+            misses: base + 3,
+            fills: base + 4,
+            compressed_fills: base + 5,
+            evictions: base + 6,
+            filled_bytes_uncompressed: base + 7,
+            filled_bytes_stored: base + 8,
+            decode_failures: base + 9,
+        };
+        BenchResult {
+            abbr: "NW",
+            policy: PolicyKind::AssistWarp,
+            stats: KernelStats {
+                cycles: 1_000_001,
+                instructions: 1_000_002,
+                l1: cache_stats(100),
+                l2: cache_stats(200),
+                dram_accesses: 1_000_003,
+                loads: 1_000_004,
+                stores: 1_000_005,
+                writebacks: 1_000_006,
+                compressions: algo_counts(300),
+                decompressions: algo_counts(400),
+                mshr_stalls: 1_000_007,
+                hit_wait_cycles: 1_000_008,
+                miss_wait_cycles: 1_000_009,
+                barrier_wait_cycles: 1_000_010,
+                eps_completed: 1_000_011,
+                decompression_queue_wait: 1_000_012,
+                traces: vec![
+                    EpTraceEntry {
+                        ep_index: 501,
+                        end_cycle: 502,
+                        latency_tolerance: 5.03,
+                        effective_capacity: 5.04,
+                        l1_hit_rate: 0.505,
+                        selected_mode: None,
+                    },
+                    EpTraceEntry {
+                        ep_index: 511,
+                        end_cycle: 512,
+                        latency_tolerance: f64::INFINITY,
+                        effective_capacity: 5.14,
+                        l1_hit_rate: 0.515,
+                        selected_mode: Some(2),
+                    },
+                ],
+                timed_out: true,
+                termination: TerminationReason::Deadlock,
+                faults: FaultStats {
+                    bitflips_injected: 601,
+                    bitflips_detected: 602,
+                    bitflips_masked: 603,
+                    tag_corruptions: 604,
+                    latency_spikes: 605,
+                    spike_cycles_added: 606,
+                    mshr_exhaustions: 607,
+                    fill_bitflips: 608,
+                    fill_retry_cycles: 609,
+                    wakeup_drops: 610,
+                    writeback_faults: 611,
+                    writeback_retry_cycles: 612,
+                    writebacks_dropped: 613,
+                },
+            },
+            energy: EnergyReport {
+                core_nj: 701.5,
+                l1_nj: 702.25,
+                l2_nj: 703.125,
+                dram_nj: 704.0625,
+                noc_nj: 705.5,
+                compression_nj: 706.25,
+                decompression_nj: 707.125,
+                static_nj: 708.0625,
+            },
+            reports: vec![
+                PolicyReport {
+                    eps_in_mode: [801, 802, 803],
+                },
+                PolicyReport {
+                    eps_in_mode: [811, 812, 813],
+                },
+            ],
+            kernels: vec![
+                KernelSummary {
+                    cycles: 901,
+                    eps_in_mode: [902, 903, 904],
+                },
+                KernelSummary {
+                    cycles: 911,
+                    eps_in_mode: [912, 913, 914],
+                },
+            ],
+            shadow: Some(OracleReport {
+                loads_checked: 1001,
+                fills_observed: 1002,
+                stores_observed: 1003,
+                checkpoints: 1004,
+                violations_total: 1005,
+                violations: vec![
+                    ShadowViolation {
+                        sm: 3,
+                        cycle: 1011,
+                        addr: Some(LineAddr::new(0x1012)),
+                        kind: ShadowViolationKind::DataIntegrity,
+                        detail: "byte 7 differs".to_owned(),
+                    },
+                    ShadowViolation {
+                        sm: 4,
+                        cycle: 1021,
+                        addr: None,
+                        kind: ShadowViolationKind::Structural,
+                        detail: "MSHR leak".to_owned(),
+                    },
+                ],
+            }),
+        }
+    }
+
+    /// Pins the encoded layout byte for byte. Any change to it makes
+    /// stored records unreadable, so bump [`CODEC_VERSION`] (and
+    /// [`latte_gpusim::FINGERPRINT_SCHEMA_VERSION`]) together with the
+    /// constants here; a refactor of the codec must leave them alone.
+    #[test]
+    fn layout_is_pinned() {
+        let mut result = pinned_result();
+        let full = encode_outcome(&result, "[shadow] NW/Assist-Warp: 2 violation(s)\n");
+        result.shadow = None;
+        let bare = encode_outcome(&result, "");
+        let mut fp = latte_gpusim::Fingerprinter::new();
+        fp.write_bytes(&full);
+        fp.write_bytes(&bare);
+        assert_eq!((full.len(), bare.len()), (927, 756));
+        assert_eq!(fp.finish(), 0x4d1f_e861_ea7a_f40a_8a83_a591_ec6d_57a2);
+        let bench = latte_workloads::benchmark("NW").expect("NW exists");
+        for bytes in [&full, &bare] {
+            let (decoded, diag) =
+                decode_outcome(bytes, PolicyKind::AssistWarp, &bench).expect("pinned decodes");
+            assert_eq!(*bytes, encode_outcome(&decoded, &diag));
+        }
+    }
+
     #[test]
     fn identity_mismatches_are_rejected() {
         let bench = nw();
