@@ -2,8 +2,10 @@
 //! ([`BenchResult`] plus its captured diagnostics), used as the store
 //! payload format.
 //!
-//! Hand-rolled little-endian writer/reader — the workspace has no serde
-//! and takes no new dependencies. Two principles:
+//! Hand-rolled and little-endian: the workspace has no serde and takes
+//! no new dependencies. Each record's layout is stated once, as one
+//! field list that generates both directions, so a field missing from
+//! its list does not compile. Two principles:
 //!
 //! * **Self-contained versioning.** The payload leads with a codec
 //!   version; any mismatch is a typed error, which the simulation
@@ -16,13 +18,14 @@
 //!   the caller asked for, and trailing bytes are an error. A payload
 //!   that decodes is exactly a result this binary could have produced.
 
-use crate::runner::{BenchResult, KernelSummary, PolicyKind};
+use crate::runner::{BenchResult, KernelSummary, PolicyKind, ALL_POLICIES};
 use latte_cache::{CacheStats, LineAddr};
-use latte_compress::CompressionAlgo;
+use latte_compress::CompressionAlgo::{self, Bdi, Bpc, CpackZ, Fpc, Sc};
 use latte_energy::EnergyReport;
+use latte_gpusim::ShadowViolationKind::{self, DataIntegrity, Structural};
+use latte_gpusim::TerminationReason::{self, Completed, CycleLimit, Deadlock, FaultAbort};
 use latte_gpusim::{
     AlgoCounts, EpTraceEntry, FaultStats, KernelStats, PolicyReport, ShadowViolation,
-    ShadowViolationKind, TerminationReason,
 };
 use latte_oracle::OracleReport;
 use latte_workloads::BenchmarkSpec;
@@ -73,253 +76,39 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::Truncated => write!(f, "payload truncated"),
-            CodecError::BadVersion(v) => {
-                write!(f, "codec version {v} (current {CODEC_VERSION})")
-            }
+            CodecError::BadVersion(v) => write!(f, "codec version {v} (current {CODEC_VERSION})"),
             CodecError::BadTag { what, value } => write!(f, "bad {what} tag {value}"),
             CodecError::BadUtf8 => write!(f, "non-UTF-8 string field"),
-            CodecError::BenchMismatch { found } => {
-                write!(f, "payload is for benchmark {found:?}")
-            }
-            CodecError::PolicyMismatch { found } => {
-                write!(f, "payload is for policy {found:?}")
-            }
-            CodecError::TrailingBytes { remaining } => {
-                write!(f, "{remaining} trailing byte(s)")
-            }
+            CodecError::BenchMismatch { found } => write!(f, "payload is for benchmark {found:?}"),
+            CodecError::PolicyMismatch { found } => write!(f, "payload is for policy {found:?}"),
+            CodecError::TrailingBytes { remaining } => write!(f, "{remaining} trailing byte(s)"),
         }
     }
 }
 
 /// Algorithm order for [`AlgoCounts`]: `None` first, then the real
 /// algorithms in `CompressionAlgo::ALL` order. Part of the format.
-const ALGO_ORDER: [CompressionAlgo; 6] = [
-    CompressionAlgo::None,
-    CompressionAlgo::Bdi,
-    CompressionAlgo::Fpc,
-    CompressionAlgo::CpackZ,
-    CompressionAlgo::Bpc,
-    CompressionAlgo::Sc,
-];
+const ALGO_ORDER: [CompressionAlgo; 6] = [CompressionAlgo::None, Bdi, Fpc, CpackZ, Bpc, Sc];
 
+/// The policy's tag: its index in [`ALL_POLICIES`]. Part of the format
+/// and of the store key.
 pub(crate) fn policy_tag(policy: PolicyKind) -> u8 {
-    match policy {
-        PolicyKind::Baseline => 0,
-        PolicyKind::StaticBdi => 1,
-        PolicyKind::StaticSc => 2,
-        PolicyKind::StaticBpc => 3,
-        PolicyKind::LatteCc => 4,
-        PolicyKind::LatteCcBdiBpc => 5,
-        PolicyKind::LatteCcMulti => 6,
-        PolicyKind::AdaptiveHitCount => 7,
-        PolicyKind::AdaptiveCmp => 8,
-        PolicyKind::AssistWarp => 9,
-    }
+    tag_in(&ALL_POLICIES, &policy)
 }
 
-fn policy_from_tag(tag: u8) -> Option<PolicyKind> {
-    Some(match tag {
-        0 => PolicyKind::Baseline,
-        1 => PolicyKind::StaticBdi,
-        2 => PolicyKind::StaticSc,
-        3 => PolicyKind::StaticBpc,
-        4 => PolicyKind::LatteCc,
-        5 => PolicyKind::LatteCcBdiBpc,
-        6 => PolicyKind::LatteCcMulti,
-        7 => PolicyKind::AdaptiveHitCount,
-        8 => PolicyKind::AdaptiveCmp,
-        9 => PolicyKind::AssistWarp,
-        _ => return None,
-    })
+/// `value`'s index in its tag table. A variant missing from its table
+/// gets an out-of-range tag, so its records fail to decode and are
+/// recomputed instead of misread.
+fn tag_in<T: PartialEq>(table: &[T], value: &T) -> u8 {
+    let index = table.iter().position(|t| t == value);
+    index.map_or(u8::MAX, |i| i as u8)
 }
 
-fn termination_tag(t: TerminationReason) -> u8 {
-    match t {
-        TerminationReason::Completed => 0,
-        TerminationReason::CycleLimit => 1,
-        TerminationReason::Deadlock => 2,
-        TerminationReason::FaultAbort => 3,
-    }
+/// A value's encoding, both directions in one place.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
-
-fn termination_from_tag(tag: u8) -> Option<TerminationReason> {
-    Some(match tag {
-        0 => TerminationReason::Completed,
-        1 => TerminationReason::CycleLimit,
-        2 => TerminationReason::Deadlock,
-        3 => TerminationReason::FaultAbort,
-        _ => return None,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-struct Writer {
-    out: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-    fn algo_counts(&mut self, c: &AlgoCounts) {
-        for algo in ALGO_ORDER {
-            self.u64(c.get(algo));
-        }
-    }
-    fn cache_stats(&mut self, s: &CacheStats) {
-        self.u64(s.hits);
-        self.u64(s.compressed_hits);
-        self.u64(s.misses);
-        self.u64(s.fills);
-        self.u64(s.compressed_fills);
-        self.u64(s.evictions);
-        self.u64(s.filled_bytes_uncompressed);
-        self.u64(s.filled_bytes_stored);
-        self.u64(s.decode_failures);
-    }
-}
-
-/// Serializes one outcome (result + captured diagnostics).
-#[must_use]
-pub fn encode_outcome(result: &BenchResult, diag: &str) -> Vec<u8> {
-    let mut w = Writer {
-        out: Vec::with_capacity(1024 + diag.len()),
-    };
-    w.u32(CODEC_VERSION);
-    w.u8(policy_tag(result.policy));
-    w.str(result.abbr);
-
-    let s = &result.stats;
-    w.u64(s.cycles);
-    w.u64(s.instructions);
-    w.cache_stats(&s.l1);
-    w.cache_stats(&s.l2);
-    w.u64(s.dram_accesses);
-    w.u64(s.loads);
-    w.u64(s.stores);
-    w.u64(s.writebacks);
-    w.algo_counts(&s.compressions);
-    w.algo_counts(&s.decompressions);
-    w.u64(s.mshr_stalls);
-    w.u64(s.hit_wait_cycles);
-    w.u64(s.miss_wait_cycles);
-    w.u64(s.barrier_wait_cycles);
-    w.u64(s.eps_completed);
-    w.u64(s.decompression_queue_wait);
-    w.u64(s.traces.len() as u64);
-    for t in &s.traces {
-        w.u64(t.ep_index);
-        w.u64(t.end_cycle);
-        w.f64(t.latency_tolerance);
-        w.f64(t.effective_capacity);
-        w.f64(t.l1_hit_rate);
-        w.opt_u64(t.selected_mode.map(|m| m as u64));
-    }
-    w.u8(u8::from(s.timed_out));
-    w.u8(termination_tag(s.termination));
-    let f = &s.faults;
-    for v in [
-        f.bitflips_injected,
-        f.bitflips_detected,
-        f.bitflips_masked,
-        f.tag_corruptions,
-        f.latency_spikes,
-        f.spike_cycles_added,
-        f.mshr_exhaustions,
-        f.fill_bitflips,
-        f.fill_retry_cycles,
-        f.wakeup_drops,
-        f.writeback_faults,
-        f.writeback_retry_cycles,
-        f.writebacks_dropped,
-    ] {
-        w.u64(v);
-    }
-
-    let e = &result.energy;
-    for v in [
-        e.core_nj,
-        e.l1_nj,
-        e.l2_nj,
-        e.dram_nj,
-        e.noc_nj,
-        e.compression_nj,
-        e.decompression_nj,
-        e.static_nj,
-    ] {
-        w.f64(v);
-    }
-
-    w.u64(result.reports.len() as u64);
-    for r in &result.reports {
-        for m in r.eps_in_mode {
-            w.u64(m);
-        }
-    }
-
-    w.u64(result.kernels.len() as u64);
-    for k in &result.kernels {
-        w.u64(k.cycles);
-        for m in k.eps_in_mode {
-            w.u64(m);
-        }
-    }
-
-    match &result.shadow {
-        None => w.u8(0),
-        Some(o) => {
-            w.u8(1);
-            w.u64(o.loads_checked);
-            w.u64(o.fills_observed);
-            w.u64(o.stores_observed);
-            w.u64(o.checkpoints);
-            w.u64(o.violations_total);
-            w.u64(o.violations.len() as u64);
-            for v in &o.violations {
-                w.u64(v.sm as u64);
-                w.u64(v.cycle);
-                w.opt_u64(v.addr.map(LineAddr::line_number));
-                w.u8(match v.kind {
-                    ShadowViolationKind::DataIntegrity => 0,
-                    ShadowViolationKind::Structural => 1,
-                });
-                w.str(&v.detail);
-            }
-        }
-    }
-
-    w.str(diag);
-    w.out
-}
-
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
 
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -328,75 +117,233 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
+        let slice = self.bytes[self.pos..]
+            .get(..n)
+            .ok_or(CodecError::Truncated)?;
+        self.pos += n;
         Ok(slice)
-    }
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
-    }
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            v => Err(CodecError::BadTag {
-                what: "option",
-                value: u64::from(v),
-            }),
-        }
-    }
-    fn str(&mut self) -> Result<String, CodecError> {
-        let len = self.len_prefix()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
     }
     /// A length prefix, sanity-bounded by the bytes actually remaining
     /// so corrupt lengths fail fast instead of attempting huge
     /// allocations.
     fn len_prefix(&mut self) -> Result<usize, CodecError> {
-        let len = self.u64()?;
+        let len = u64::get(self)?;
         if len > (self.bytes.len() - self.pos) as u64 {
             return Err(CodecError::Truncated);
         }
         Ok(len as usize)
     }
-    fn algo_counts(&mut self) -> Result<AlgoCounts, CodecError> {
-        let mut c = AlgoCounts::default();
-        for algo in ALGO_ORDER {
-            c.add(algo, self.u64()?);
+}
+
+/// Integers travel little-endian at their own width.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                let mut buf = [0u8; std::mem::size_of::<$t>()];
+                buf.copy_from_slice(bytes);
+                Ok(<$t>::from_le_bytes(buf))
+            }
         }
-        Ok(c)
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+/// Types that travel as one `u64`.
+macro_rules! wire_as_u64 {
+    ($($t:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $to(*self).put(out);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                u64::get(r).map($from)
+            }
+        }
+    )*};
+}
+wire_as_u64! {
+    usize: |v: usize| v as u64, |v| v as usize;
+    f64: f64::to_bits, f64::from_bits;
+    LineAddr: LineAddr::line_number, LineAddr::new;
+}
+
+/// A presence flag, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
     }
-    fn cache_stats(&mut self) -> Result<CacheStats, CodecError> {
-        Ok(CacheStats {
-            hits: self.u64()?,
-            compressed_hits: self.u64()?,
-            misses: self.u64()?,
-            fills: self.u64()?,
-            compressed_fills: self.u64()?,
-            evictions: self.u64()?,
-            filled_bytes_uncompressed: self.u64()?,
-            filled_bytes_stored: self.u64()?,
-            decode_failures: self.u64()?,
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
     }
+}
+
+fn put_str(s: &str, out: &mut Vec<u8>) {
+    s.len().put(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.len_prefix()?;
+        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| CodecError::BadUtf8)
+    }
+}
+
+/// A length prefix, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.len_prefix()?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// Fixed-size arrays carry no prefix.
+impl<const N: usize> Wire for [u64; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut items = [0; N];
+        for v in &mut items {
+            *v = u64::get(r)?;
+        }
+        Ok(items)
+    }
+}
+
+impl Wire for AlgoCounts {
+    fn put(&self, out: &mut Vec<u8>) {
+        for algo in ALGO_ORDER {
+            self.get(algo).put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut counts = AlgoCounts::default();
+        for algo in ALGO_ORDER {
+            counts.add(algo, u64::get(r)?);
+        }
+        Ok(counts)
+    }
+}
+
+/// Enums travel as one byte: the value's index in its tag table. The
+/// tables are part of the format.
+macro_rules! wire_enum {
+    ($($ty:ty: $table:expr;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                tag_in(&$table, self).put(out);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let tag = u8::get(r)?;
+                $table.get(usize::from(tag)).copied().ok_or(CodecError::BadTag {
+                    what: stringify!($ty),
+                    value: u64::from(tag),
+                })
+            }
+        }
+    )*};
+}
+wire_enum! {
+    bool: [false, true];
+    PolicyKind: ALL_POLICIES;
+    TerminationReason: [Completed, CycleLimit, Deadlock, FaultAbort];
+    ShadowViolationKind: [DataIntegrity, Structural];
+}
+
+/// Both directions of a record from one list of its fields, in wire
+/// order. `put` destructures the record exhaustively and `get` builds
+/// it with a struct literal that has no `..`, so a field left off the
+/// list is a compile error.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),* } = self;
+                $($field.put(out);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                $(let $field = Wire::get(r)?;)*
+                Ok($ty { $($field),* })
+            }
+        }
+    )*};
+}
+wire_struct! {
+    CacheStats {
+        hits, compressed_hits, misses, fills, compressed_fills, evictions,
+        filled_bytes_uncompressed, filled_bytes_stored, decode_failures,
+    }
+    EpTraceEntry {
+        ep_index, end_cycle, latency_tolerance, effective_capacity, l1_hit_rate, selected_mode,
+    }
+    FaultStats {
+        bitflips_injected, bitflips_detected, bitflips_masked, tag_corruptions,
+        latency_spikes, spike_cycles_added, mshr_exhaustions, fill_bitflips,
+        fill_retry_cycles, wakeup_drops, writeback_faults, writeback_retry_cycles,
+        writebacks_dropped,
+    }
+    KernelStats {
+        cycles, instructions, l1, l2, dram_accesses, loads, stores, writebacks,
+        compressions, decompressions, mshr_stalls, hit_wait_cycles, miss_wait_cycles,
+        barrier_wait_cycles, eps_completed, decompression_queue_wait, traces, timed_out,
+        termination, faults,
+    }
+    EnergyReport {
+        core_nj, l1_nj, l2_nj, dram_nj, noc_nj, compression_nj, decompression_nj, static_nj,
+    }
+    PolicyReport { eps_in_mode }
+    KernelSummary { cycles, eps_in_mode }
+    ShadowViolation { sm, cycle, addr, kind, detail }
+    OracleReport {
+        loads_checked, fills_observed, stores_observed, checkpoints, violations_total,
+        violations,
+    }
+}
+
+/// Serializes one outcome: the header (codec version, policy tag,
+/// benchmark abbreviation), the result's records, then `diag`.
+#[must_use]
+pub fn encode_outcome(result: &BenchResult, diag: &str) -> Vec<u8> {
+    let BenchResult {
+        abbr,
+        policy,
+        stats,
+        energy,
+        reports,
+        kernels,
+        shadow,
+    } = result;
+    let mut out = Vec::with_capacity(1024 + diag.len());
+    CODEC_VERSION.put(&mut out);
+    policy.put(&mut out);
+    put_str(abbr, &mut out);
+    stats.put(&mut out);
+    energy.put(&mut out);
+    reports.put(&mut out);
+    kernels.put(&mut out);
+    shadow.put(&mut out);
+    put_str(diag, &mut out);
+    out
 }
 
 /// Decodes an outcome, validating it is for exactly the requested
@@ -413,184 +360,35 @@ pub fn decode_outcome(
     policy: PolicyKind,
     bench: &BenchmarkSpec,
 ) -> Result<(BenchResult, String), CodecError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let version = r.u32()?;
+    let r = &mut Reader { bytes, pos: 0 };
+    let version = u32::get(r)?;
     if version != CODEC_VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let stored_policy = {
-        let tag = r.u8()?;
-        policy_from_tag(tag).ok_or(CodecError::BadTag {
-            what: "policy",
-            value: u64::from(tag),
-        })?
-    };
-    if stored_policy != policy {
-        return Err(CodecError::PolicyMismatch {
-            found: stored_policy,
-        });
+    let found = PolicyKind::get(r)?;
+    if found != policy {
+        return Err(CodecError::PolicyMismatch { found });
     }
-    let stored_abbr = r.str()?;
-    if stored_abbr != bench.abbr {
-        return Err(CodecError::BenchMismatch { found: stored_abbr });
+    let found = String::get(r)?;
+    if found != bench.abbr {
+        return Err(CodecError::BenchMismatch { found });
     }
-
-    let mut stats = KernelStats {
-        cycles: r.u64()?,
-        instructions: r.u64()?,
-        l1: r.cache_stats()?,
-        l2: r.cache_stats()?,
-        dram_accesses: r.u64()?,
-        loads: r.u64()?,
-        stores: r.u64()?,
-        writebacks: r.u64()?,
-        compressions: r.algo_counts()?,
-        decompressions: r.algo_counts()?,
-        mshr_stalls: r.u64()?,
-        hit_wait_cycles: r.u64()?,
-        miss_wait_cycles: r.u64()?,
-        barrier_wait_cycles: r.u64()?,
-        eps_completed: r.u64()?,
-        decompression_queue_wait: r.u64()?,
-        ..KernelStats::default()
+    // Fields are read in the order written.
+    let result = BenchResult {
+        abbr: bench.abbr,
+        policy,
+        stats: Wire::get(r)?,
+        energy: Wire::get(r)?,
+        reports: Wire::get(r)?,
+        kernels: Wire::get(r)?,
+        shadow: Wire::get(r)?,
     };
-    let n_traces = r.len_prefix()?;
-    let mut traces = Vec::with_capacity(n_traces);
-    for _ in 0..n_traces {
-        traces.push(EpTraceEntry {
-            ep_index: r.u64()?,
-            end_cycle: r.u64()?,
-            latency_tolerance: r.f64()?,
-            effective_capacity: r.f64()?,
-            l1_hit_rate: r.f64()?,
-            selected_mode: r.opt_u64()?.map(|m| m as usize),
-        });
+    let diag = String::get(r)?;
+    let remaining = bytes.len() - r.pos;
+    if remaining != 0 {
+        return Err(CodecError::TrailingBytes { remaining });
     }
-    stats.traces = traces;
-    stats.timed_out = match r.u8()? {
-        0 => false,
-        1 => true,
-        v => {
-            return Err(CodecError::BadTag {
-                what: "timed_out",
-                value: u64::from(v),
-            })
-        }
-    };
-    stats.termination = {
-        let tag = r.u8()?;
-        termination_from_tag(tag).ok_or(CodecError::BadTag {
-            what: "termination",
-            value: u64::from(tag),
-        })?
-    };
-    stats.faults = FaultStats {
-        bitflips_injected: r.u64()?,
-        bitflips_detected: r.u64()?,
-        bitflips_masked: r.u64()?,
-        tag_corruptions: r.u64()?,
-        latency_spikes: r.u64()?,
-        spike_cycles_added: r.u64()?,
-        mshr_exhaustions: r.u64()?,
-        fill_bitflips: r.u64()?,
-        fill_retry_cycles: r.u64()?,
-        wakeup_drops: r.u64()?,
-        writeback_faults: r.u64()?,
-        writeback_retry_cycles: r.u64()?,
-        writebacks_dropped: r.u64()?,
-    };
-
-    let energy = EnergyReport {
-        core_nj: r.f64()?,
-        l1_nj: r.f64()?,
-        l2_nj: r.f64()?,
-        dram_nj: r.f64()?,
-        noc_nj: r.f64()?,
-        compression_nj: r.f64()?,
-        decompression_nj: r.f64()?,
-        static_nj: r.f64()?,
-    };
-
-    let n_reports = r.len_prefix()?;
-    let mut reports = Vec::with_capacity(n_reports);
-    for _ in 0..n_reports {
-        reports.push(PolicyReport {
-            eps_in_mode: [r.u64()?, r.u64()?, r.u64()?],
-        });
-    }
-
-    let n_kernels = r.len_prefix()?;
-    let mut kernels = Vec::with_capacity(n_kernels);
-    for _ in 0..n_kernels {
-        kernels.push(KernelSummary {
-            cycles: r.u64()?,
-            eps_in_mode: [r.u64()?, r.u64()?, r.u64()?],
-        });
-    }
-
-    let shadow = match r.u8()? {
-        0 => None,
-        1 => {
-            let loads_checked = r.u64()?;
-            let fills_observed = r.u64()?;
-            let stores_observed = r.u64()?;
-            let checkpoints = r.u64()?;
-            let violations_total = r.u64()?;
-            let n_violations = r.len_prefix()?;
-            let mut violations = Vec::with_capacity(n_violations);
-            for _ in 0..n_violations {
-                violations.push(ShadowViolation {
-                    sm: r.u64()? as usize,
-                    cycle: r.u64()?,
-                    addr: r.opt_u64()?.map(LineAddr::new),
-                    kind: match r.u8()? {
-                        0 => ShadowViolationKind::DataIntegrity,
-                        1 => ShadowViolationKind::Structural,
-                        v => {
-                            return Err(CodecError::BadTag {
-                                what: "violation kind",
-                                value: u64::from(v),
-                            })
-                        }
-                    },
-                    detail: r.str()?,
-                });
-            }
-            Some(OracleReport {
-                loads_checked,
-                fills_observed,
-                stores_observed,
-                checkpoints,
-                violations_total,
-                violations,
-            })
-        }
-        v => {
-            return Err(CodecError::BadTag {
-                what: "shadow option",
-                value: u64::from(v),
-            })
-        }
-    };
-
-    let diag = r.str()?;
-    if r.pos != bytes.len() {
-        return Err(CodecError::TrailingBytes {
-            remaining: bytes.len() - r.pos,
-        });
-    }
-    Ok((
-        BenchResult {
-            abbr: bench.abbr,
-            policy,
-            stats,
-            energy,
-            reports,
-            kernels,
-            shadow,
-        },
-        diag,
-    ))
+    Ok((result, diag))
 }
 
 #[cfg(test)]

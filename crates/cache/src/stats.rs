@@ -79,17 +79,27 @@ impl std::ops::Add for CacheStats {
     type Output = CacheStats;
 
     fn add(self, rhs: CacheStats) -> CacheStats {
+        let CacheStats {
+            hits,
+            compressed_hits,
+            misses,
+            fills,
+            compressed_fills,
+            evictions,
+            filled_bytes_uncompressed,
+            filled_bytes_stored,
+            decode_failures,
+        } = rhs;
         CacheStats {
-            hits: self.hits + rhs.hits,
-            compressed_hits: self.compressed_hits + rhs.compressed_hits,
-            misses: self.misses + rhs.misses,
-            fills: self.fills + rhs.fills,
-            compressed_fills: self.compressed_fills + rhs.compressed_fills,
-            evictions: self.evictions + rhs.evictions,
-            filled_bytes_uncompressed: self.filled_bytes_uncompressed
-                + rhs.filled_bytes_uncompressed,
-            filled_bytes_stored: self.filled_bytes_stored + rhs.filled_bytes_stored,
-            decode_failures: self.decode_failures + rhs.decode_failures,
+            hits: self.hits + hits,
+            compressed_hits: self.compressed_hits + compressed_hits,
+            misses: self.misses + misses,
+            fills: self.fills + fills,
+            compressed_fills: self.compressed_fills + compressed_fills,
+            evictions: self.evictions + evictions,
+            filled_bytes_uncompressed: self.filled_bytes_uncompressed + filled_bytes_uncompressed,
+            filled_bytes_stored: self.filled_bytes_stored + filled_bytes_stored,
+            decode_failures: self.decode_failures + decode_failures,
         }
     }
 }

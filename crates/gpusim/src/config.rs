@@ -155,50 +155,76 @@ impl GpuConfig {
     /// harness to key its simulation memo cache. Equal configs always
     /// fingerprint equal; any field change changes the fingerprint.
     ///
-    /// New fields MUST be folded in here — the
-    /// `fingerprint_covers_every_field` test cross-checks a
-    /// representative mutation of each field.
+    /// `self` is destructured with no `..`, so a new field does not
+    /// compile until it is folded in here or explicitly skipped; the
+    /// `fingerprint_is_stable_and_covers_every_field` test cross-checks
+    /// a representative mutation of each field.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
+        let GpuConfig {
+            num_sms,
+            max_warps_per_sm,
+            warps_per_block,
+            schedulers_per_sm,
+            scheduler,
+            l1_geometry,
+            l2_geometry,
+            l1_hit_latency,
+            extra_hit_latency,
+            l2_latency,
+            dram_latency,
+            mshr_entries,
+            mshr_merges,
+            ep_accesses,
+            max_cycles_per_kernel,
+            zero_decompression_latency,
+            ignore_capacity_benefit,
+            record_traces,
+            flush_at_kernel_boundary,
+            write_allocate,
+            write_back,
+            faults,
+            // `sim_threads` is deliberately NOT folded in: the epoch-barrier
+            // parallel loop is byte-identical to the serial one, so the thread
+            // count cannot change results and must not fragment the memo/store
+            // key space (a warm serial store must satisfy a parallel run).
+            sim_threads: _,
+        } = *self;
         let mut fp = Fingerprinter::new();
-        fp.write_usize(self.num_sms);
-        fp.write_usize(self.max_warps_per_sm);
-        fp.write_usize(self.warps_per_block);
-        fp.write_usize(self.schedulers_per_sm);
-        fp.write_u64(match self.scheduler {
+        fp.write_usize(num_sms);
+        fp.write_usize(max_warps_per_sm);
+        fp.write_usize(warps_per_block);
+        fp.write_usize(schedulers_per_sm);
+        fp.write_u64(match scheduler {
             SchedulerKind::Gto => 0,
             SchedulerKind::Lrr => 1,
         });
-        for geo in [&self.l1_geometry, &self.l2_geometry] {
+        for geo in [l1_geometry, l2_geometry] {
             fp.write_usize(geo.size_bytes);
             fp.write_usize(geo.ways);
             fp.write_usize(geo.tag_factor);
         }
-        fp.write_u64(self.l1_hit_latency);
-        fp.write_u64(self.extra_hit_latency);
-        fp.write_u64(self.l2_latency);
-        fp.write_u64(self.dram_latency);
-        fp.write_usize(self.mshr_entries);
-        fp.write_u32(self.mshr_merges);
-        fp.write_u64(self.ep_accesses);
-        fp.write_u64(self.max_cycles_per_kernel);
-        fp.write_bool(self.zero_decompression_latency);
-        fp.write_bool(self.ignore_capacity_benefit);
-        fp.write_bool(self.record_traces);
-        fp.write_bool(self.flush_at_kernel_boundary);
-        fp.write_bool(self.write_allocate);
-        fp.write_bool(self.write_back);
-        match &self.faults {
+        fp.write_u64(l1_hit_latency);
+        fp.write_u64(extra_hit_latency);
+        fp.write_u64(l2_latency);
+        fp.write_u64(dram_latency);
+        fp.write_usize(mshr_entries);
+        fp.write_u32(mshr_merges);
+        fp.write_u64(ep_accesses);
+        fp.write_u64(max_cycles_per_kernel);
+        fp.write_bool(zero_decompression_latency);
+        fp.write_bool(ignore_capacity_benefit);
+        fp.write_bool(record_traces);
+        fp.write_bool(flush_at_kernel_boundary);
+        fp.write_bool(write_allocate);
+        fp.write_bool(write_back);
+        match faults {
             None => fp.write_u64(0),
             Some(f) => {
                 fp.write_u64(1);
                 f.write_fingerprint(&mut fp);
             }
         }
-        // `sim_threads` is deliberately NOT folded in: the epoch-barrier
-        // parallel loop is byte-identical to the serial one, so the thread
-        // count cannot change results and must not fragment the memo/store
-        // key space (a warm serial store must satisfy a parallel run).
         fp.finish()
     }
 }

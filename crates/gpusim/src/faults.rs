@@ -133,17 +133,30 @@ impl FaultConfig {
     /// Folds every field into `fp` (part of
     /// [`crate::GpuConfig::fingerprint`]; see there for the contract).
     pub fn write_fingerprint(&self, fp: &mut crate::Fingerprinter) {
-        fp.write_u64(self.seed);
-        fp.write_f64(self.bitflip_rate);
-        fp.write_f64(self.tag_corruption_rate);
-        fp.write_f64(self.latency_spike_rate);
-        fp.write_u64(self.latency_spike_cycles);
-        fp.write_f64(self.mshr_exhaust_rate);
-        fp.write_f64(self.fill_bitflip_rate);
-        fp.write_f64(self.wakeup_drop_rate);
-        fp.write_f64(self.writeback_fault_rate);
-        fp.write_bool(self.drop_writebacks);
-        fp.write_bool(self.disable_recovery);
+        let FaultConfig {
+            seed,
+            bitflip_rate,
+            tag_corruption_rate,
+            latency_spike_rate,
+            latency_spike_cycles,
+            mshr_exhaust_rate,
+            fill_bitflip_rate,
+            wakeup_drop_rate,
+            writeback_fault_rate,
+            drop_writebacks,
+            disable_recovery,
+        } = *self;
+        fp.write_u64(seed);
+        fp.write_f64(bitflip_rate);
+        fp.write_f64(tag_corruption_rate);
+        fp.write_f64(latency_spike_rate);
+        fp.write_u64(latency_spike_cycles);
+        fp.write_f64(mshr_exhaust_rate);
+        fp.write_f64(fill_bitflip_rate);
+        fp.write_f64(wakeup_drop_rate);
+        fp.write_f64(writeback_fault_rate);
+        fp.write_bool(drop_writebacks);
+        fp.write_bool(disable_recovery);
     }
 }
 
@@ -220,19 +233,34 @@ impl FaultStats {
 
 impl std::ops::AddAssign for FaultStats {
     fn add_assign(&mut self, rhs: FaultStats) {
-        self.bitflips_injected += rhs.bitflips_injected;
-        self.bitflips_detected += rhs.bitflips_detected;
-        self.bitflips_masked += rhs.bitflips_masked;
-        self.tag_corruptions += rhs.tag_corruptions;
-        self.latency_spikes += rhs.latency_spikes;
-        self.spike_cycles_added += rhs.spike_cycles_added;
-        self.mshr_exhaustions += rhs.mshr_exhaustions;
-        self.fill_bitflips += rhs.fill_bitflips;
-        self.fill_retry_cycles += rhs.fill_retry_cycles;
-        self.wakeup_drops += rhs.wakeup_drops;
-        self.writeback_faults += rhs.writeback_faults;
-        self.writeback_retry_cycles += rhs.writeback_retry_cycles;
-        self.writebacks_dropped += rhs.writebacks_dropped;
+        let FaultStats {
+            bitflips_injected,
+            bitflips_detected,
+            bitflips_masked,
+            tag_corruptions,
+            latency_spikes,
+            spike_cycles_added,
+            mshr_exhaustions,
+            fill_bitflips,
+            fill_retry_cycles,
+            wakeup_drops,
+            writeback_faults,
+            writeback_retry_cycles,
+            writebacks_dropped,
+        } = rhs;
+        self.bitflips_injected += bitflips_injected;
+        self.bitflips_detected += bitflips_detected;
+        self.bitflips_masked += bitflips_masked;
+        self.tag_corruptions += tag_corruptions;
+        self.latency_spikes += latency_spikes;
+        self.spike_cycles_added += spike_cycles_added;
+        self.mshr_exhaustions += mshr_exhaustions;
+        self.fill_bitflips += fill_bitflips;
+        self.fill_retry_cycles += fill_retry_cycles;
+        self.wakeup_drops += wakeup_drops;
+        self.writeback_faults += writeback_faults;
+        self.writeback_retry_cycles += writeback_retry_cycles;
+        self.writebacks_dropped += writebacks_dropped;
     }
 }
 

@@ -468,27 +468,6 @@ fn assign_shards(work: &[usize], threads: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Folds the shard-locally accumulated counters into the launch totals.
-/// Only the counters SM stepping code touches are listed; `cycles`,
-/// `l1`/`l2`, `barrier_wait_cycles` and the termination fields are set
-/// by the caller's epilogue, exactly as after a serial run.
-fn merge_counters(into: &mut KernelStats, from: &KernelStats) {
-    into.instructions += from.instructions;
-    into.dram_accesses += from.dram_accesses;
-    into.loads += from.loads;
-    into.stores += from.stores;
-    into.compressions += from.compressions;
-    into.decompressions += from.decompressions;
-    into.mshr_stalls += from.mshr_stalls;
-    into.hit_wait_cycles += from.hit_wait_cycles;
-    into.miss_wait_cycles += from.miss_wait_cycles;
-    into.eps_completed += from.eps_completed;
-    into.decompression_queue_wait += from.decompression_queue_wait;
-    into.traces.extend(from.traces.iter().copied());
-    into.writebacks += from.writebacks;
-    into.faults += from.faults;
-}
-
 /// Visits the items of several runs in ascending `key` order, passing
 /// each with the index of the run it came from, then empties the runs
 /// (keeping their capacity). Each run is sorted first — one linear pass
@@ -958,7 +937,10 @@ pub(crate) fn run_cycles(
     });
 
     // Reassemble the machine in SM id order and fold the shard counters
-    // into the launch totals.
+    // into the launch totals. Shard stats start at the default and SM
+    // stepping never writes `cycles`, `l1`/`l2`, `barrier_wait_cycles`
+    // or the termination fields, which the caller's epilogue sets
+    // exactly as after a serial run.
     let shards: Vec<Shard<'_>> = std::iter::once(own)
         .chain(
             others
@@ -969,7 +951,7 @@ pub(crate) fn run_cycles(
     let mut busy = Vec::with_capacity(shards.len());
     let mut stall = Vec::with_capacity(shards.len());
     for shard in shards {
-        merge_counters(stats, &shard.stats);
+        stats.accumulate(&shard.stats);
         busy.push(shard.busy_ns);
         stall.push(shard.stall_ns);
         for unit in shard.units {

@@ -180,26 +180,48 @@ impl KernelStats {
 
     /// Accumulates another kernel's stats (traces are appended).
     pub fn accumulate(&mut self, other: &KernelStats) {
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        self.l1 = self.l1 + other.l1;
-        self.l2 = self.l2 + other.l2;
-        self.dram_accesses += other.dram_accesses;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.writebacks += other.writebacks;
-        self.compressions += other.compressions;
-        self.decompressions += other.decompressions;
-        self.mshr_stalls += other.mshr_stalls;
-        self.hit_wait_cycles += other.hit_wait_cycles;
-        self.miss_wait_cycles += other.miss_wait_cycles;
-        self.barrier_wait_cycles += other.barrier_wait_cycles;
-        self.eps_completed += other.eps_completed;
-        self.decompression_queue_wait += other.decompression_queue_wait;
-        self.traces.extend(other.traces.iter().copied());
-        self.timed_out |= other.timed_out;
-        self.termination = self.termination.max(other.termination);
-        self.faults += other.faults;
+        let KernelStats {
+            cycles,
+            instructions,
+            l1,
+            l2,
+            dram_accesses,
+            loads,
+            stores,
+            writebacks,
+            compressions,
+            decompressions,
+            mshr_stalls,
+            hit_wait_cycles,
+            miss_wait_cycles,
+            barrier_wait_cycles,
+            eps_completed,
+            decompression_queue_wait,
+            traces,
+            timed_out,
+            termination,
+            faults,
+        } = other;
+        self.cycles += cycles;
+        self.instructions += instructions;
+        self.l1 = self.l1 + *l1;
+        self.l2 = self.l2 + *l2;
+        self.dram_accesses += dram_accesses;
+        self.loads += loads;
+        self.stores += stores;
+        self.writebacks += writebacks;
+        self.compressions += *compressions;
+        self.decompressions += *decompressions;
+        self.mshr_stalls += mshr_stalls;
+        self.hit_wait_cycles += hit_wait_cycles;
+        self.miss_wait_cycles += miss_wait_cycles;
+        self.barrier_wait_cycles += barrier_wait_cycles;
+        self.eps_completed += eps_completed;
+        self.decompression_queue_wait += decompression_queue_wait;
+        self.traces.extend_from_slice(traces);
+        self.timed_out |= timed_out;
+        self.termination = self.termination.max(*termination);
+        self.faults += *faults;
     }
 }
 
