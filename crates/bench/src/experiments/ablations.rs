@@ -4,8 +4,7 @@
 //! sampling sets, and the warp scheduler.
 //!
 //! Each ablation reports the C-Sens-subset geomean speedup of LATTE-CC
-//! under the varied parameter, everything else held at the defaults
-//! (including any command-line controller overrides).
+//! under the varied parameter, everything else held at the defaults.
 
 use crate::report::outln;
 use crate::experiments::{lookup_benchmark, write_csv};

@@ -24,9 +24,9 @@ pub use driver::{
     run_experiments, run_experiments_with_outcomes, Experiment, ExperimentOutcome,
 };
 pub use runner::{
-    fault_injection, geomean, latte_overrides, run_benchmark, run_benchmark_shadowed,
-    run_benchmark_uncached, run_benchmark_with_config, set_fault_injection, set_latte_overrides,
-    set_shadow_check, set_sim_threads, set_write_back, shadow_check_enabled, sim_threads,
-    write_back_enabled, BenchResult, LatteOverrides, PolicyKind, ShadowTally, ALL_POLICIES,
+    fault_injection, geomean, run_benchmark, run_benchmark_shadowed, run_benchmark_uncached,
+    run_benchmark_with_config, set_fault_injection, set_shadow_check, set_sim_threads,
+    set_write_back, shadow_check_enabled, sim_threads, write_back_enabled, BenchResult,
+    PolicyKind, ShadowTally, ALL_POLICIES,
 };
 pub use sim::shadow_tally;

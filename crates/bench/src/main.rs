@@ -17,14 +17,9 @@
 //! the detect-and-refetch recovery path and LATTE-CC's integrity
 //! demotion. `--inject-fill <rate>` does the same for the L2/DRAM fill
 //! return path (parity-detected, retried after one L2 round trip).
-//!
-//! The controller knobs that used to be hidden `LATTE_*` environment
-//! variables are now explicit flags: `--miss-latency`,
-//! `--tolerance-scale`, `--force-mode`, `--debug-decide`.
 
 use latte_bench::experiments as exp;
-use latte_bench::{Experiment, LatteOverrides};
-use latte_core::CompressionMode;
+use latte_bench::Experiment;
 use latte_gpusim::FaultConfig;
 
 const EXPERIMENTS: &[Experiment] = &[
@@ -81,15 +76,11 @@ fn usage() -> ! {
     eprintln!("                         write-back (requires --write-back; used to demonstrate");
     eprintln!("                         that --shadow-check catches lost stores)");
     eprintln!("  --seed <n>             fault-injection seed (default 42; same seed => same faults)");
-    eprintln!("  --miss-latency <c>     AMAT effective miss-latency constant (default 150)");
-    eprintln!("  --tolerance-scale <s>  latency-tolerance scale factor (default 2)");
-    eprintln!("  --force-mode <m>       pin the controller: none | lowlatency | highcapacity");
     eprintln!("  --shadow-check         attach the differential oracle to every simulation;");
     eprintln!("                         exit nonzero if any run diverges from the reference model");
     eprintln!("  --no-fault-recovery    deliberate mutation: detected bit flips are consumed");
     eprintln!("                         instead of refetched (requires an --inject* flag; used to");
     eprintln!("                         demonstrate that --shadow-check catches real corruption)");
-    eprintln!("  --debug-decide         print the controller's per-decision trace");
     eprintln!("  --store <dir>          persist simulation results in a crash-safe store at <dir>;");
     eprintln!("                         a warm rerun replays every result byte-identically without");
     eprintln!("                         simulating (corrupt entries are quarantined and recomputed)");
@@ -114,7 +105,6 @@ struct Options {
     sim_threads: usize,
     write_back: bool,
     faults: Option<FaultConfig>,
-    overrides: LatteOverrides,
     timings: bool,
     shadow_check: bool,
     store_dir: Option<std::path::PathBuf>,
@@ -125,15 +115,6 @@ struct Options {
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-fn parse_force_mode(v: &str) -> Option<CompressionMode> {
-    match v.to_ascii_lowercase().as_str() {
-        "none" => Some(CompressionMode::None),
-        "lowlatency" | "low-latency" | "bdi" => Some(CompressionMode::LowLatency),
-        "highcapacity" | "high-capacity" | "sc" => Some(CompressionMode::HighCapacity),
-        _ => None,
-    }
 }
 
 /// Extracts every `--flag [value]` option from `args` (removing them).
@@ -148,7 +129,6 @@ fn parse_options(args: &mut Vec<String>) -> Options {
     let mut write_back = false;
     let mut no_writeback = false;
     let mut seed: u64 = 42;
-    let mut overrides = LatteOverrides::default();
     let mut timings = false;
     let mut shadow_check = false;
     let mut no_fault_recovery = false;
@@ -235,43 +215,6 @@ fn parse_options(args: &mut Vec<String>) -> Options {
                 }
                 args.remove(i);
             }
-            "--miss-latency" => {
-                let v = take_value(args, i, "--miss-latency");
-                match v.parse::<f64>() {
-                    Ok(c) if c > 0.0 && c.is_finite() => overrides.miss_latency = Some(c),
-                    _ => {
-                        eprintln!("--miss-latency expects a positive number of cycles, got {v}\n");
-                        usage();
-                    }
-                }
-                args.remove(i);
-            }
-            "--tolerance-scale" => {
-                let v = take_value(args, i, "--tolerance-scale");
-                match v.parse::<f64>() {
-                    Ok(s) if s >= 0.0 && s.is_finite() => overrides.tolerance_scale = Some(s),
-                    _ => {
-                        eprintln!("--tolerance-scale expects a non-negative number, got {v}\n");
-                        usage();
-                    }
-                }
-                args.remove(i);
-            }
-            "--force-mode" => {
-                let v = take_value(args, i, "--force-mode");
-                match parse_force_mode(&v) {
-                    Some(mode) => overrides.force_mode = Some(mode),
-                    None => {
-                        eprintln!("--force-mode expects none | lowlatency | highcapacity, got {v}\n");
-                        usage();
-                    }
-                }
-                args.remove(i);
-            }
-            "--debug-decide" => {
-                overrides.debug_decide = true;
-                args.remove(i);
-            }
             "--store" => {
                 let v = take_value(args, i, "--store");
                 store_dir = Some(std::path::PathBuf::from(v));
@@ -337,7 +280,6 @@ fn parse_options(args: &mut Vec<String>) -> Options {
         sim_threads,
         write_back,
         faults,
-        overrides,
         timings,
         shadow_check,
         store_dir,
@@ -347,36 +289,7 @@ fn parse_options(args: &mut Vec<String>) -> Options {
     }
 }
 
-/// Environment variables that used to configure `LatteConfig::paper`
-/// (removed: they were hidden process-global state, racy under the
-/// parallel experiment driver). Setting any of them now only triggers a
-/// warning on stderr. This check lives in the driver binary — the only
-/// place in the workspace allowed to touch the process environment or
-/// write to stderr directly.
-const REMOVED_ENV_KNOBS: [(&str, &str); 4] = [
-    ("LATTE_MISS_LATENCY", "--miss-latency / LatteConfig::with_miss_latency"),
-    ("LATTE_TOLERANCE_SCALE", "--tolerance-scale / LatteConfig::with_tolerance_scale"),
-    ("LATTE_FORCE_MODE", "--force-mode / LatteConfig::force_mode"),
-    ("LATTE_DEBUG_DECIDE", "--debug-decide / LatteConfig::decide_trace"),
-];
-
-/// Warns if any removed `LATTE_*` env knob is still set, so stale
-/// calibration scripts fail loudly instead of silently running the
-/// defaults.
-fn warn_on_removed_env_knobs() {
-    for (var, replacement) in REMOVED_ENV_KNOBS {
-        if std::env::var_os(var).is_some() {
-            eprintln!(
-                "latte-bench: warning: the {var} environment variable is no longer read \
-                 (env knobs were hidden process-global state, racy under the parallel \
-                 experiment driver); it is IGNORED. Use {replacement} instead."
-            );
-        }
-    }
-}
-
 fn main() {
-    warn_on_removed_env_knobs();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_options(&mut args);
     if opts.sim_threads > 1 {
@@ -407,9 +320,6 @@ fn main() {
             },
             faults.seed
         );
-    }
-    if opts.overrides != LatteOverrides::default() {
-        latte_bench::set_latte_overrides(opts.overrides);
     }
     if opts.shadow_check {
         latte_bench::set_shadow_check(true);

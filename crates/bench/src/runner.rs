@@ -3,7 +3,7 @@
 
 use crate::report::outln;
 use latte_compress::CompressionAlgo;
-use latte_core::{AssistWarp, CompressionMode, LatteCc, LatteConfig, StaticBdi, StaticBpc, StaticSc};
+use latte_core::{AssistWarp, LatteCc, LatteConfig, StaticBdi, StaticBpc, StaticSc};
 use latte_energy::{EnergyModel, EnergyReport};
 use latte_gpusim::{
     FaultConfig, Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, ShadowConfig,
@@ -109,69 +109,6 @@ pub struct ShadowTally {
     pub violations: u64,
 }
 
-/// Explicit overrides for the LATTE-CC controller knobs that used to be
-/// read from hidden `LATTE_*` environment variables inside
-/// [`LatteConfig::paper`]. They are now plumbed from the `latte-bench`
-/// command line (`--miss-latency`, `--tolerance-scale`, `--force-mode`,
-/// `--debug-decide`) through this struct, so a config is fully
-/// determined by its constructor arguments.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatteOverrides {
-    /// Overrides [`LatteConfig::miss_latency`] (cycles).
-    pub miss_latency: Option<f64>,
-    /// Overrides [`LatteConfig::tolerance_scale`].
-    pub tolerance_scale: Option<f64>,
-    /// Pins every controller decision to a fixed mode.
-    pub force_mode: Option<CompressionMode>,
-    /// Prints a per-decision trace from the controller.
-    pub debug_decide: bool,
-}
-
-/// Process-wide LATTE-CC config overrides, set once from the command
-/// line before any experiment runs (same pattern as
-/// [`set_fault_injection`]: experiments build configs in many places,
-/// and a write-once global avoids threading a parameter through every
-/// signature while staying deterministic under the parallel driver —
-/// after startup it is read-only).
-static LATTE_OVERRIDES: OnceLock<LatteOverrides> = OnceLock::new();
-
-/// Installs controller-knob overrides for every subsequent benchmark run
-/// in this process. Returns `false` if overrides were already installed
-/// (the first call wins).
-pub fn set_latte_overrides(overrides: LatteOverrides) -> bool {
-    LATTE_OVERRIDES.set(overrides).is_ok()
-}
-
-/// The process-wide controller-knob overrides (all-`None`/false when
-/// nothing was installed).
-#[must_use]
-pub fn latte_overrides() -> LatteOverrides {
-    LATTE_OVERRIDES.get().copied().unwrap_or_default()
-}
-
-/// Applies one set of overrides to a freshly built [`LatteConfig`]
-/// (unit-testable without mutating process state).
-fn apply_overrides_with(mut latte: LatteConfig, ov: LatteOverrides) -> LatteConfig {
-    if let Some(miss) = ov.miss_latency {
-        latte = latte.with_miss_latency(miss);
-    }
-    if let Some(scale) = ov.tolerance_scale {
-        latte = latte.with_tolerance_scale(scale);
-    }
-    if ov.force_mode.is_some() {
-        latte.force_mode = ov.force_mode;
-    }
-    if ov.debug_decide {
-        // Route the decision trace into the per-experiment output
-        // capture (report::emit): lines land in the experiment's own
-        // buffer, so parallel runs cannot interleave.
-        latte.decide_trace = Some(latte_gpusim::TraceSink::new(|line| {
-            crate::report::emit(format_args!("{line}\n"));
-        }));
-    }
-    latte
-}
-
 /// The compression management policies under evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
@@ -254,21 +191,21 @@ impl PolicyKind {
 }
 
 /// The controller config the LATTE-family policies start from on
-/// `gpu_config`'s L1, with the command-line overrides applied.
+/// `gpu_config`'s L1.
 #[must_use]
 pub(crate) fn latte_config(gpu_config: &GpuConfig) -> LatteConfig {
-    let latte = LatteConfig {
+    LatteConfig {
         num_l1_sets: gpu_config.l1_geometry.num_sets(),
         l1_base_hit_latency: gpu_config.l1_hit_latency as f64,
         ..LatteConfig::paper()
-    };
-    apply_overrides_with(latte, latte_overrides())
+    }
 }
 
 /// A policy as a simulation request names it: its kind, and the
 /// controller config a LATTE-family kind runs under (other kinds ignore
-/// it). Ablations send explicit configs; every other request uses the
-/// default controller config with the command-line overrides.
+/// it). This is the only way to configure the controller: ablations
+/// send explicit configs, and every other request uses the default
+/// controller config ([`latte_config`]).
 #[derive(Debug, Clone)]
 pub struct PolicySpec {
     /// The policy.
@@ -290,7 +227,7 @@ impl PolicySpec {
 
     /// Builds a fresh policy instance.
     #[must_use]
-    pub(crate) fn build(&self) -> Box<dyn L1CompressionPolicy> {
+    pub fn build(&self) -> Box<dyn L1CompressionPolicy> {
         use CompressionAlgo::{Bdi, Bpc, Sc};
         let latte = self.latte.clone();
         match self.kind {
@@ -400,7 +337,7 @@ pub fn run_benchmark(policy: PolicyKind, bench: &BenchmarkSpec) -> BenchResult {
 /// Runs `bench` under `policy` on a specific machine configuration.
 ///
 /// Routed through the memoized simulation service: each unique
-/// (policy, benchmark, config, overrides) combination is simulated at
+/// (policy, benchmark, config) combination is simulated at
 /// most once per process, and repeat requests replay the stored result
 /// *and* its diagnostics into the caller's output capture. Experiments
 /// that must genuinely re-execute (e.g. a determinism self-check) call
@@ -471,20 +408,8 @@ pub(crate) fn run_instrumented(
         // (which is why `sim_threads` stays outside the fingerprint).
         config.sim_threads = sim_threads();
     }
-    if spec.latte.decide_trace.is_some() {
-        // The controller's decision trace emits into the per-experiment
-        // output capture from *inside* SM stepping; under the epoch
-        // barrier those calls would run on worker threads and miss the
-        // capture. The trace is a debugging aid, so trade speed for it.
-        config.sim_threads = 1;
-    }
     let policy = spec.kind;
     let mut gpu = Gpu::new(&config, |_| spec.build());
-    // Simulator diagnostics (watchdog, early termination) join the same
-    // per-experiment capture as the runner's own output.
-    gpu.set_diag_sink(latte_gpusim::TraceSink::new(|line| {
-        crate::report::emit(format_args!("{line}\n"));
-    }));
     let handle = if shadowed {
         let (oracle, handle) = MemoryOracle::new();
         gpu.set_shadow_check(Box::new(oracle), ShadowConfig::default());
@@ -497,6 +422,11 @@ pub(crate) fn run_instrumented(
     let mut summaries = Vec::with_capacity(kernels.len());
     for kernel in &kernels {
         let ks = gpu.run_kernel(kernel as &dyn Kernel);
+        // Simulator diagnostics (the watchdog's audit) join the same
+        // per-experiment capture as the runner's own output.
+        for line in gpu.take_diagnostics() {
+            outln!("{line}");
+        }
         // Policy reports reset at each kernel start, so these count
         // this kernel's EPs only.
         let mut eps_in_mode = [0; 3];
@@ -579,28 +509,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), ALL_POLICIES.len());
-    }
-
-    #[test]
-    fn overrides_replace_the_removed_env_knobs() {
-        let base = LatteConfig::paper();
-        let ov = LatteOverrides {
-            miss_latency: Some(320.0),
-            tolerance_scale: Some(0.5),
-            force_mode: Some(CompressionMode::LowLatency),
-            debug_decide: true,
-        };
-        let cfg = apply_overrides_with(base.clone(), ov);
-        assert_eq!(cfg.miss_latency, 320.0);
-        assert_eq!(cfg.tolerance_scale, 0.5);
-        assert_eq!(cfg.force_mode, Some(CompressionMode::LowLatency));
-        assert!(cfg.decide_trace.is_some(), "--debug-decide installs a trace sink");
-        // No overrides => the config passes through untouched.
-        let untouched = apply_overrides_with(base.clone(), LatteOverrides::default());
-        assert_eq!(untouched.miss_latency, base.miss_latency);
-        assert_eq!(untouched.tolerance_scale, base.tolerance_scale);
-        assert_eq!(untouched.force_mode, None);
-        assert!(untouched.decide_trace.is_none());
     }
 
     #[test]

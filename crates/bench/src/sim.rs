@@ -17,7 +17,7 @@
 //! `crates/bench/tests/determinism.rs` and lint rule D1), replaying a
 //! memoized result is observationally identical to re-running it — with
 //! one subtlety: simulations also *print* (watchdog diagnostics,
-//! early-stop warnings, `--debug-decide` traces). The service captures
+//! early-stop warnings, shadow-check summaries). The service captures
 //! everything a compute prints into [`SimOutcome::diag`] and re-emits it
 //! into the requesting experiment's output buffer on **every**
 //! consumption, so each experiment's captured output is the same whether
@@ -190,10 +190,9 @@ fn key_for(spec: &PolicySpec, bench: &BenchmarkSpec, config: &GpuConfig) -> SimK
     fp.write_u64(cfg_fp as u64);
     fp.write_u64((cfg_fp >> 64) as u64);
     if spec.kind.is_latte_family() {
-        // The derived `Debug` form names every controller field, prints
-        // floats exactly (shortest round trip) and a decision-trace sink
-        // as a constant, so equal configs share a key and no field can be
-        // left out.
+        // The derived `Debug` form names every controller field and
+        // prints floats exactly (shortest round trip), so equal configs
+        // share a key and no field can be left out.
         fp.write_str(&format!("{:?}", spec.latte));
     }
     // A shadow-checked simulation prints a verification summary and

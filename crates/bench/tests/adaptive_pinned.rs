@@ -2,9 +2,9 @@
 //! kernels: the five adaptive `PolicyKind`s (LATTE-CC, its BDI+BPC
 //! variant, the four-mode extension and the two §V-D baselines) under a
 //! plain run, bit-flip injection, the differential oracle and EP trace
-//! recording, plus direct `LatteCc` configs exercising `force_mode`,
-//! the dedicated-set count and the decision trace, and finally the
-//! process-wide `--force-mode`/`--debug-decide` overrides.
+//! recording, plus direct `LatteCc` configs exercising `force_mode` and
+//! the dedicated-set count, and finally every adaptive `PolicySpec`
+//! with a forced high-capacity mode.
 //!
 //! Each digest covers the `KernelStats` and every SM's `PolicyReport`
 //! after each of three back-to-back kernels (so state carried across a
@@ -12,13 +12,14 @@
 //! its checkpoints split by kind. A digest may only change together with a
 //! deliberate change to a controller's behaviour.
 
-use latte_bench::{set_latte_overrides, LatteOverrides, PolicyKind};
+use latte_bench::runner::PolicySpec;
+use latte_bench::PolicyKind;
 use latte_cache::LineAddr;
 use latte_compress::{CacheLine, Cycles};
 use latte_core::{CompressionMode, LatteCc, LatteConfig};
 use latte_gpusim::{
     FaultConfig, Fingerprinter, Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, Op,
-    OpStream, ShadowCheck, ShadowCheckpoint, ShadowConfig, TraceSink, VecStream,
+    OpStream, ShadowCheck, ShadowCheckpoint, ShadowConfig, VecStream,
 };
 use latte_oracle::MemoryOracle;
 use std::sync::{Arc, Mutex};
@@ -241,7 +242,6 @@ const PINNED: &[(&str, &str, u128)] = &[
     ("LatteCc", "force-high", 0x33af3936bb27c9a17e365d21cc078fc2),
     ("LatteCc", "dedicated-1", 0x6f2e07c182c4de93228e3c8ccee2ccc7),
     ("LatteCc", "dedicated-8", 0x818ef061dd8d9903934a536692ce13c0),
-    ("LatteCc", "decide-trace", 0xc185330a3ef5e648160cd967411ac15b),
     ("LATTE-CC", "overrides", 0x6c6f6cb50cc106af77fb98eee62a697a),
     ("LATTE-CC-BDI-BPC", "overrides", 0x859524dd3b5d28268804e3718ad152cc),
     ("LATTE-CC-4mode", "overrides", 0xb72732a12f88995dfc3beff875ed1bd5),
@@ -304,27 +304,18 @@ fn adaptive_policies_match_pinned_digests() {
         actual.push(("LatteCc".to_owned(), name, digest(&run.text)));
     }
 
-    let lines = Arc::new(Mutex::new(Vec::<String>::new()));
-    let sink = {
-        let lines = Arc::clone(&lines);
-        TraceSink::new(move |line| lines.lock().expect("trace lock").push(line.to_owned()))
-    };
-    let cfg = latte(&traced_config, |c| c.decide_trace = Some(sink.clone()));
-    let run = simulate(&traced_config, false, &|| Box::new(LatteCc::new(cfg.clone())));
-    let lines = lines.lock().expect("trace lock").join("\n");
-    assert!(lines.contains("decide: tol="), "the trace sink saw no decisions");
-    actual.push(("LatteCc".to_owned(), "decide-trace", digest(&format!("{}{lines}", run.text))));
-
-    // Last, because the overrides are process-wide and write-once. They
-    // reach every policy `PolicyKind::build` makes, but only the two
-    // three-mode LATTE-CC variants act on a forced mode or trace sink.
-    assert!(set_latte_overrides(LatteOverrides {
-        force_mode: Some(CompressionMode::HighCapacity),
-        debug_decide: true,
-        ..LatteOverrides::default()
-    }));
+    // A forced mode in the spec reaches every adaptive policy, but only
+    // the two three-mode LATTE-CC variants act on it: the others are
+    // built `without_hooks`.
+    let forced = latte(&config(false, None), |c| {
+        c.force_mode = Some(CompressionMode::HighCapacity);
+    });
     for (policy, plain) in ADAPTIVE.into_iter().zip(plain_digests) {
-        let run = simulate(&config(false, None), false, &|| policy.build(&config(false, None)));
+        let spec = PolicySpec {
+            kind: policy,
+            latte: forced.clone(),
+        };
+        let run = simulate(&config(false, None), false, &|| spec.build());
         let d = digest(&run.text);
         let obeys = matches!(policy, PolicyKind::LatteCc | PolicyKind::LatteCcBdiBpc);
         assert_eq!(d != plain, obeys, "{}: overrides", policy.name());

@@ -25,7 +25,7 @@ use crate::sc_manager::ScManager;
 use crate::size_memo::SizeMemo;
 use latte_cache::CacheGeometry;
 use latte_compress::{Bdi, Bpc, CacheLine, Compression, CompressionAlgo, Compressor, CpackZ, Fpc};
-use latte_gpusim::{AccessEvent, EpProbe, FillLine, L1CompressionPolicy, PolicyReport, TraceSink};
+use latte_gpusim::{AccessEvent, EpProbe, FillLine, L1CompressionPolicy, PolicyReport};
 
 /// Tunables of the set-sampling controller (§IV-C3 defaults).
 ///
@@ -86,12 +86,6 @@ pub struct LatteConfig {
     /// this mode class, bypassing the decision while keeping all
     /// sampling machinery running.
     pub force_mode: Option<CompressionMode>,
-    /// Sink receiving one line per decision (samples, tolerance,
-    /// winner). `None` disables decision tracing. The driver installs
-    /// this (e.g. `latte-bench --debug-decide` routes it into the
-    /// per-experiment output capture); the controller itself never
-    /// writes to stdout/stderr.
-    pub decide_trace: Option<TraceSink>,
 }
 
 impl LatteConfig {
@@ -115,7 +109,6 @@ impl LatteConfig {
             ],
             decode_error_demotion_threshold: 8,
             force_mode: None,
-            decide_trace: None,
         }
     }
 
@@ -136,15 +129,13 @@ impl LatteConfig {
     }
 
     /// This config without LATTE-CC's integrity fallback and calibration
-    /// hooks: no decode-error demotion, no forced mode, no decision
-    /// trace. The adaptive baselines and the four-mode extension run
-    /// this way.
+    /// hooks: no decode-error demotion and no forced mode. The adaptive
+    /// baselines and the four-mode extension run this way.
     #[must_use]
     pub fn without_hooks(self) -> LatteConfig {
         LatteConfig {
             decode_error_demotion_threshold: u64::MAX,
             force_mode: None,
-            decide_trace: None,
             ..self
         }
     }
@@ -431,20 +422,6 @@ impl LatteCc {
                     .0
             }
         };
-        if let Some(trace) = &self.cfg.decide_trace {
-            let samples: String = self
-                .cfg
-                .options
-                .iter()
-                .zip(&self.frozen)
-                .map(|(&algo, sample)| format!(" {}={sample:?}", CompressionMode::of(algo).label()))
-                .collect();
-            trace.emit(&format!(
-                "decide: tol={:.2}{samples} -> {}",
-                self.tolerance,
-                CompressionMode::of(self.cfg.options[best])
-            ));
-        }
         if let Some(forced) = self.cfg.force_mode {
             if let Some(slot) = self
                 .cfg
@@ -659,7 +636,6 @@ mod tests {
         );
         assert_eq!(c.decode_error_demotion_threshold, 8);
         assert_eq!(c.force_mode, None);
-        assert!(c.decide_trace.is_none());
     }
 
     #[test]
@@ -840,7 +816,6 @@ mod tests {
     fn baselines_run_without_hooks() {
         let hooked = LatteConfig {
             force_mode: Some(CompressionMode::HighCapacity),
-            decide_trace: Some(TraceSink::new(|_| {})),
             ..cfg()
         };
         for mut p in [

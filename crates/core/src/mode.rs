@@ -43,15 +43,6 @@ impl CompressionMode {
             CompressionMode::HighCapacity => 2,
         }
     }
-
-    /// The short label decision traces print.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            CompressionMode::None => "none",
-            CompressionMode::LowLatency => "low",
-            CompressionMode::HighCapacity => "high",
-        }
-    }
 }
 
 impl fmt::Display for CompressionMode {

@@ -133,18 +133,6 @@ impl Fingerprinter {
         self.write_u64(v.to_bits());
     }
 
-    /// Folds an optional `f64`, tagging presence so `None` and
-    /// `Some(0.0)` differ.
-    pub fn write_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.write_u64(0),
-            Some(x) => {
-                self.write_u64(1);
-                self.write_f64(x);
-            }
-        }
-    }
-
     /// The final 128-bit fingerprint.
     #[must_use]
     pub fn finish(&self) -> u128 {
@@ -187,15 +175,6 @@ mod tests {
         c.write_u64(9);
         c.write_u64(7);
         assert_ne!(a.finish(), c.finish());
-    }
-
-    #[test]
-    fn option_tagging_distinguishes_none_from_some_zero() {
-        let mut none = Fingerprinter::new();
-        none.write_opt_f64(None);
-        let mut some = Fingerprinter::new();
-        some.write_opt_f64(Some(0.0));
-        assert_ne!(none.finish(), some.finish());
     }
 
     #[test]

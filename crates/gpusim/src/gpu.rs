@@ -8,7 +8,6 @@ use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint, ShadowConfig};
 use crate::sm::{L2Port, MemCtx, MemEvent, MemImage, Sm};
 use crate::stats::{KernelStats, TerminationReason};
-use crate::trace::TraceSink;
 use latte_cache::SimpleCache;
 use latte_compress::Cycles;
 use std::cmp::Reverse;
@@ -45,7 +44,9 @@ pub struct Gpu {
     image: MemImage,
     policies: Vec<Box<dyn L1CompressionPolicy>>,
     events: BinaryHeap<Reverse<MemEvent>>,
-    diag: Option<TraceSink>,
+    /// Watchdog and early-stop lines not yet drained by
+    /// [`Gpu::take_diagnostics`].
+    diagnostics: Vec<String>,
     shadow: Option<Box<dyn ShadowCheck>>,
     shadow_cfg: ShadowConfig,
     epoch_stats: EpochStats,
@@ -77,7 +78,7 @@ impl Gpu {
             image: MemImage::default(),
             policies,
             events: BinaryHeap::new(),
-            diag: None,
+            diagnostics: Vec::new(),
             shadow: None,
             shadow_cfg: ShadowConfig::default(),
             epoch_stats: EpochStats::default(),
@@ -98,18 +99,12 @@ impl Gpu {
         self.shadow_cfg = cfg;
     }
 
-    /// Installs the sink that receives watchdog and early-termination
-    /// diagnostics. Without one, diagnostics are dropped — the driver
-    /// decides where (and whether) they surface; the simulator never
-    /// writes to stdout/stderr itself.
-    pub fn set_diag_sink(&mut self, sink: TraceSink) {
-        self.diag = Some(sink);
-    }
-
-    fn emit_diag(&self, line: &str) {
-        if let Some(sink) = &self.diag {
-            sink.emit(line);
-        }
+    /// Drains the watchdog and early-termination diagnostics recorded
+    /// since the last call, one line each (no trailing newline). The
+    /// simulator never writes to stdout/stderr itself: the caller decides
+    /// where (and whether) these lines surface.
+    pub fn take_diagnostics(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.diagnostics)
     }
 
     /// The configuration this GPU runs.
@@ -330,12 +325,12 @@ impl Gpu {
     /// Watchdog audit: distinguishes a stalled workload from corrupted
     /// simulator state. Returns `fallback` when every L1 passes its
     /// structural validation and `FaultAbort` otherwise (the violation is
-    /// reported through the diagnostic sink; statistics past this point
-    /// are suspect).
-    fn audit_termination(&self, fallback: TerminationReason) -> TerminationReason {
+    /// recorded as a diagnostic line; statistics past this point are
+    /// suspect).
+    fn audit_termination(&mut self, fallback: TerminationReason) -> TerminationReason {
         for sm in &self.sms {
             if let Err(violation) = sm.l1.validate() {
-                self.emit_diag(&format!(
+                self.diagnostics.push(format!(
                     "latte-gpusim: watchdog found corrupted L1 state on SM {}: {violation}",
                     sm.id
                 ));
@@ -347,7 +342,8 @@ impl Gpu {
 
     /// Runs a sequence of kernels, returning per-kernel statistics.
     /// Kernels that stop early (cycle limit, deadlock, fault abort) are
-    /// reported through the diagnostic sink instead of failing silently.
+    /// recorded as diagnostic lines ([`Gpu::take_diagnostics`]) instead of
+    /// failing silently.
     pub fn run_kernels<'k>(
         &mut self,
         kernels: impl IntoIterator<Item = &'k dyn Kernel>,
@@ -358,7 +354,7 @@ impl Gpu {
             .map(|(i, k)| {
                 let stats = self.run_kernel(k);
                 if !stats.termination.is_clean() {
-                    self.emit_diag(&format!(
+                    self.diagnostics.push(format!(
                         "latte-gpusim: kernel {i} ({}) stopped early: {} after {} cycles",
                         k.name(),
                         stats.termination,

@@ -46,7 +46,6 @@ mod shadow;
 mod sm;
 mod stats;
 pub mod testing;
-mod trace;
 mod warp;
 
 pub use config::{GpuConfig, SchedulerKind};
@@ -64,5 +63,4 @@ pub use shadow::{
     ShadowViolationKind,
 };
 pub use stats::{AlgoCounts, EpTraceEntry, KernelStats, TerminationReason};
-pub use trace::TraceSink;
 pub use warp::{Warp, WarpState};

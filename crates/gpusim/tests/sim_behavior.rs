@@ -325,3 +325,71 @@ fn barriers_synchronise_blocks() {
     // the post-barrier miss round trip.
     assert!(stats.cycles > 500);
 }
+
+#[test]
+fn early_stops_are_returned_as_diagnostics() {
+    use latte_gpusim::{FaultConfig, Op, OpStream, VecStream};
+
+    // Two warps in one block: warp 0 waits at a barrier while warp 1
+    // loads. With every refill wakeup dropped the load never returns, so
+    // the barrier can never release and the watchdog reports a deadlock.
+    // `loads: false` is the same block with warp 1 computing instead.
+    struct BarrierKernel {
+        name: &'static str,
+        loads: bool,
+    }
+    impl Kernel for BarrierKernel {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn warps_on_sm(&self, sm: usize) -> usize {
+            if sm == 0 {
+                2
+            } else {
+                0
+            }
+        }
+        fn warp_program(&self, _sm: usize, warp: usize) -> Box<dyn OpStream> {
+            let ops = match (warp, self.loads) {
+                (0, _) => vec![Op::Barrier, Op::Exit],
+                (_, true) => vec![Op::Load { addr: 0 }, Op::Barrier, Op::Exit],
+                (_, false) => vec![Op::Compute { cycles: 50 }, Op::Barrier, Op::Exit],
+            };
+            Box::new(VecStream::new(ops))
+        }
+        fn line_data(&self, _addr: latte_cache::LineAddr) -> latte_compress::CacheLine {
+            latte_compress::CacheLine::zeroed()
+        }
+    }
+
+    let config = GpuConfig {
+        warps_per_block: 2,
+        faults: Some(FaultConfig::wakeup_drops(5, 1.0)),
+        ..base_config()
+    };
+    let mut gpu = Gpu::new(&config, |_| Box::new(UncompressedPolicy));
+    let stuck = BarrierKernel {
+        name: "stuck-barrier",
+        loads: true,
+    };
+    let stats = gpu.run_kernels([&stuck as &dyn Kernel]);
+    assert!(stats[0].timed_out, "the barrier must never release");
+    let lines = gpu.take_diagnostics();
+    let [line] = lines.as_slice() else {
+        panic!("expected one diagnostic line, got {lines:?}");
+    };
+    let cycles = line
+        .strip_prefix("latte-gpusim: kernel 0 (stuck-barrier) stopped early: deadlock after ")
+        .and_then(|rest| rest.strip_suffix(" cycles"))
+        .unwrap_or_else(|| panic!("unexpected diagnostic: {line}"));
+    assert_eq!(cycles, stats[0].cycles.to_string());
+    assert!(gpu.take_diagnostics().is_empty(), "draining empties the buffer");
+
+    let clean = BarrierKernel {
+        name: "clean-barrier",
+        loads: false,
+    };
+    let stats = gpu.run_kernels([&clean as &dyn Kernel]);
+    assert!(stats[0].termination.is_clean());
+    assert!(gpu.take_diagnostics().is_empty(), "a clean kernel adds no line");
+}

@@ -4,7 +4,7 @@
 //! threads; that is only sound if everything transitively owned by `Sm`
 //! is `Send` and free of shared mutability, and if every edge from
 //! per-SM state into shared `Gpu`-level state (the L2, the DRAM event
-//! queue, the `TraceSink`, the stats) is explicit. This module walks the
+//! queue, the stats) is explicit. This module walks the
 //! type-field graph from the partition roots and classifies every
 //! reachable field:
 //!

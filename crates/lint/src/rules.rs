@@ -107,11 +107,11 @@ pub const RULES: &[RuleInfo] = &[
         title: "no direct stdout/stderr printing in simulation library code",
         rationale: "println!/eprintln! from inside a simulation interleaves across the parallel \
                     driver's worker threads; output must flow through the bench capture macros \
-                    or a caller-supplied TraceSink",
+                    or be returned to the caller as text",
         explain: "Lexer tier. Flags `println!`, `print!`, `eprintln!`, `eprint!` and `dbg!` in \
-                  non-test library code of simulation crates. Route diagnostics through a \
-                  caller-supplied `TraceSink` and driver output through the bench capture \
-                  macros, which serialize per worker.",
+                  non-test library code of simulation crates. Return diagnostics to the \
+                  caller as text (as `Gpu::take_diagnostics` does) and route driver output \
+                  through the bench capture macros, which serialize per worker.",
         severity: Severity::Error,
     },
     RuleInfo {
@@ -147,7 +147,7 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "--sim-threads steps shards of Sms on separate threads between epoch \
                     barriers; that is only sound if everything Sm transitively owns is Send \
                     and free of shared mutability, and every edge into shared Gpu-level \
-                    state (L2, DRAM queue, TraceSink, stats) is explicit and auditable",
+                    state (L2, DRAM queue, stats) is explicit and auditable",
         explain: "Graph tier. Walks the type-field graph from the partition roots (Sm, \
                   MemCtx, Gpu) and classifies every reachable field as per_sm, shared or \
                   violating; the result is exported as results/lint_partition.json. \
@@ -439,7 +439,7 @@ pub fn check_raw(path: &str, src: &str, lexed: &LexOutput, ctx: &FileContext) ->
                 if sim_lib && !in_test && next_punct('!') && D4_MACROS.contains(&name.as_str()) {
                     report(
                         "D4",
-                        format!("`{name}!` in simulation library code; use the bench capture macros or a TraceSink"),
+                        format!("`{name}!` in simulation library code; use the bench capture macros or return the text to the caller"),
                     );
                 }
 

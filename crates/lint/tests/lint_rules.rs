@@ -400,7 +400,7 @@ fn workspace_partition_is_clean_and_sm_is_per_sm() {
         bad
     });
     assert!(per_sm > 100, "closure unexpectedly small: {per_sm} per-SM fields");
-    assert!(shared >= 9, "expected the MemCtx/TraceSink/stats boundaries: {shared}");
+    assert!(shared >= 9, "expected the MemCtx/L2/stats boundaries: {shared}");
     // The tentpole claim: everything Sm itself owns is per-SM movable.
     assert!(
         p.fields
