@@ -1,8 +1,10 @@
-//! Serial vs `sim_threads > 1` byte-identity: the epoch-barrier parallel
-//! loop must reproduce the serial loop's results *exactly* — every
-//! counter, cycle count, trace entry, fault tally, termination reason and
-//! shadow-hook call — across kernels, policies, fault families and
-//! termination paths. These tests are the core guarantee that lets
+//! Thread-count byte-identity against pinned digests: every scenario
+//! runs at `sim_threads` 1 through 4 and each run must reproduce the
+//! same digest of every counter, cycle count, trace entry, fault tally,
+//! termination reason and shadow-hook call, across kernels, policies,
+//! fault families and termination paths. The digests were recorded from
+//! the original single-threaded cycle loop, so its outputs stay the
+//! reference as data. These tests are the core guarantee that lets
 //! `sim_threads` stay outside the config fingerprint.
 
 use std::sync::{Arc, Mutex};
@@ -10,8 +12,8 @@ use std::sync::{Arc, Mutex};
 use latte_compress::{Compression, CompressionAlgo};
 use latte_gpusim::testing::{HotsetKernel, StridedKernel};
 use latte_gpusim::{
-    FaultConfig, Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, Op, OpStream,
-    ShadowCheck, ShadowCheckpoint, ShadowConfig, TerminationReason, UncompressedPolicy,
+    FaultConfig, Fingerprinter, Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, Op,
+    OpStream, ShadowCheck, ShadowCheckpoint, ShadowConfig, TerminationReason, UncompressedPolicy,
     VecStream,
 };
 
@@ -274,6 +276,16 @@ impl OpStream for PanickingStream {
     }
 }
 
+/// Every thread count the suite checks: one shard, then 3+2, 2+2+1 and
+/// 2+1+1+1 splits of the five SMs.
+const THREADS: std::ops::RangeInclusive<usize> = 1..=4;
+
+fn digest(text: &str) -> u128 {
+    let mut fp = Fingerprinter::new();
+    fp.write_str(text);
+    fp.finish()
+}
+
 fn run_with_threads(
     config: &GpuConfig,
     threads: usize,
@@ -293,7 +305,7 @@ fn run_with_threads(
     });
     let stats = gpu.run_kernels(kernels.iter().copied());
     let capacity = gpu.l1_effective_capacity_ratio();
-    if threads > 1 {
+    if threads > 1 && config.l2_latency.min(config.dram_latency) > 0 {
         let epochs = gpu.take_epoch_stats();
         assert!(epochs.epochs > 0, "parallel run must record epochs");
         assert!(epochs.advanced_cycles > 0);
@@ -301,52 +313,120 @@ fn run_with_threads(
     (stats, capacity)
 }
 
-fn assert_identical(config: &GpuConfig, fixed_policy: bool, kernels: &[&dyn Kernel]) {
-    let (serial, serial_cap) = run_with_threads(config, 1, fixed_policy, kernels);
-    for threads in [2, 4] {
-        let (parallel, parallel_cap) = run_with_threads(config, threads, fixed_policy, kernels);
+/// The digest of one run's output: every kernel's statistics and the
+/// final effective L1 capacity.
+fn run_digest(
+    config: &GpuConfig,
+    threads: usize,
+    fixed_policy: bool,
+    kernels: &[&dyn Kernel],
+) -> (u128, Vec<KernelStats>) {
+    let (stats, capacity) = run_with_threads(config, threads, fixed_policy, kernels);
+    (digest(&format!("{stats:?}\n{capacity:?}")), stats)
+}
+
+/// Runs the scenario at every thread count in [`THREADS`] and checks
+/// each run's [`run_digest`] against `pinned`, which was recorded from
+/// the original single-threaded cycle loop. Returns the one-thread
+/// run's statistics for the scenario's own sanity checks.
+fn assert_pinned(
+    label: &str,
+    config: &GpuConfig,
+    fixed_policy: bool,
+    kernels: &[&dyn Kernel],
+    pinned: u128,
+) -> Vec<KernelStats> {
+    let mut first = None;
+    for threads in THREADS {
+        let (actual, stats) = run_digest(config, threads, fixed_policy, kernels);
         assert_eq!(
-            serial, parallel,
-            "sim_threads={threads} must be byte-identical to serial"
+            actual, pinned,
+            "{label} at sim_threads={threads}: digest {actual:#034x} is not the pinned one"
         );
-        assert!(
-            (serial_cap - parallel_cap).abs() < f64::EPSILON,
-            "effective capacity must match at sim_threads={threads}"
-        );
+        first.get_or_insert(stats);
     }
+    first.expect("THREADS is not empty")
 }
 
 #[test]
 fn strided_kernel_is_identical_across_thread_counts() {
     let strided = StridedKernel::new(12, 300, 512);
-    assert_identical(&config(), false, &[&strided]);
-    assert_identical(&config(), true, &[&strided]);
+    assert_pinned(
+        "strided/uncompressed",
+        &config(),
+        false,
+        &[&strided],
+        0x2f1719d55a0fe20f6efec64183485dcf,
+    );
+    assert_pinned(
+        "strided/fixed",
+        &config(),
+        true,
+        &[&strided],
+        0xe27b58fa52ba63df7394e00c8d9ca0ca,
+    );
 }
 
 #[test]
 fn hotset_kernel_is_identical_across_thread_counts() {
     let hotset = HotsetKernel::new(16, 200, 4);
-    assert_identical(&config(), false, &[&hotset]);
-    assert_identical(&config(), true, &[&hotset]);
+    assert_pinned(
+        "hotset/uncompressed",
+        &config(),
+        false,
+        &[&hotset],
+        0x2a1e1753a9519d298904c10d4c5f2892,
+    );
+    assert_pinned(
+        "hotset/fixed",
+        &config(),
+        true,
+        &[&hotset],
+        0x1e58ed7d6311fa4179999521055a4780,
+    );
 }
 
 #[test]
 fn store_and_barrier_traffic_is_identical() {
-    assert_identical(&config(), false, &[&MixedKernel]);
-    assert_identical(&config(), true, &[&MixedKernel]);
+    assert_pinned(
+        "mixed/uncompressed",
+        &config(),
+        false,
+        &[&MixedKernel],
+        0xfaf5f2781bccb8c05c7deba1c7bddd09,
+    );
+    assert_pinned(
+        "mixed/fixed",
+        &config(),
+        true,
+        &[&MixedKernel],
+        0x98db95f32afa05b45aa366e445e6e902,
+    );
     // Write-allocate adds background fetch events on store misses.
     let wa = GpuConfig {
         write_allocate: true,
         ..config()
     };
-    assert_identical(&wa, false, &[&MixedKernel]);
+    assert_pinned(
+        "mixed/write-allocate",
+        &wa,
+        false,
+        &[&MixedKernel],
+        0x3ca8644130d753ea863910b657a7eac5,
+    );
 }
 
 #[test]
 fn multi_kernel_runs_preserve_policy_state_identically() {
     let strided = StridedKernel::new(8, 200, 256);
     let hotset = HotsetKernel::new(8, 150, 8);
-    assert_identical(&config(), true, &[&strided, &hotset, &MixedKernel]);
+    assert_pinned(
+        "multi-kernel",
+        &config(),
+        true,
+        &[&strided, &hotset, &MixedKernel],
+        0x7b0b6298fdbae0bbd549f18f365daf46,
+    );
 }
 
 #[test]
@@ -354,83 +434,109 @@ fn fault_injection_families_are_identical() {
     let strided = StridedKernel::new(10, 250, 384);
     let kernels: [&dyn Kernel; 2] = [&strided, &MixedKernel];
     let families = [
-        FaultConfig::bitflips(7, 2e-3),
-        FaultConfig::fill_bitflips(11, 2e-3),
-        FaultConfig {
-            latency_spike_rate: 5e-3,
-            latency_spike_cycles: 64,
-            ..FaultConfig::bitflips(13, 0.0)
-        },
-        FaultConfig {
-            mshr_exhaust_rate: 5e-3,
-            tag_corruption_rate: 2e-3,
-            ..FaultConfig::bitflips(17, 1e-3)
-        },
-        FaultConfig {
-            disable_recovery: true,
-            ..FaultConfig::bitflips(19, 2e-3)
-        },
+        (
+            "bitflips",
+            FaultConfig::bitflips(7, 2e-3),
+            0xca67142fbe7437cfbabd17459de8d2d4,
+        ),
+        (
+            "fill-bitflips",
+            FaultConfig::fill_bitflips(11, 2e-3),
+            0x4aedde2a45cd3dd16f9740d59bec93c6,
+        ),
+        (
+            "latency-spikes",
+            FaultConfig {
+                latency_spike_rate: 5e-3,
+                latency_spike_cycles: 64,
+                ..FaultConfig::bitflips(13, 0.0)
+            },
+            0xf6d15a0e1d4cb6c5ff4187c22f9a24ba,
+        ),
+        (
+            "mshr-exhaust+tag-corruption",
+            FaultConfig {
+                mshr_exhaust_rate: 5e-3,
+                tag_corruption_rate: 2e-3,
+                ..FaultConfig::bitflips(17, 1e-3)
+            },
+            0x4c9cba587fac0f8e3222601b108f8c53,
+        ),
+        (
+            "no-recovery",
+            FaultConfig {
+                disable_recovery: true,
+                ..FaultConfig::bitflips(19, 2e-3)
+            },
+            0xdd8737526e499dd995d93ff409481bed,
+        ),
     ];
-    for faults in families {
+    for (label, faults, pinned) in families {
         let cfg = GpuConfig {
             faults: Some(faults),
             ..config()
         };
-        assert_identical(&cfg, true, &kernels);
+        assert_pinned(label, &cfg, true, &kernels, pinned);
     }
 }
 
 #[test]
 fn cycle_limit_termination_is_identical() {
-    // A limit mid-run: the parallel endgame must stop at the exact cycle
-    // the serial loop would, with the same timed_out/termination fields.
+    // A limit mid-run: every thread count must stop at the exact cycle
+    // the pinned run did, with the same timed_out/termination fields.
     let strided = StridedKernel::new(12, 300, 512);
     let cfg = GpuConfig {
         max_cycles_per_kernel: 700,
         ..config()
     };
-    let (serial, _) = run_with_threads(&cfg, 1, false, &[&strided]);
-    assert!(serial[0].timed_out, "limit must actually bite");
-    assert_eq!(serial[0].termination, TerminationReason::CycleLimit);
-    assert_identical(&cfg, false, &[&strided]);
+    let stats = assert_pinned(
+        "cycle-limit",
+        &cfg,
+        false,
+        &[&strided],
+        0x0b52bfa20dbc840d5af877473f8ed97c,
+    );
+    assert!(stats[0].timed_out, "limit must actually bite");
+    assert_eq!(stats[0].termination, TerminationReason::CycleLimit);
 }
 
 #[test]
 fn deadlock_termination_is_identical() {
     // Wakeup drops at rate 1.0 strand every missing warp: a guaranteed
-    // workload deadlock, detected at the same cycle in both loops.
+    // workload deadlock, detected at the same cycle at every thread count.
     let strided = StridedKernel::new(6, 50, 256);
     let cfg = GpuConfig {
         faults: Some(FaultConfig::wakeup_drops(23, 1.0)),
         ..config()
     };
-    let (serial, _) = run_with_threads(&cfg, 1, false, &[&strided]);
-    assert!(serial[0].timed_out, "deadlock must actually happen");
-    assert_eq!(serial[0].termination, TerminationReason::Deadlock);
-    assert_identical(&cfg, false, &[&strided]);
+    let stats = assert_pinned(
+        "deadlock",
+        &cfg,
+        false,
+        &[&strided],
+        0x4c514e487633c7769e85d3db4a4bb866,
+    );
+    assert!(stats[0].timed_out, "deadlock must actually happen");
+    assert_eq!(stats[0].termination, TerminationReason::Deadlock);
 }
 
 #[test]
 fn uneven_load_with_an_idle_sm_is_identical_at_every_thread_count() {
-    let (serial, _) = run_with_threads(&config(), 1, true, &[&UnevenKernel]);
-    assert!(serial[0].instructions > 0);
-    for threads in [2, 3, 4] {
-        let (parallel, _) = run_with_threads(&config(), threads, true, &[&UnevenKernel]);
-        assert_eq!(
-            serial, parallel,
-            "uneven load at sim_threads={threads} must be byte-identical to serial"
-        );
-    }
-    let (serial_log, serial_stats) = shadow_transcript_of(1, None, false, &[&UnevenKernel]);
-    assert!(!serial_log.is_empty(), "shadow hook must actually fire");
-    for threads in [2, 3, 4] {
-        let (par_log, par_stats) = shadow_transcript_of(threads, None, false, &[&UnevenKernel]);
-        assert_eq!(serial_stats, par_stats);
-        assert_eq!(
-            serial_log, par_log,
-            "uneven-load shadow replay at sim_threads={threads} must keep the serial order"
-        );
-    }
+    let stats = assert_pinned(
+        "uneven",
+        &config(),
+        true,
+        &[&UnevenKernel],
+        0x14c708a553d4441a4f7198aa147aca68,
+    );
+    assert!(stats[0].instructions > 0);
+    let log = assert_transcript_pinned(
+        "uneven/shadow",
+        &config(),
+        &[&UnevenKernel],
+        0x00dea26b837041c7f30f1944bdf237d3,
+    );
+    assert!(!log.is_empty(), "shadow hook must actually fire");
 }
 
 #[test]
@@ -448,19 +554,25 @@ fn a_panic_on_any_thread_reaches_the_caller() {
             Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>
         });
         let kernel = PanickingKernel { sm };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gpu.run_kernel(&kernel)
-        }));
-        assert!(outcome.is_err(), "a panic simulating SM {sm} must propagate");
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gpu.run_kernel(&kernel)));
+        assert!(
+            outcome.is_err(),
+            "a panic simulating SM {sm} must propagate"
+        );
     }
 }
 
 #[test]
 fn oversized_thread_count_clamps_and_stays_identical() {
     let strided = StridedKernel::new(8, 150, 256);
-    let (serial, _) = run_with_threads(&config(), 1, false, &[&strided]);
-    let (wide, _) = run_with_threads(&config(), 64, false, &[&strided]);
-    assert_eq!(serial, wide, "sim_threads > num_sms must clamp, not diverge");
+    let pinned = 0x9fd99a5e6e5c494d4d4b487c804ddb73;
+    assert_pinned("oversized", &config(), false, &[&strided], pinned);
+    let (wide, _) = run_digest(&config(), 64, false, &[&strided]);
+    assert_eq!(
+        wide, pinned,
+        "sim_threads > num_sms must clamp, not diverge"
+    );
 }
 
 /// Records every shadow call as a rendered line, through a shared handle
@@ -523,29 +635,21 @@ impl ShadowCheck for TranscriptShadow {
     }
 }
 
+/// Runs `kernels` with [`FixedPolicy`] and a [`TranscriptShadow`]
+/// installed; returns the transcript and the summed statistics.
 fn shadow_transcript(
+    config: &GpuConfig,
     threads: usize,
-    faults: Option<FaultConfig>,
-    write_back: bool,
-) -> (Vec<String>, KernelStats) {
-    let strided = StridedKernel::new(10, 260, 320);
-    shadow_transcript_of(threads, faults, write_back, &[&strided, &MixedKernel])
-}
-
-fn shadow_transcript_of(
-    threads: usize,
-    faults: Option<FaultConfig>,
-    write_back: bool,
     kernels: &[&dyn Kernel],
 ) -> (Vec<String>, KernelStats) {
     let cfg = GpuConfig {
         sim_threads: threads,
-        faults,
-        write_back,
-        ..config()
+        ..config.clone()
     };
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut gpu = Gpu::new(&cfg, |_| Box::new(FixedPolicy) as Box<dyn L1CompressionPolicy>);
+    let mut gpu = Gpu::new(&cfg, |_| {
+        Box::new(FixedPolicy) as Box<dyn L1CompressionPolicy>
+    });
     gpu.set_shadow_check(
         Box::new(TranscriptShadow(Arc::clone(&log))),
         ShadowConfig::default(),
@@ -558,47 +662,75 @@ fn shadow_transcript_of(
     (transcript, total)
 }
 
+/// [`assert_pinned`] for a shadow-checked run: the digest covers the
+/// whole shadow call transcript, in call order, plus the summed
+/// statistics. Returns the one-thread transcript.
+fn assert_transcript_pinned(
+    label: &str,
+    config: &GpuConfig,
+    kernels: &[&dyn Kernel],
+    pinned: u128,
+) -> Vec<String> {
+    let mut first = None;
+    for threads in THREADS {
+        let (log, stats) = shadow_transcript(config, threads, kernels);
+        let actual = digest(&format!("{}\n{stats:?}", log.join("\n")));
+        assert_eq!(
+            actual, pinned,
+            "{label} at sim_threads={threads}: transcript digest {actual:#034x} is not the pinned one"
+        );
+        first.get_or_insert(log);
+    }
+    first.expect("THREADS is not empty")
+}
+
 #[test]
 fn shadow_call_stream_is_identical_across_thread_counts() {
-    let (serial_log, serial_stats) = shadow_transcript(1, None, false);
-    assert!(!serial_log.is_empty(), "shadow hook must actually fire");
-    for threads in [2, 4] {
-        let (par_log, par_stats) = shadow_transcript(threads, None, false);
-        assert_eq!(serial_stats, par_stats);
-        assert_eq!(
-            serial_log, par_log,
-            "shadow replay at sim_threads={threads} must reproduce the serial call order"
-        );
-    }
+    let strided = StridedKernel::new(10, 260, 320);
+    let log = assert_transcript_pinned(
+        "shadow",
+        &config(),
+        &[&strided, &MixedKernel],
+        0x2b61bb6014672eec599aff29e1e734f6,
+    );
+    assert!(!log.is_empty(), "shadow hook must actually fire");
 }
 
 #[test]
 fn shadow_call_stream_is_identical_under_fault_injection() {
-    let faults = Some(FaultConfig {
-        fill_bitflip_rate: 2e-3,
-        ..FaultConfig::bitflips(29, 2e-3)
-    });
-    let (serial_log, serial_stats) = shadow_transcript(1, faults, false);
-    let (par_log, par_stats) = shadow_transcript(4, faults, false);
-    assert_eq!(serial_stats, par_stats);
-    assert_eq!(serial_log, par_log);
+    let strided = StridedKernel::new(10, 260, 320);
+    let cfg = GpuConfig {
+        faults: Some(FaultConfig {
+            fill_bitflip_rate: 2e-3,
+            ..FaultConfig::bitflips(29, 2e-3)
+        }),
+        ..config()
+    };
+    assert_transcript_pinned(
+        "shadow/faults",
+        &cfg,
+        &[&strided, &MixedKernel],
+        0x6c4bd7216eec46590482ac93abc42720,
+    );
 }
 
 #[test]
 fn shadow_call_stream_is_identical_with_write_back() {
-    let (serial_log, serial_stats) = shadow_transcript(1, None, true);
+    let strided = StridedKernel::new(10, 260, 320);
+    let cfg = GpuConfig {
+        write_back: true,
+        ..config()
+    };
+    let log = assert_transcript_pinned(
+        "shadow/write-back",
+        &cfg,
+        &[&strided, &MixedKernel],
+        0xc68b7739b2079066d84cb4e252ec5876,
+    );
     assert!(
-        serial_log.iter().any(|l| l.starts_with("store ")),
+        log.iter().any(|l| l.starts_with("store ")),
         "write-back runs must emit store shadow calls"
     );
-    for threads in [2, 4] {
-        let (par_log, par_stats) = shadow_transcript(threads, None, true);
-        assert_eq!(serial_stats, par_stats);
-        assert_eq!(
-            serial_log, par_log,
-            "store shadow replay at sim_threads={threads} must reproduce the serial order"
-        );
-    }
 }
 
 #[test]
@@ -609,10 +741,24 @@ fn write_back_traffic_is_identical() {
         write_back: true,
         ..config()
     };
-    assert_identical(&wb, false, &[&MixedKernel]);
-    assert_identical(&wb, true, &[&MixedKernel]);
-    let (serial, _) = run_with_threads(&wb, 1, true, &[&MixedKernel]);
-    assert!(serial[0].writebacks > 0, "dirty lines must actually write back");
+    assert_pinned(
+        "write-back/uncompressed",
+        &wb,
+        false,
+        &[&MixedKernel],
+        0xa7b80ea5b8a02c26ddc29789193cc7ba,
+    );
+    let stats = assert_pinned(
+        "write-back/fixed",
+        &wb,
+        true,
+        &[&MixedKernel],
+        0xda7c21927cc3bc9635b81de544c97923,
+    );
+    assert!(
+        stats[0].writebacks > 0,
+        "dirty lines must actually write back"
+    );
 }
 
 #[test]
@@ -625,11 +771,22 @@ fn tail_store_write_allocate_fills_outlive_all_warps() {
         write_back: true,
         ..config()
     };
-    assert_identical(&wb, false, &[&TailStoreKernel]);
-    assert_identical(&wb, true, &[&TailStoreKernel]);
-    let (serial, _) = run_with_threads(&wb, 1, true, &[&TailStoreKernel]);
+    assert_pinned(
+        "tail-store/uncompressed",
+        &wb,
+        false,
+        &[&TailStoreKernel],
+        0x06c4359a20fea1f74bf9a99052cae309,
+    );
+    let stats = assert_pinned(
+        "tail-store/fixed",
+        &wb,
+        true,
+        &[&TailStoreKernel],
+        0x58f99e04939968240a49b570dd5b412c,
+    );
     assert!(
-        serial[0].writebacks > 0,
+        stats[0].writebacks > 0,
         "the tail stores' dirty lines must flush at kernel end"
     );
 }
@@ -646,15 +803,20 @@ fn write_back_fault_injection_is_identical() {
         }),
         ..config()
     };
-    assert_identical(&inj, true, &[&WritePressureKernel]);
-    let (serial, _) = run_with_threads(&inj, 1, true, &[&WritePressureKernel]);
+    let stats = assert_pinned(
+        "write-back-faults",
+        &inj,
+        true,
+        &[&WritePressureKernel],
+        0xaaebd65712c4dc44d72e430e02fe97e9,
+    );
     assert!(
-        serial[0].faults.writeback_faults > 0,
+        stats[0].faults.writeback_faults > 0,
         "write-back faults must actually fire at this rate"
     );
     assert_eq!(
-        serial[0].faults.writeback_retry_cycles,
-        serial[0].faults.writeback_faults * inj.l2_latency,
+        stats[0].faults.writeback_retry_cycles,
+        stats[0].faults.writeback_faults * inj.l2_latency,
         "each write-back fault costs exactly one retry round trip"
     );
     // The planted drop-dirty-write-backs mutation must also be
@@ -667,10 +829,18 @@ fn write_back_fault_injection_is_identical() {
         }),
         ..config()
     };
-    assert_identical(&dropped, true, &[&MixedKernel]);
-    let (serial, _) = run_with_threads(&dropped, 1, true, &[&MixedKernel]);
-    assert!(serial[0].faults.writebacks_dropped > 0);
-    assert_eq!(serial[0].writebacks, 0, "dropped write-backs never count as sent");
+    let stats = assert_pinned(
+        "dropped-write-backs",
+        &dropped,
+        true,
+        &[&MixedKernel],
+        0x83e08ac43f70373355c9a0e147de6999,
+    );
+    assert!(stats[0].faults.writebacks_dropped > 0);
+    assert_eq!(
+        stats[0].writebacks, 0,
+        "dropped write-backs never count as sent"
+    );
 }
 
 #[test]
@@ -684,9 +854,69 @@ fn write_back_deadlock_termination_is_identical() {
         }),
         ..config()
     };
-    let (serial, _) = run_with_threads(&cfg, 1, false, &[&strided, &MixedKernel]);
-    assert!(serial.iter().any(|s| s.timed_out), "deadlock must actually happen");
-    assert_identical(&cfg, false, &[&strided, &MixedKernel]);
+    let stats = assert_pinned(
+        "write-back-deadlock",
+        &cfg,
+        false,
+        &[&strided, &MixedKernel],
+        0x172483ca41f36f6c93db2c5796a62939,
+    );
+    assert!(
+        stats.iter().any(|s| s.timed_out),
+        "deadlock must actually happen"
+    );
+}
+
+/// Δ = min(L2, DRAM latency) = 0: a completion is due the cycle its
+/// request issues and is delivered the cycle after, so no two cycles
+/// are independent and every epoch is one cycle long.
+fn zero_latency() -> GpuConfig {
+    GpuConfig {
+        l2_latency: 0,
+        dram_latency: 0,
+        ..config()
+    }
+}
+
+#[test]
+fn zero_latency_memory_is_identical_at_every_thread_count() {
+    let strided = StridedKernel::new(10, 250, 384);
+    let kernels: [&dyn Kernel; 2] = [&strided, &MixedKernel];
+    assert_pinned(
+        "zero-latency",
+        &zero_latency(),
+        true,
+        &kernels,
+        0xa594acdd7bcdc9ec346714c19cf4d8bc,
+    );
+    // Latency spikes make completions due at different cycles arrive
+    // together, and write-back sends dirty victims to the L2 while they
+    // are delivered: the delivery order must still be the pinned one.
+    let wb = GpuConfig {
+        write_back: true,
+        faults: Some(FaultConfig {
+            latency_spike_rate: 2e-2,
+            latency_spike_cycles: 3,
+            fill_bitflip_rate: 2e-3,
+            ..FaultConfig::bitflips(37, 1e-3)
+        }),
+        ..zero_latency()
+    };
+    let kernels: [&dyn Kernel; 2] = [&WritePressureKernel, &MixedKernel];
+    let stats = assert_pinned(
+        "zero-latency/write-back",
+        &wb,
+        true,
+        &kernels,
+        0xbad0d2b6303dfb840f6426f8cb004e6b,
+    );
+    assert!(stats[0].faults.latency_spikes > 0 && stats[0].writebacks > 0);
+    assert_transcript_pinned(
+        "zero-latency/shadow",
+        &wb,
+        &kernels,
+        0x8c1c5996e987249b4de4cc08673e9b77,
+    );
 }
 
 #[test]
