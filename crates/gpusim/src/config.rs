@@ -281,37 +281,115 @@ mod tests {
         // One representative mutation per field; each must change the
         // fingerprint, and all mutants must be pairwise distinct.
         let mutants: Vec<GpuConfig> = vec![
-            GpuConfig { num_sms: 16, ..base.clone() },
-            GpuConfig { max_warps_per_sm: 47, ..base.clone() },
-            GpuConfig { warps_per_block: 5, ..base.clone() },
-            GpuConfig { schedulers_per_sm: 1, ..base.clone() },
-            GpuConfig { scheduler: SchedulerKind::Lrr, ..base.clone() },
-            base.clone().with_large_l1(),
-            GpuConfig { l2_geometry: GpuConfig::small().l2_geometry, ..base.clone() },
-            GpuConfig { l1_hit_latency: 5, ..base.clone() },
-            GpuConfig { extra_hit_latency: 3, ..base.clone() },
-            GpuConfig { l2_latency: 121, ..base.clone() },
-            GpuConfig { dram_latency: 231, ..base.clone() },
-            GpuConfig { mshr_entries: 63, ..base.clone() },
-            GpuConfig { mshr_merges: 15, ..base.clone() },
-            GpuConfig { ep_accesses: 255, ..base.clone() },
-            GpuConfig { max_cycles_per_kernel: 1, ..base.clone() },
-            GpuConfig { zero_decompression_latency: true, ..base.clone() },
-            GpuConfig { ignore_capacity_benefit: true, ..base.clone() },
-            GpuConfig { record_traces: true, ..base.clone() },
-            GpuConfig { flush_at_kernel_boundary: false, ..base.clone() },
-            GpuConfig { write_allocate: true, ..base.clone() },
-            GpuConfig { write_back: true, ..base.clone() },
-            GpuConfig { faults: Some(FaultConfig::default()), ..base.clone() },
-            GpuConfig { faults: Some(FaultConfig::bitflips(42, 1e-4)), ..base.clone() },
-            GpuConfig { faults: Some(FaultConfig::bitflips(43, 1e-4)), ..base.clone() },
             GpuConfig {
-                faults: Some(FaultConfig { disable_recovery: true, ..FaultConfig::default() }),
+                num_sms: 16,
                 ..base.clone()
             },
-            GpuConfig { faults: Some(FaultConfig::writeback_faults(42, 1e-4)), ..base.clone() },
             GpuConfig {
-                faults: Some(FaultConfig { drop_writebacks: true, ..FaultConfig::default() }),
+                max_warps_per_sm: 47,
+                ..base.clone()
+            },
+            GpuConfig {
+                warps_per_block: 5,
+                ..base.clone()
+            },
+            GpuConfig {
+                schedulers_per_sm: 1,
+                ..base.clone()
+            },
+            GpuConfig {
+                scheduler: SchedulerKind::Lrr,
+                ..base.clone()
+            },
+            base.clone().with_large_l1(),
+            GpuConfig {
+                l2_geometry: GpuConfig::small().l2_geometry,
+                ..base.clone()
+            },
+            GpuConfig {
+                l1_hit_latency: 5,
+                ..base.clone()
+            },
+            GpuConfig {
+                extra_hit_latency: 3,
+                ..base.clone()
+            },
+            GpuConfig {
+                l2_latency: 121,
+                ..base.clone()
+            },
+            GpuConfig {
+                dram_latency: 231,
+                ..base.clone()
+            },
+            GpuConfig {
+                mshr_entries: 63,
+                ..base.clone()
+            },
+            GpuConfig {
+                mshr_merges: 15,
+                ..base.clone()
+            },
+            GpuConfig {
+                ep_accesses: 255,
+                ..base.clone()
+            },
+            GpuConfig {
+                max_cycles_per_kernel: 1,
+                ..base.clone()
+            },
+            GpuConfig {
+                zero_decompression_latency: true,
+                ..base.clone()
+            },
+            GpuConfig {
+                ignore_capacity_benefit: true,
+                ..base.clone()
+            },
+            GpuConfig {
+                record_traces: true,
+                ..base.clone()
+            },
+            GpuConfig {
+                flush_at_kernel_boundary: false,
+                ..base.clone()
+            },
+            GpuConfig {
+                write_allocate: true,
+                ..base.clone()
+            },
+            GpuConfig {
+                write_back: true,
+                ..base.clone()
+            },
+            GpuConfig {
+                faults: Some(FaultConfig::default()),
+                ..base.clone()
+            },
+            GpuConfig {
+                faults: Some(FaultConfig::bitflips(42, 1e-4)),
+                ..base.clone()
+            },
+            GpuConfig {
+                faults: Some(FaultConfig::bitflips(43, 1e-4)),
+                ..base.clone()
+            },
+            GpuConfig {
+                faults: Some(FaultConfig {
+                    disable_recovery: true,
+                    ..FaultConfig::default()
+                }),
+                ..base.clone()
+            },
+            GpuConfig {
+                faults: Some(FaultConfig::writeback_faults(42, 1e-4)),
+                ..base.clone()
+            },
+            GpuConfig {
+                faults: Some(FaultConfig {
+                    drop_writebacks: true,
+                    ..FaultConfig::default()
+                }),
                 ..base.clone()
             },
         ];
@@ -320,7 +398,11 @@ mod tests {
         let n = fps.len();
         fps.sort_unstable();
         fps.dedup();
-        assert_eq!(fps.len(), n, "a field mutation failed to change the fingerprint");
+        assert_eq!(
+            fps.len(),
+            n,
+            "a field mutation failed to change the fingerprint"
+        );
     }
 
     #[test]
@@ -332,7 +414,10 @@ mod tests {
         // `fingerprint()` would silently invalidate every stored result.
         let base = GpuConfig::paper();
         for n in [0, 2, 4, 64] {
-            let parallel = GpuConfig { sim_threads: n, ..base.clone() };
+            let parallel = GpuConfig {
+                sim_threads: n,
+                ..base.clone()
+            };
             assert_eq!(
                 parallel.fingerprint(),
                 base.fingerprint(),

@@ -377,7 +377,11 @@ impl Gpu {
     /// baseline total (instrumentation for Fig 16).
     #[must_use]
     pub fn l1_effective_capacity_ratio(&self) -> f64 {
-        let total: usize = self.sms.iter().map(|s| s.l1.effective_capacity_bytes()).sum();
+        let total: usize = self
+            .sms
+            .iter()
+            .map(|s| s.l1.effective_capacity_bytes())
+            .sum();
         let baseline: usize = self.sms.iter().map(|s| s.l1.geometry().size_bytes).sum();
         if baseline == 0 {
             0.0

@@ -174,10 +174,22 @@ pub(crate) struct Outcome {
 
 /// One recorded oracle call, tagged with its deterministic replay key.
 enum ShadowCall {
-    Fill { addr: LineAddr, data: CacheLine },
-    Load { addr: LineAddr, observed: Option<CacheLine> },
-    Store { addr: LineAddr, data: CacheLine },
-    Checkpoint { kind: ShadowCheckpoint, errors: Vec<String> },
+    Fill {
+        addr: LineAddr,
+        data: CacheLine,
+    },
+    Load {
+        addr: LineAddr,
+        observed: Option<CacheLine>,
+    },
+    Store {
+        addr: LineAddr,
+        data: CacheLine,
+    },
+    Checkpoint {
+        kind: ShadowCheckpoint,
+        errors: Vec<String>,
+    },
 }
 
 struct ShadowRecord {
@@ -227,13 +239,7 @@ impl ShadowCheck for ShadowRecorder {
         self.record(cycle, sm, ShadowCall::Fill { addr, data: *data });
     }
 
-    fn on_load(
-        &mut self,
-        sm: usize,
-        addr: LineAddr,
-        observed: Option<&CacheLine>,
-        cycle: Cycles,
-    ) {
+    fn on_load(&mut self, sm: usize, addr: LineAddr, observed: Option<&CacheLine>, cycle: Cycles) {
         self.record(
             cycle,
             sm,

@@ -164,11 +164,13 @@ pub fn roundtrip_stored(algo: CompressionAlgo, data: &CacheLine) -> CacheLine {
         CompressionAlgo::None | CompressionAlgo::Sc => *data,
         CompressionAlgo::Bdi => {
             let bdi = Bdi::new();
-            bdi.decode(&bdi.encode(data)).unwrap_or_else(|_| garble(data))
+            bdi.decode(&bdi.encode(data))
+                .unwrap_or_else(|_| garble(data))
         }
         CompressionAlgo::Fpc => {
             let fpc = Fpc::new();
-            fpc.decode(&fpc.encode(data)).unwrap_or_else(|_| garble(data))
+            fpc.decode(&fpc.encode(data))
+                .unwrap_or_else(|_| garble(data))
         }
         CompressionAlgo::CpackZ => {
             let cp = CpackZ::new();
@@ -176,7 +178,8 @@ pub fn roundtrip_stored(algo: CompressionAlgo, data: &CacheLine) -> CacheLine {
         }
         CompressionAlgo::Bpc => {
             let bpc = Bpc::new();
-            bpc.decode(&bpc.encode(data)).unwrap_or_else(|_| garble(data))
+            bpc.decode(&bpc.encode(data))
+                .unwrap_or_else(|_| garble(data))
         }
     }
 }

@@ -220,7 +220,14 @@ impl MemCtx<'_> {
     /// loop's deliver-then-issue order within a cycle. Under the planted
     /// `drop_writebacks` mutation the write-back is silently discarded —
     /// the lost-store failure mode the shadow oracle must catch.
-    fn l2_writeback(&mut self, line: LineAddr, data: CacheLine, cycle: Cycles, sm: usize, phase: u8) {
+    fn l2_writeback(
+        &mut self,
+        line: LineAddr,
+        data: CacheLine,
+        cycle: Cycles,
+        sm: usize,
+        phase: u8,
+    ) {
         if self.config.faults.is_some_and(|f| f.drop_writebacks) {
             self.stats.faults.writebacks_dropped += 1;
             return;
@@ -316,11 +323,7 @@ impl Sm {
             .collect();
         let num_blocks = n.div_ceil(config.warps_per_block.max(1));
         self.blocks = (0..num_blocks)
-            .map(|b| {
-                (0..n)
-                    .filter(|w| w / config.warps_per_block == b)
-                    .collect()
-            })
+            .map(|b| (0..n).filter(|w| w / config.warps_per_block == b).collect())
             .collect();
         // Split warps round-robin across schedulers: warp `w` sits in
         // slot `w / k` of scheduler `w % k` (see `Sm::set_state`).
@@ -328,7 +331,9 @@ impl Sm {
             .map(|s| {
                 WarpScheduler::new(
                     config.scheduler,
-                    (0..n).filter(|w| w % config.schedulers_per_sm == s).collect(),
+                    (0..n)
+                        .filter(|w| w % config.schedulers_per_sm == s)
+                        .collect(),
                 )
             })
             .collect();
@@ -731,7 +736,8 @@ impl Sm {
                 } else {
                     latte_compress::CompressionAlgo::None
                 };
-                self.l1.record_payload(line, roundtrip_stored(stored_algo, &merged));
+                self.l1
+                    .record_payload(line, roundtrip_stored(stored_algo, &merged));
             }
             for victim in evicted {
                 self.writeback_victim(&victim, cycle, phase, ctx);
@@ -849,7 +855,8 @@ impl Sm {
                 compression = Compression::new(latte_compress::CacheLine::SIZE_BYTES - 1);
             }
             let mut victims = std::mem::take(&mut self.victims);
-            self.l1.fill_into(addr, algo, compression, cycle, &mut victims);
+            self.l1
+                .fill_into(addr, algo, compression, cycle, &mut victims);
             for victim in victims.drain(..) {
                 self.writeback_victim(&victim, cycle, 0, ctx);
             }
@@ -866,7 +873,8 @@ impl Sm {
                 } else {
                     latte_compress::CompressionAlgo::None
                 };
-                self.l1.record_payload(addr, roundtrip_stored(stored_algo, line.bytes()));
+                self.l1
+                    .record_payload(addr, roundtrip_stored(stored_algo, line.bytes()));
             }
             if let Some(shadow) = ctx.shadow.as_deref_mut() {
                 shadow.on_fill(self.id, addr, line.bytes(), cycle);

@@ -20,7 +20,11 @@ impl StridedKernel {
     /// `loads_per_warp` loads over a working set of `working_set_lines`
     /// cache lines (per SM).
     #[must_use]
-    pub fn new(warps_per_sm: usize, loads_per_warp: usize, working_set_lines: u64) -> StridedKernel {
+    pub fn new(
+        warps_per_sm: usize,
+        loads_per_warp: usize,
+        working_set_lines: u64,
+    ) -> StridedKernel {
         StridedKernel {
             warps_per_sm,
             loads_per_warp,
@@ -176,9 +180,6 @@ mod tests {
         let (Op::Load { addr: a0 }, Op::Load { addr: a1 }) = (s0.next_op(), s1.next_op()) else {
             panic!("expected loads");
         };
-        assert_ne!(
-            LineAddr::from_byte_addr(a0),
-            LineAddr::from_byte_addr(a1)
-        );
+        assert_ne!(LineAddr::from_byte_addr(a0), LineAddr::from_byte_addr(a1));
     }
 }

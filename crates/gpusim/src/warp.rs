@@ -140,9 +140,15 @@ mod tests {
         w.state = WarpState::BusyUntil(10);
         assert!(!w.is_ready(9));
         assert!(w.is_ready(10));
-        w.state = WarpState::WaitingData { until: 0, pending_misses: 1 };
+        w.state = WarpState::WaitingData {
+            until: 0,
+            pending_misses: 1,
+        };
         assert!(!w.is_ready(100));
-        w.state = WarpState::WaitingData { until: 50, pending_misses: 0 };
+        w.state = WarpState::WaitingData {
+            until: 50,
+            pending_misses: 0,
+        };
         assert!(!w.is_ready(49));
         assert!(w.is_ready(50));
         w.state = WarpState::Finished;

@@ -80,7 +80,11 @@ fn fault_runs_are_bit_identical_across_same_seed_runs() {
     let a = run_compressed(config.clone(), &kernel);
     let b = run_compressed(config, &kernel);
     assert_eq!(a, b);
-    assert!(a.faults.total() > 0, "faults must actually fire: {:?}", a.faults);
+    assert!(
+        a.faults.total() > 0,
+        "faults must actually fire: {:?}",
+        a.faults
+    );
 }
 
 #[test]
@@ -215,7 +219,10 @@ fn fill_bitflips_delay_fills_but_preserve_work() {
         },
         &kernel,
     );
-    assert!(faulty.faults.fill_bitflips > 0, "return-path flips must fire");
+    assert!(
+        faulty.faults.fill_bitflips > 0,
+        "return-path flips must fire"
+    );
     // Every detected return-path flip costs exactly one retry round trip.
     assert_eq!(
         faulty.faults.fill_retry_cycles,
@@ -311,7 +318,11 @@ fn dropped_wakeups_deadlock_and_are_reported_as_such() {
         },
         &kernel,
     );
-    assert!(faulty.faults.wakeup_drops > 0, "drops must fire: {:?}", faulty.faults);
+    assert!(
+        faulty.faults.wakeup_drops > 0,
+        "drops must fire: {:?}",
+        faulty.faults
+    );
     assert_eq!(faulty.termination, TerminationReason::Deadlock);
     assert!(faulty.timed_out);
     assert!(!faulty.termination.is_clean());

@@ -24,8 +24,7 @@ fn class_of(report: &str, owner: &str, field: &str) -> Option<String> {
 
 #[test]
 fn every_arbiter_touched_field_is_classified_shared_by_the_lint() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/lint_partition.json");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/lint_partition.json");
     let report = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "cannot read {} ({e}); regenerate it with `cargo run -p latte-lint`",
@@ -41,9 +40,8 @@ fn every_arbiter_touched_field_is_classified_shared_by_the_lint() {
         "the arbiter's shared-field manifest must not be empty"
     );
     for &(owner, field) in latte_gpusim::ARBITER_SHARED_FIELDS {
-        let class = class_of(&report, owner, field).unwrap_or_else(|| {
-            panic!("{owner}.{field} is missing from the partition report")
-        });
+        let class = class_of(&report, owner, field)
+            .unwrap_or_else(|| panic!("{owner}.{field} is missing from the partition report"));
         assert_eq!(
             class, "shared",
             "{owner}.{field} is drained by the epoch-barrier arbiter but the \

@@ -36,7 +36,11 @@ impl Kernel for OpsKernel {
 
     fn line_data(&self, addr: LineAddr) -> CacheLine {
         let words: Vec<u32> = (0..32)
-            .map(|i| (addr.line_number() as u32).wrapping_mul(0x9e37).wrapping_add(i))
+            .map(|i| {
+                (addr.line_number() as u32)
+                    .wrapping_mul(0x9e37)
+                    .wrapping_add(i)
+            })
             .collect();
         CacheLine::from_u32_words(&words)
     }
@@ -183,7 +187,9 @@ fn uniform_barriers_release() {
             vec![
                 Op::Compute { cycles: 5 + w },
                 Op::Barrier,
-                Op::Load { addr: 128 * w as u64 },
+                Op::Load {
+                    addr: 128 * w as u64,
+                },
                 Op::Barrier,
                 Op::Compute { cycles: 3 },
             ]
@@ -199,5 +205,8 @@ fn uniform_barriers_release() {
     );
     let stats = gpu.run_kernel(&kernel);
     assert!(!stats.timed_out);
-    assert!(stats.barrier_wait_cycles > 0, "staggered arrivals must wait");
+    assert!(
+        stats.barrier_wait_cycles > 0,
+        "staggered arrivals must wait"
+    );
 }

@@ -383,7 +383,10 @@ fn early_stops_are_returned_as_diagnostics() {
         .and_then(|rest| rest.strip_suffix(" cycles"))
         .unwrap_or_else(|| panic!("unexpected diagnostic: {line}"));
     assert_eq!(cycles, stats[0].cycles.to_string());
-    assert!(gpu.take_diagnostics().is_empty(), "draining empties the buffer");
+    assert!(
+        gpu.take_diagnostics().is_empty(),
+        "draining empties the buffer"
+    );
 
     let clean = BarrierKernel {
         name: "clean-barrier",
@@ -391,5 +394,8 @@ fn early_stops_are_returned_as_diagnostics() {
     };
     let stats = gpu.run_kernels([&clean as &dyn Kernel]);
     assert!(stats[0].termination.is_clean());
-    assert!(gpu.take_diagnostics().is_empty(), "a clean kernel adds no line");
+    assert!(
+        gpu.take_diagnostics().is_empty(),
+        "a clean kernel adds no line"
+    );
 }
