@@ -59,8 +59,8 @@ fn usage() -> ! {
     eprintln!("                         divided by --sim-threads; results are byte-identical");
     eprintln!("                         for every n)");
     eprintln!("  --sim-threads <n>      shard each simulation's SMs across n threads");
-    eprintln!("                         behind a deterministic epoch barrier (default 1 = the");
-    eprintln!("                         serial loop; results are byte-identical for every n)");
+    eprintln!("                         behind a deterministic epoch barrier (default 1 = one");
+    eprintln!("                         shard, no barrier; results are byte-identical for every n)");
     eprintln!("  --inject <rate>        flip one bit per compressed L1 hit with this probability");
     eprintln!("  --inject-fill <rate>   flip one bit per L2/DRAM fill return with this probability");
     eprintln!("  --inject-wakeup-drop <rate>");

@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Process-wide intra-simulation thread count, set from the
-/// `--sim-threads` command-line flag (default 1 = the serial loop).
-/// Unlike the write-once [`FAULT_INJECTION`] style globals this is a
-/// plain atomic: the epoch-barrier loop is byte-identical to the serial
-/// one for every value, so flipping it mid-process (as the determinism
+/// `--sim-threads` command-line flag (default 1 = one shard on the
+/// calling thread). Unlike the write-once [`FAULT_INJECTION`] style
+/// globals this is a plain atomic: the cycle loop is byte-identical at
+/// every thread count, so flipping it mid-process (as the determinism
 /// tests do) can never change a result — only how fast it arrives.
 static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 

@@ -1,9 +1,9 @@
-//! Serial vs `--sim-threads N` byte-identity, driven through the real
+//! One thread vs `--sim-threads N` byte-identity, driven through the real
 //! `latte-bench` binary so every run is a genuinely separate process
 //! (the sim-threads setting, fault injection and the shadow flag are
 //! all process-global). The epoch-barrier scheduler's whole contract is
 //! that `--sim-threads N` is an *invisible* optimisation: every results
-//! file must match the serial run byte for byte — under clean runs,
+//! file must match the one-thread run byte for byte — under clean runs,
 //! under the differential oracle, and under every fault-injection
 //! family, including runs that end in the deadlock watchdog.
 
@@ -45,7 +45,7 @@ fn run_bench(tag: &str, extra: &[&str]) -> (i32, BTreeMap<String, Vec<u8>>) {
 }
 
 /// Clean runs: `--sim-threads {2, 4}` write byte-identical results to
-/// the serial default (4 also exercises the shard-count clamp — the
+/// the one-thread default (4 also exercises the shard-count clamp — the
 /// cheap config has fewer SMs than that on some experiments).
 #[test]
 fn clean_runs_are_byte_identical_across_sim_threads() {
@@ -67,8 +67,8 @@ fn clean_runs_are_byte_identical_across_sim_threads() {
 
 /// The differential oracle sees the same loads, fills and checkpoints
 /// in the same order under the epoch barrier: a shadow-checked
-/// `--sim-threads 2` run passes and matches the serial shadow-checked
-/// run byte for byte.
+/// `--sim-threads 2` run passes and matches the one-thread
+/// shadow-checked run byte for byte.
 #[test]
 fn shadow_checked_runs_are_byte_identical_across_sim_threads() {
     let (code, serial) = run_bench("shadow-serial", &["--shadow-check"]);
@@ -101,8 +101,8 @@ fn fault_injected_runs_are_byte_identical_across_sim_threads() {
 }
 
 /// Wakeup drops park warps forever and trip the deadlock watchdog; the
-/// coordinator's deadlock cycle formula must agree with the serial
-/// loop's, so even these abnormal terminations are byte-identical.
+/// coordinator's deadlock cycle formula must agree with the lone
+/// shard's, so even these abnormal terminations are byte-identical.
 #[test]
 fn deadlocked_runs_are_byte_identical_across_sim_threads() {
     let drops: &[&str] = &["--inject-wakeup-drop", "0.05", "--seed", "3"];

@@ -80,12 +80,13 @@ pub struct GpuConfig {
     /// happy path then takes no injection branches and produces
     /// bit-identical statistics to a build without the feature).
     pub faults: Option<FaultConfig>,
-    /// Worker threads for intra-simulation SM parallelism (the epoch
-    /// barrier, see `crates/gpusim/src/parallel.rs`). `1` (the default)
-    /// takes the unchanged serial loop; any other value produces
-    /// byte-identical results, so this knob is deliberately **excluded**
-    /// from [`GpuConfig::fingerprint`] — memoized and stored results
-    /// transfer freely between serial and parallel runs.
+    /// Threads the cycle loop runs on, one shard of SMs each (see
+    /// `crates/gpusim/src/parallel.rs`), clamped to the SM count. `1`
+    /// (the default) runs one shard on the calling thread, with no
+    /// worker and no barrier. Every value produces byte-identical
+    /// results, so this knob is deliberately **excluded** from
+    /// [`GpuConfig::fingerprint`] — memoized and stored results transfer
+    /// freely between thread counts.
     pub sim_threads: usize,
 }
 
@@ -184,10 +185,10 @@ impl GpuConfig {
             write_allocate,
             write_back,
             faults,
-            // `sim_threads` is deliberately NOT folded in: the epoch-barrier
-            // parallel loop is byte-identical to the serial one, so the thread
-            // count cannot change results and must not fragment the memo/store
-            // key space (a warm serial store must satisfy a parallel run).
+            // `sim_threads` is deliberately NOT folded in: the cycle loop is
+            // byte-identical at every thread count, so the thread count
+            // cannot change results and must not fragment the memo/store key
+            // space (a warm one-thread store must satisfy a sharded run).
             sim_threads: _,
         } = *self;
         let mut fp = Fingerprinter::new();
@@ -407,10 +408,9 @@ mod tests {
 
     #[test]
     fn sim_threads_is_excluded_from_the_fingerprint() {
-        // The epoch-barrier loop is byte-identical to the serial one, so
-        // the thread count must NOT fragment the memo/store key space:
-        // a warm serial result has to satisfy a parallel run and vice
-        // versa. This pin is load-bearing — folding `sim_threads` into
+        // The cycle loop is byte-identical at every thread count, so the
+        // thread count must NOT fragment the memo/store key space: a warm
+        // one-thread result has to satisfy a sharded run and vice versa. This pin is load-bearing — folding `sim_threads` into
         // `fingerprint()` would silently invalidate every stored result.
         let base = GpuConfig::paper();
         for n in [0, 2, 4, 64] {

@@ -3,15 +3,12 @@
 
 use crate::config::GpuConfig;
 use crate::ops::Kernel;
-use crate::parallel::{self, EpochStats};
+use crate::parallel::{self, EpochStats, MemImage, SharedMemory};
 use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint, ShadowConfig};
-use crate::sm::{L2Port, MemCtx, MemEvent, MemImage, Sm};
+use crate::sm::Sm;
 use crate::stats::{KernelStats, TerminationReason};
 use latte_cache::SimpleCache;
-use latte_compress::Cycles;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The simulated GPU.
 ///
@@ -37,13 +34,11 @@ use std::collections::BinaryHeap;
 pub struct Gpu {
     config: GpuConfig,
     sms: Vec<Sm>,
-    l2: SimpleCache,
-    /// Backing-store image behind the L2: architectural memory as
-    /// modified by dirty write-backs (empty — lines pristine — outside
-    /// write-back mode). Keyed access only, never iterated.
-    image: MemImage,
+    /// The L2 and the backing-store image behind it: architectural
+    /// memory as modified by dirty write-backs (empty — lines pristine —
+    /// outside write-back mode). Keyed access only, never iterated.
+    memory: SharedMemory,
     policies: Vec<Box<dyn L1CompressionPolicy>>,
-    events: BinaryHeap<Reverse<MemEvent>>,
     /// Watchdog and early-stop lines not yet drained by
     /// [`Gpu::take_diagnostics`].
     diagnostics: Vec<String>,
@@ -70,14 +65,14 @@ impl Gpu {
                 policy
             })
             .collect();
-        let l2 = SimpleCache::new(config.l2_geometry);
         Gpu {
             config: config.clone(),
             sms,
-            l2,
-            image: MemImage::default(),
+            memory: SharedMemory {
+                l2: SimpleCache::new(config.l2_geometry),
+                image: MemImage::default(),
+            },
             policies,
-            events: BinaryHeap::new(),
             diagnostics: Vec::new(),
             shadow: None,
             shadow_cfg: ShadowConfig::default(),
@@ -117,34 +112,43 @@ impl Gpu {
     /// statistics.
     pub fn run_kernel(&mut self, kernel: &dyn Kernel) -> KernelStats {
         let mut stats = KernelStats::default();
-        self.events.clear();
         if self.config.flush_at_kernel_boundary {
-            self.l2.invalidate_all();
+            self.memory.l2.invalidate_all();
             // Each kernel's memory is defined by its own `line_data`
             // function, so the write-back image resets with the caches.
             // Without boundary flushes, caches stay warm, dirty lines
             // stay resident, and the image must persist with them.
-            self.image.clear();
+            self.memory.image.clear();
         }
-        self.l2.reset_stats();
+        self.memory.l2.reset_stats();
         for (sm, policy) in self.sms.iter_mut().zip(&mut self.policies) {
             sm.launch(kernel, &self.config);
             policy.on_kernel_start();
         }
 
-        let threads = parallel::effective_threads(&self.config);
-        let cycle = if threads > 1 {
-            self.run_cycles_parallel(kernel, threads, &mut stats)
-        } else {
-            self.run_cycles_serial(kernel, &mut stats)
-        };
+        let outcome = parallel::run_cycles(
+            &mut self.sms,
+            &mut self.policies,
+            &mut self.memory,
+            self.shadow.as_deref_mut(),
+            self.shadow_cfg.structural_every_eps,
+            &self.config,
+            kernel,
+            &mut stats,
+            &mut self.epoch_stats,
+        );
+        if let Some(fallback) = outcome.fallback {
+            stats.timed_out = true;
+            stats.termination = self.audit_termination(fallback);
+        }
+        let cycle = outcome.cycle;
 
         // Kernel-end dirty flush: when caches flush at the boundary,
-        // dirty lines drain to the L2 and the backing-store image first
-        // (SM id order, deterministic in both loops — this runs after
-        // the parallel workers have reassembled the machine). Without
-        // boundary flushes, dirty lines legitimately stay resident. The
-        // planted `drop_writebacks` mutation discards the flush too.
+        // dirty lines drain to the L2 and the backing-store image first,
+        // in SM id order (the cycle loop has reassembled the machine).
+        // Without boundary flushes, dirty lines legitimately stay
+        // resident. The planted `drop_writebacks` mutation discards the
+        // flush too.
         if self.config.write_back && self.config.flush_at_kernel_boundary {
             let dropped = self.config.faults.is_some_and(|f| f.drop_writebacks);
             for sm in &mut self.sms {
@@ -154,10 +158,8 @@ impl Gpu {
                         continue;
                     }
                     stats.writebacks += 1;
-                    self.image.insert(addr, data);
-                    if !self.l2.access_and_fill(addr) {
-                        stats.dram_accesses += 1;
-                    }
+                    self.memory
+                        .access(addr, Some(&data), &self.config, &mut stats);
                 }
             }
         }
@@ -183,140 +185,23 @@ impl Gpu {
         );
         stats.barrier_wait_cycles = self.sms.iter().map(|s| s.barrier_wait).sum();
         stats.l1 = self.sms.iter().map(|s| *s.l1.stats()).sum();
-        stats.l2 = *self.l2.stats();
+        stats.l2 = *self.memory.l2.stats();
         stats
     }
 
-    /// The original single-threaded cycle loop: deliver due completions,
-    /// issue every SM in id order, fast-forward idle gaps. Returns the
-    /// final processed cycle; early terminations are recorded in `stats`.
-    fn run_cycles_serial(&mut self, kernel: &dyn Kernel, stats: &mut KernelStats) -> Cycles {
-        let mut cycle: Cycles = 0;
-        loop {
-            // Deliver memory completions due by now.
-            while let Some(&Reverse(ev)) = self.events.peek() {
-                if ev.cycle > cycle {
-                    break;
-                }
-                self.events.pop();
-                let sm = &mut self.sms[ev.sm];
-                let mut ctx = MemCtx {
-                    l2: L2Port::Direct {
-                        l2: &mut self.l2,
-                        image: &mut self.image,
-                    },
-                    events: &mut self.events,
-                    policy: self.policies[ev.sm].as_mut(),
-                    kernel,
-                    config: &self.config,
-                    stats,
-                    shadow: self.shadow.as_deref_mut(),
-                    shadow_every: self.shadow_cfg.structural_every_eps,
-                };
-                sm.handle_fill(ev.addr, ev.cycle.max(cycle), ev.verified, ev.data, &mut ctx);
-            }
-
-            // Issue.
-            let mut issued = 0;
-            for (sm, policy) in self.sms.iter_mut().zip(&mut self.policies) {
-                let mut ctx = MemCtx {
-                    l2: L2Port::Direct {
-                        l2: &mut self.l2,
-                        image: &mut self.image,
-                    },
-                    events: &mut self.events,
-                    policy: policy.as_mut(),
-                    kernel,
-                    config: &self.config,
-                    stats,
-                    shadow: self.shadow.as_deref_mut(),
-                    shadow_every: self.shadow_cfg.structural_every_eps,
-                };
-                issued += sm.issue_cycle(cycle, &mut ctx);
-            }
-            stats.instructions += issued;
-
-            let done = self.sms.iter().all(Sm::all_finished) && self.events.is_empty();
-            if done {
-                break;
-            }
-            if cycle >= self.config.max_cycles_per_kernel {
-                stats.timed_out = true;
-                stats.termination = self.audit_termination(TerminationReason::CycleLimit);
-                break;
-            }
-
-            if issued > 0 {
-                cycle += 1;
-                continue;
-            }
-            // Nothing issued: fast-forward to the next interesting cycle.
-            let next_event = self.events.peek().map(|&Reverse(e)| e.cycle);
-            let next_wake = self
-                .sms
-                .iter()
-                .filter_map(Sm::next_wake)
-                .map(|w| w.max(cycle + 1))
-                .min();
-            let target = match (next_event, next_wake) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
-                    // No pending work but not all finished. The watchdog
-                    // audit decides whether this is a workload deadlock
-                    // (e.g. a barrier that can never release) or the
-                    // simulator's own state went bad. Bail out either way.
-                    stats.timed_out = true;
-                    stats.termination = self.audit_termination(TerminationReason::Deadlock);
-                    break;
-                }
-            };
-            let target = target.max(cycle + 1);
-            let skipped = target - cycle - 1;
-            if skipped > 0 {
-                for sm in &mut self.sms {
-                    sm.account_idle(skipped);
-                }
-            }
-            cycle = target;
-        }
-        cycle
-    }
-
-    /// The epoch-barrier parallel loop (see [`crate::parallel`]): shards
-    /// of SMs simulate on `threads` threads (this one included) for
-    /// bounded epochs, and the barrier arbiter replays their buffered L2
-    /// traffic in the serial order. Byte-identical to [`Gpu::run_cycles_serial`] by design;
-    /// the determinism suite pins it.
-    fn run_cycles_parallel(
-        &mut self,
-        kernel: &dyn Kernel,
-        threads: usize,
-        stats: &mut KernelStats,
-    ) -> Cycles {
-        let outcome = parallel::run_cycles(
-            threads,
-            &mut self.sms,
-            &mut self.policies,
-            &mut self.l2,
-            &mut self.image,
-            self.shadow.as_deref_mut(),
-            self.shadow_cfg.structural_every_eps,
-            &self.config,
-            kernel,
-            stats,
-            &mut self.epoch_stats,
-        );
-        if let Some(fallback) = outcome.fallback {
-            stats.timed_out = true;
-            stats.termination = self.audit_termination(fallback);
-        }
-        outcome.cycle
+    /// Misses still in flight across every SM: `(MSHR entries in use,
+    /// lines with warps waiting on them)`. Both are zero after a kernel
+    /// that ran to completion.
+    #[must_use]
+    pub fn outstanding_misses(&self) -> (usize, usize) {
+        self.sms
+            .iter()
+            .map(Sm::outstanding_misses)
+            .fold((0, 0), |(m, w), (a, b)| (m + a, w + b))
     }
 
     /// Drains the accumulated epoch/barrier accounting (populated only by
-    /// parallel runs; empty after serial ones). The bench driver's
+    /// sharded runs; empty after one-thread ones). The bench driver's
     /// `--timings` report surfaces it.
     pub fn take_epoch_stats(&mut self) -> EpochStats {
         std::mem::take(&mut self.epoch_stats)

@@ -1,55 +1,59 @@
-//! Deterministic intra-simulation parallelism (`GpuConfig::sim_threads`).
+//! The cycle loop, on `GpuConfig::sim_threads` threads.
 //!
-//! Shards of `(Sm, policy)` pairs simulate independently for bounded
-//! *epochs*, one shard per thread: the calling thread coordinates and
-//! runs the lightest shard, and each other shard stays on one worker
-//! thread for the whole kernel. All threads meet at one reusable
-//! barrier per epoch; while the workers wait there, the coordinator's
-//! arbiter drains every shard's buffered L2 traffic through the real
-//! shared cache in a fixed total order and routes the resulting
-//! completions back to the owning shards. The result is
-//! **byte-identical** to the serial loop — every counter, trace line,
-//! shadow call and termination cycle — which the determinism suite pins.
+//! The machine's `(Sm, policy)` pairs are split into shards that
+//! simulate independently for bounded *epochs*. With one thread there is
+//! one shard, and the calling thread runs it alone: no worker and no
+//! barrier. With more, the calling thread coordinates and runs the
+//! lightest shard, each other shard stays on one worker thread for the
+//! whole kernel, and all threads meet at one reusable barrier per
+//! epoch. Between epochs, with every shard at rest, the arbiter drains
+//! every shard's buffered L2 traffic through the shared cache in a fixed
+//! total order and routes the resulting completions back to the owning
+//! shards. Every counter, trace line, shadow call and termination cycle
+//! is therefore the same at every thread count.
 //!
-//! # Why byte-identity holds
+//! # Why N shards equal one shard
 //!
-//! * **Epoch bound.** An epoch spans `Δ = min(l2_latency, dram_latency)`
-//!   simulated cycles. Every shared-memory round trip takes ≥ Δ cycles,
-//!   so a request issued inside an epoch cannot complete — and therefore
-//!   cannot influence any SM — before the epoch ends. Within an epoch
-//!   the shards are fully independent. (`Δ == 0` forces the serial
-//!   path; see [`effective_threads`].)
-//! * **Total order at the barrier.** Each SM performs at most one L2
-//!   access per cycle (the single LD/ST port), and the serial loop
-//!   issues SMs in id order within a cycle, so sorting buffered requests
-//!   by `(cycle, sm, seq)` replays the serial L2 access order exactly —
-//!   preserving the cache's internal LRU clock and hit/miss statistics.
+//! * **Epoch bound.** An epoch spans `max(Δ, 1)` simulated cycles, with
+//!   `Δ = min(l2_latency, dram_latency)`. Every shared-memory round trip
+//!   takes ≥ Δ cycles, so a request issued inside an epoch cannot
+//!   complete — and therefore cannot influence any SM — before the epoch
+//!   ends. Within an epoch the shards are fully independent. With Δ = 0
+//!   every epoch is one cycle: SMs reach the L2 only while they issue, so
+//!   a completion due at cycle `c` is delivered at `c + 1` whatever the
+//!   shard count.
+//! * **Total order at the barrier.** Each shard emits its L2 requests
+//!   already sorted by `(cycle, stage, sm)` (see [`crate::sm::Stage`]):
+//!   cycles in order, due completions before issue, SMs in id order. An
+//!   SM belongs to one shard, so merging the shards' runs by that key
+//!   replays exactly the order one shard holding every SM would emit —
+//!   preserving the L2's LRU clock and hit/miss statistics.
 //! * **Self-targeted events.** Every event an SM pushes targets itself
-//!   (fill retries, write-allocate fetches), so per-shard event heaps
-//!   pop the same per-SM subsequences as the global serial heap, and
+//!   (fill retries, write-allocate fetches), so per-shard event heaps pop
+//!   the same per-SM subsequences as one machine-wide heap, and
 //!   arbiter-generated completions land at cycles ≥ the epoch end.
 //! * **Idle equivalence.** A scheduler swept with nothing ready behaves
 //!   identically to `account_idle_cycles(1)`: both add its maintained
 //!   available-warp count once. No warp changes state inside an idle
-//!   gap, so that count is constant across it, and shards only need to
-//!   process their own "interesting" cycles — the same fast-forward the
-//!   serial loop does.
-//! * **Shadow replay.** Shards record oracle calls into a local buffer;
-//!   the barrier replays them into the real hook sorted by
-//!   `(cycle, phase, sm, seq)` (fills before issues within a cycle),
-//!   which is exactly the serial call order.
+//!   gap, so that count is constant across it, and a shard only
+//!   processes its own "interesting" cycles.
+//! * **Shadow replay.** With several shards, each records its oracle
+//!   calls into a local buffer and the barrier replays them into the real
+//!   hook merged by the same `(cycle, stage, sm)` key. A lone shard calls
+//!   the hook directly: its calls already come in that order.
 //!
 //! The thread count is *excluded* from the config fingerprint: it cannot
 //! change results, so memoized/stored results transfer freely between
-//! serial and parallel runs.
+//! thread counts. `tests/parallel_identity.rs` holds thread counts 1 to 4
+//! to digests recorded from an earlier, separate single-threaded loop.
 
 use crate::config::GpuConfig;
 use crate::ops::Kernel;
 use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint};
-use crate::sm::{L2Buffer, L2Port, L2Request, L2RequestKind, MemCtx, MemEvent, MemImage, Sm};
+use crate::sm::{L2Buffer, L2Request, L2RequestKind, MemCtx, MemEvent, Sm, Stage, ISSUE_STAGE};
 use crate::stats::{KernelStats, TerminationReason};
-use latte_cache::{LineAddr, SimpleCache};
+use latte_cache::{LineAddr, LineMap, SimpleCache};
 use latte_compress::{CacheLine, Cycles};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -89,16 +93,54 @@ pub const ARBITER_SHARED_FIELDS: &[(&str, &str)] = &[
     ("MemCtx", "config"),
     ("MemCtx", "stats"),
     ("MemCtx", "shadow"),
-    ("L2Port", "Direct"),
-    ("L2Port", "Deferred"),
 ];
+
+/// The backing-store image: architectural memory contents *behind* the
+/// L2, as modified by dirty write-backs. Lines absent from the map still
+/// hold their pristine [`Kernel::line_data`] bytes, so the map stays
+/// empty (and the write-through configurations stay allocation-free)
+/// unless the write-back data path runs.
+pub(crate) type MemImage = LineMap<CacheLine>;
+
+/// The memory side every SM shares: the L2 and the backing-store image
+/// behind it. Only the barrier arbiter and the kernel-end flush reach
+/// it, one access at a time, through [`SharedMemory::access`].
+pub(crate) struct SharedMemory {
+    pub l2: SimpleCache,
+    pub image: MemImage,
+}
+
+impl SharedMemory {
+    /// The L2/DRAM access rule, the one place it is written: a hit costs
+    /// `l2_latency`; a miss counts one DRAM access and costs
+    /// `dram_latency`. A write-back's bytes also land in the image, so
+    /// later fills of the line observe them. Returns the latency.
+    pub(crate) fn access(
+        &mut self,
+        addr: LineAddr,
+        write_back: Option<&CacheLine>,
+        config: &GpuConfig,
+        stats: &mut KernelStats,
+    ) -> Cycles {
+        if let Some(data) = write_back {
+            self.image.insert(addr, *data);
+        }
+        if self.l2.access_and_fill(addr) {
+            config.l2_latency
+        } else {
+            stats.dram_accesses += 1;
+            config.dram_latency
+        }
+    }
+}
 
 /// Epoch/barrier accounting for `--timings` (host-side telemetry only;
 /// deliberately *not* part of [`KernelStats`], which is serialized into
 /// the result store and must stay a pure function of the inputs).
+/// Recorded by sharded runs only: a one-shard run has no barrier.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Barrier rounds run (0 after a serial run).
+    /// Barrier rounds run.
     pub epochs: u64,
     /// Total simulated cycles covered by those epochs.
     pub advanced_cycles: u64,
@@ -117,7 +159,6 @@ pub struct EpochStats {
     /// draining L2 traffic through the arbiter plus shadow replay.
     pub arbiter_ns: u64,
 }
-
 impl EpochStats {
     /// Folds another accounting record into this one (element-wise).
     pub fn merge(&mut self, other: &EpochStats) {
@@ -151,22 +192,9 @@ impl EpochStats {
     }
 }
 
-/// The worker count a config actually gets: `sim_threads`, clamped to
-/// the SM count, and forced to 1 when the epoch bound `Δ` would be zero
-/// (a zero-latency L2 *and* DRAM leaves no window in which shards are
-/// independent).
-#[must_use]
-pub(crate) fn effective_threads(config: &GpuConfig) -> usize {
-    let delta = config.l2_latency.min(config.dram_latency);
-    if delta == 0 {
-        return 1;
-    }
-    config.sim_threads.max(1).min(config.num_sms.max(1))
-}
-
-/// What the parallel loop hands back to [`crate::Gpu::run_kernel`].
+/// What the cycle loop hands back to [`crate::Gpu::run_kernel`].
 pub(crate) struct Outcome {
-    /// Final processed cycle (the serial loop's `cycle` at its break).
+    /// Final processed cycle.
     pub cycle: Cycles,
     /// Early-termination reason to run the watchdog audit with, if any.
     pub fallback: Option<TerminationReason>,
@@ -194,46 +222,35 @@ enum ShadowCall {
 
 struct ShadowRecord {
     cycle: Cycles,
-    /// 0 = delivery phase, 1 = issue phase; the serial loop delivers
-    /// before issuing within a cycle.
-    phase: u8,
+    stage: Stage,
     sm: usize,
-    /// Emission order within this recorder (ties inside one phase of one
-    /// SM's cycle replay in emission order).
-    seq: u64,
     call: ShadowCall,
 }
 
 /// Shard-local [`ShadowCheck`] implementation: buffers every call with
 /// its replay key instead of touching the real (single-threaded) hook.
 ///
-/// The replay phase is a recorder *state* set by `process_cycle`, not a
-/// property of the call kind: fills happen only at delivery and
-/// loads/checkpoints only at issue, but a store call fires in either —
-/// at issue for a store hit, at delivery when a fill merges a pending
-/// write-allocate store — and must replay exactly where the serial loop
-/// would have made it.
+/// The stage is recorder *state* set by `process_cycle`, not a property
+/// of the call kind: fills happen only at delivery and loads/checkpoints
+/// only at issue, but a store call fires in either — at issue for a
+/// store hit, at delivery when a fill merges a pending write-allocate
+/// store.
 #[derive(Default)]
 struct ShadowRecorder {
     records: Vec<ShadowRecord>,
-    seq: u64,
-    /// 0 = delivery phase, 1 = issue phase (set by `process_cycle`).
-    phase: u8,
+    stage: Stage,
 }
 
 impl ShadowRecorder {
     fn record(&mut self, cycle: Cycles, sm: usize, call: ShadowCall) {
         self.records.push(ShadowRecord {
             cycle,
-            phase: self.phase,
+            stage: self.stage,
             sm,
-            seq: self.seq,
             call,
         });
-        self.seq += 1;
     }
 }
-
 impl ShadowCheck for ShadowRecorder {
     fn on_fill(&mut self, sm: usize, addr: LineAddr, data: &CacheLine, cycle: Cycles) {
         self.record(cycle, sm, ShadowCall::Fill { addr, data: *data });
@@ -272,6 +289,27 @@ impl ShadowCheck for ShadowRecorder {
     }
 }
 
+/// Where a shard's oracle calls go.
+enum ShardShadow<'a> {
+    /// No hook is installed.
+    Off,
+    /// The real hook, for a lone shard: its calls already come in replay
+    /// order.
+    Direct(&'a mut (dyn ShadowCheck + 'static)),
+    /// A recorder the barrier replays merged with the other shards'.
+    Recorded(ShadowRecorder),
+}
+
+impl ShardShadow<'_> {
+    fn hook(&mut self) -> Option<&mut (dyn ShadowCheck + 'static)> {
+        match self {
+            ShardShadow::Off => None,
+            ShardShadow::Direct(hook) => Some(&mut **hook),
+            ShardShadow::Recorded(recorder) => Some(recorder),
+        }
+    }
+}
+
 /// One SM and its private compression policy.
 struct ShardUnit {
     sm: Sm,
@@ -280,7 +318,7 @@ struct ShardUnit {
 
 /// A work-balanced set of the machine's SMs (see [`assign_shards`]; the
 /// ids need not be contiguous) plus everything they need to simulate an
-/// epoch without touching shared state. Shard 0 runs on the coordinator
+/// epoch without touching shared state. Shard 0 runs on the calling
 /// thread; every other shard stays with one worker thread for the whole
 /// kernel.
 struct Shard<'a> {
@@ -290,8 +328,7 @@ struct Shard<'a> {
     events: BinaryHeap<Reverse<MemEvent>>,
     /// Deferred shared-L2 traffic for the barrier arbiter.
     buffer: L2Buffer,
-    /// Present iff the run is shadow-checked.
-    recorder: Option<ShadowRecorder>,
+    shadow: ShardShadow<'a>,
     /// Shard-local counters, merged into the launch totals at the end.
     stats: KernelStats,
     /// Last processed cycle (`None` before cycle 0 runs).
@@ -312,13 +349,13 @@ struct Shard<'a> {
 }
 
 impl Shard<'_> {
-    /// The next cycle this shard would process — the exact analogue of
-    /// the serial loop's advance rule, restricted to this shard's SMs.
+    /// The next cycle this shard would process: the one after an issuing
+    /// cycle, else the earliest due completion or warp wake-up.
     /// `None` means stuck: nothing pending, not all finished (revivable
     /// only by an arbiter completion; otherwise a deadlock).
     fn next_candidate(&self) -> Option<Cycles> {
         let Some(last) = self.last else {
-            // Cycle 0 is processed unconditionally, as in the serial loop.
+            // Cycle 0 is processed unconditionally.
             return Some(0);
         };
         if self.issued_last {
@@ -339,13 +376,10 @@ impl Shard<'_> {
     /// work: a fire-and-forget store's write-allocate fill leaves no
     /// blocked warp behind, so without this term a shard would declare
     /// itself done while the fill (and its eventual dirty write-back)
-    /// is still waiting for the barrier arbiter. The serial loop gets
-    /// this for free — `L2Port::Direct` pushes the completion into the
-    /// global heap before the `done` check ever runs. Buffered stores
-    /// and write-backs do NOT block doneness: they produce no
-    /// completion event, the arbiter drains every shard's buffer
-    /// regardless of `done_at`, and the serial loop likewise observes
-    /// `done` on the very cycle it processes them inline.
+    /// is still waiting for the barrier arbiter. Buffered stores and
+    /// write-backs do NOT block doneness: they produce no completion
+    /// event, and the arbiter drains every shard's buffer regardless of
+    /// `done_at`.
     fn is_done(&self) -> bool {
         self.units.iter().all(|u| u.sm.all_finished())
             && self.events.is_empty()
@@ -356,9 +390,24 @@ impl Shard<'_> {
                 .any(|r| matches!(r.kind, L2RequestKind::LoadFill { .. }))
     }
 
-    /// Processes one cycle exactly as the serial loop would for these
-    /// SMs: account the idle gap, deliver due local completions, issue
-    /// every SM in id order, then note quiescence.
+    fn recorder(&mut self) -> Option<&mut ShadowRecorder> {
+        match &mut self.shadow {
+            ShardShadow::Recorded(recorder) => Some(recorder),
+            _ => None,
+        }
+    }
+
+    /// Sets the [`Stage`] new L2 requests and oracle records are made in.
+    fn set_stage(&mut self, stage: Stage) {
+        self.buffer.stage = stage;
+        if let Some(recorder) = self.recorder() {
+            recorder.stage = stage;
+        }
+    }
+
+    /// Processes one cycle for these SMs: account the idle gap, deliver
+    /// due local completions, issue every SM in id order, then note
+    /// quiescence.
     fn process_cycle(&mut self, cycle: Cycles) {
         if let Some(last) = self.last {
             let skipped = cycle - last - 1;
@@ -368,47 +417,37 @@ impl Shard<'_> {
                 }
             }
         }
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.phase = 0;
-        }
         while let Some(&Reverse(ev)) = self.events.peek() {
             if ev.cycle > cycle {
                 break;
             }
             self.events.pop();
+            self.set_stage(ev.cycle);
             let unit = &mut self.units[self.slot_of[ev.sm]];
             let mut ctx = MemCtx {
-                l2: L2Port::Deferred(&mut self.buffer),
+                l2: &mut self.buffer,
                 events: &mut self.events,
                 policy: unit.policy.as_mut(),
                 kernel: self.kernel,
                 config: self.config,
                 stats: &mut self.stats,
-                shadow: self
-                    .recorder
-                    .as_mut()
-                    .map(|r| r as &mut (dyn ShadowCheck + 'static)),
+                shadow: self.shadow.hook(),
                 shadow_every: self.shadow_every,
             };
             unit.sm
-                .handle_fill(ev.addr, ev.cycle.max(cycle), ev.verified, ev.data, &mut ctx);
+                .handle_fill(ev.addr, cycle, ev.verified, ev.data, &mut ctx);
         }
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.phase = 1;
-        }
+        self.set_stage(ISSUE_STAGE);
         let mut issued = 0;
         for unit in &mut self.units {
             let mut ctx = MemCtx {
-                l2: L2Port::Deferred(&mut self.buffer),
+                l2: &mut self.buffer,
                 events: &mut self.events,
                 policy: unit.policy.as_mut(),
                 kernel: self.kernel,
                 config: self.config,
                 stats: &mut self.stats,
-                shadow: self
-                    .recorder
-                    .as_mut()
-                    .map(|r| r as &mut (dyn ShadowCheck + 'static)),
+                shadow: self.shadow.hook(),
                 shadow_every: self.shadow_every,
             };
             issued += unit.sm.issue_cycle(cycle, &mut ctx);
@@ -474,19 +513,17 @@ fn assign_shards(work: &[usize], threads: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Visits the items of several runs in ascending `key` order, passing
-/// each with the index of the run it came from, then empties the runs
-/// (keeping their capacity). Each run is sorted first — one linear pass
-/// when, as usual, it already is — and the runs are then merged in
-/// place, so the items are never concatenated or sorted as a whole.
+/// Visits the items of several runs, each already sorted by `key`, in
+/// ascending `key` order, passing each with the index of the run it came
+/// from, then empties the runs (keeping their capacity). Items with
+/// equal keys come from one run (the key includes the SM, and an SM
+/// belongs to one shard) and keep their order in it.
 fn merge_runs<T, K: Ord>(
     runs: &mut [Vec<T>],
     key: impl Fn(&T) -> K,
     mut visit: impl FnMut(usize, &T),
 ) {
-    for run in runs.iter_mut() {
-        run.sort_unstable_by_key(&key);
-    }
+    debug_assert!(runs.iter().all(|run| run.is_sorted_by_key(&key)));
     let mut next = vec![0; runs.len()];
     loop {
         let mut first: Option<(usize, K)> = None;
@@ -509,17 +546,14 @@ fn merge_runs<T, K: Ord>(
     }
 }
 
-/// Drains every shard's buffered L2 traffic through the real cache in
-/// the serial total order — `(cycle, phase, sm, seq)` — updating the
-/// launch stats and routing each load-fill completion back into the heap
-/// of the shard that buffered the request (the shard that owns its SM).
-/// The `phase` key exists for the write-back path: dirty evictions at
-/// fill delivery reach the L2 in the serial loop's delivery sweep
-/// (phase 0), before any of that cycle's issued traffic (phase 1).
+/// Drains every shard's buffered L2 traffic through the shared memory in
+/// `(cycle, stage, sm)` order, updating the launch stats and routing
+/// each load-fill completion back into the heap of the shard that
+/// buffered the request (the shard that owns its SM). The refill payload
+/// is resolved from the backing-store image at this point.
 fn arbitrate(
     shards: &mut [&mut Shard<'_>],
-    l2: &mut SimpleCache,
-    image: &mut MemImage,
+    memory: &mut SharedMemory,
     config: &GpuConfig,
     stats: &mut KernelStats,
 ) {
@@ -529,33 +563,20 @@ fn arbitrate(
         .collect();
     merge_runs(
         &mut runs,
-        |r| (r.cycle, r.phase, r.sm, r.seq),
-        |owner, req| match req.kind {
-            L2RequestKind::Store => {
-                if !l2.access_and_fill(req.addr) {
-                    stats.dram_accesses += 1;
-                }
-            }
-            L2RequestKind::WriteBack { data } => {
-                image.insert(req.addr, data);
-                if !l2.access_and_fill(req.addr) {
-                    stats.dram_accesses += 1;
-                }
-            }
-            L2RequestKind::LoadFill { spike } => {
-                let mut latency = if l2.access_and_fill(req.addr) {
-                    config.l2_latency
-                } else {
-                    stats.dram_accesses += 1;
-                    config.dram_latency
-                };
-                latency += spike;
+        |r| (r.cycle, r.stage, r.sm),
+        |owner, req| {
+            let write_back = match &req.kind {
+                L2RequestKind::WriteBack { data } => Some(data),
+                _ => None,
+            };
+            let latency = memory.access(req.addr, write_back, config, stats);
+            if let L2RequestKind::LoadFill { spike } = req.kind {
                 shards[owner].events.push(Reverse(MemEvent {
-                    cycle: req.cycle + latency,
+                    cycle: req.cycle + latency + spike,
                     sm: req.sm,
                     addr: req.addr,
                     verified: false,
-                    data: image.get(&req.addr).copied(),
+                    data: memory.image.get(&req.addr).copied(),
                 }));
             }
         },
@@ -565,8 +586,9 @@ fn arbitrate(
     }
 }
 
-/// Replays every shard's recorded oracle calls into the real hook in the
-/// serial call order: `(cycle, phase, sm, seq)`.
+/// Replays every shard's recorded oracle calls into the real hook in
+/// `(cycle, stage, sm)` order. A lone shard records nothing: it calls
+/// the hook directly.
 fn replay_shadow(
     shards: &mut [&mut Shard<'_>],
     shadow: &mut Option<&mut (dyn ShadowCheck + 'static)>,
@@ -576,12 +598,12 @@ fn replay_shadow(
     };
     let mut runs: Vec<Vec<ShadowRecord>> = shards
         .iter_mut()
-        .filter_map(|shard| shard.recorder.as_mut())
+        .filter_map(|shard| shard.recorder())
         .map(|recorder| std::mem::take(&mut recorder.records))
         .collect();
     merge_runs(
         &mut runs,
-        |r| (r.cycle, r.phase, r.sm, r.seq),
+        |r| (r.cycle, r.stage, r.sm),
         |_, record| match &record.call {
             ShadowCall::Fill { addr, data } => {
                 hook.on_fill(record.sm, *addr, data, record.cycle);
@@ -599,7 +621,7 @@ fn replay_shadow(
     );
     for (recorder, run) in shards
         .iter_mut()
-        .filter_map(|shard| shard.recorder.as_mut())
+        .filter_map(|shard| shard.recorder())
         .zip(runs)
     {
         recorder.records = run;
@@ -751,12 +773,11 @@ enum Step {
 }
 
 /// Classifies every shard and picks the next step. The cycle-limit
-/// endgame runs here: the serial loop would process exactly that one
-/// cycle, observe the limit, and break — cheap enough to run inline.
+/// endgame runs here: the machine processes exactly that one cycle,
+/// observes the limit, and stops — cheap enough to run inline.
 fn next_step(
     shards: &mut [&mut Shard<'_>],
-    l2: &mut SimpleCache,
-    image: &mut MemImage,
+    memory: &mut SharedMemory,
     shadow: &mut Option<&mut (dyn ShadowCheck + 'static)>,
     config: &GpuConfig,
     stats: &mut KernelStats,
@@ -771,8 +792,8 @@ fn next_step(
     }
     let Some(epoch_start) = epoch_start else {
         if any_stuck {
-            // Workload deadlock: the serial loop would coast to one
-            // cycle past the last issuing cycle and bail.
+            // Workload deadlock: the machine coasts to one cycle past
+            // the last issuing cycle and stops.
             let cycle = shards
                 .iter()
                 .map(|s| s.last.unwrap_or(0) + u64::from(s.issued_last))
@@ -795,7 +816,7 @@ fn next_step(
                 shard.process_cycle(epoch_start);
             }
         }
-        arbitrate(shards, l2, image, config, stats);
+        arbitrate(shards, memory, config, stats);
         replay_shadow(shards, shadow);
         let all_done = shards.iter().all(|s| s.done_at.is_some());
         return Step::Limit(Outcome {
@@ -803,27 +824,23 @@ fn next_step(
             fallback: (!all_done).then_some(TerminationReason::CycleLimit),
         });
     }
-    let delta = config.l2_latency.min(config.dram_latency);
+    let delta = config.l2_latency.min(config.dram_latency).max(1);
     Step::Epoch {
         start: epoch_start,
         end: epoch_start.saturating_add(delta),
     }
 }
 
-/// Runs the kernel's cycle loop across `threads` shards of SMs with a
-/// deterministic epoch barrier, on `threads` threads: the calling thread
-/// coordinates and simulates the lightest shard, and every other shard
-/// stays on one scoped worker thread for the whole kernel. On return,
-/// `sms`/`policies` are restored in id order and `stats` holds the same
-/// counters a serial run would have produced; the caller runs the
-/// common epilogue.
+/// Runs the kernel's cycle loop on `GpuConfig::sim_threads` threads,
+/// clamped to the SM count: one shard of SMs per thread. On return,
+/// `sms`/`policies` are restored in id order and `stats` holds every
+/// launch counter; the caller runs the common epilogue. Only sharded
+/// runs add to `epoch_stats`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cycles(
-    threads: usize,
     sms: &mut Vec<Sm>,
     policies: &mut Vec<Box<dyn L1CompressionPolicy>>,
-    l2: &mut SimpleCache,
-    image: &mut MemImage,
+    memory: &mut SharedMemory,
     mut shadow: Option<&mut (dyn ShadowCheck + 'static)>,
     shadow_every: u64,
     config: &GpuConfig,
@@ -831,6 +848,7 @@ pub(crate) fn run_cycles(
     stats: &mut KernelStats,
     epoch_stats: &mut EpochStats,
 ) -> Outcome {
+    let threads = config.sim_threads.clamp(1, config.num_sms.max(1));
     let work: Vec<usize> = sms
         .iter()
         .map(|sm| kernel.warps_on_sm(sm.id).min(config.max_warps_per_sm))
@@ -844,17 +862,24 @@ pub(crate) fn run_cycles(
     }
     let slot_of = &slot_of;
 
-    // Move the SMs and their policies into their shards.
+    // Move the SMs and their policies into their shards. A lone shard
+    // takes the hook itself; several record for the barrier's replay.
     let mut units: Vec<Option<ShardUnit>> = sms
         .drain(..)
         .zip(policies.drain(..))
         .map(|(sm, policy)| Some(ShardUnit { sm, policy }))
         .collect();
+    let mut direct = if ids.len() == 1 { shadow.take() } else { None };
+    let record = shadow.is_some();
     let mut new_shard = |members: &[usize]| Shard {
         units: members.iter().filter_map(|&sm| units[sm].take()).collect(),
         events: BinaryHeap::new(),
         buffer: L2Buffer::default(),
-        recorder: shadow.is_some().then(ShadowRecorder::default),
+        shadow: match direct.take() {
+            Some(hook) => ShardShadow::Direct(hook),
+            None if record => ShardShadow::Recorded(ShadowRecorder::default()),
+            None => ShardShadow::Off,
+        },
         stats: KernelStats::default(),
         last: None,
         issued_last: false,
@@ -867,86 +892,23 @@ pub(crate) fn run_cycles(
         shadow_every,
     };
     // `assign_shards` returns at least one shard; the first is the
-    // lightest, and the coordinator runs it.
+    // lightest, and the calling thread runs it.
     let mut own = new_shard(&ids[0]);
     let others: Vec<Mutex<Shard<'_>>> = ids[1..]
         .iter()
         .map(|members| Mutex::new(new_shard(members)))
         .collect();
-    let barrier = EpochBarrier {
-        arrived: AtomicUsize::new(0),
-        released: AtomicU64::new(0),
-        epoch_end: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        lost: AtomicBool::new(false),
-        coordinator: std::thread::current(),
+    let (outcome, sharded) = if others.is_empty() {
+        (run_alone(&mut own, memory, config, stats), None)
+    } else {
+        let (outcome, epochs) = run_sharded(&mut own, &others, memory, &mut shadow, config, stats);
+        (outcome, Some(epochs))
     };
-    let mut epochs = 0u64;
-    let mut max_advance = 0u64;
-    let mut prev_start: Option<Cycles> = None;
-    let mut arbiter_ns = 0u64;
-
-    let outcome = std::thread::scope(|scope| {
-        let coordinator = Coordinator {
-            barrier: &barrier,
-            workers: others
-                .iter()
-                .map(|slot| {
-                    let (barrier, workers) = (&barrier, others.len());
-                    scope
-                        .spawn(move || worker(barrier, slot, workers))
-                        .thread()
-                        .clone()
-                })
-                .collect(),
-        };
-        loop {
-            // Every shard is at rest: arbitrate the epoch just run, then
-            // pick the next one.
-            let mut guards: Vec<MutexGuard<'_, Shard<'_>>> = others.iter().map(lock).collect();
-            let mut all: Vec<&mut Shard<'_>> = std::iter::once(&mut own)
-                .chain(guards.iter_mut().map(|guard| &mut **guard))
-                .collect();
-            let arbiter_start = now_ns();
-            arbitrate(&mut all, l2, image, config, stats);
-            replay_shadow(&mut all, &mut shadow);
-            arbiter_ns += now_ns().saturating_sub(arbiter_start);
-            let (start, end) = match next_step(&mut all, l2, image, &mut shadow, config, stats) {
-                Step::Epoch { start, end } => (start, end),
-                Step::Limit(outcome) => {
-                    epochs += 1;
-                    return outcome;
-                }
-                Step::Finished(outcome) => return outcome,
-            };
-            drop(all);
-            drop(guards);
-
-            coordinator.release(end);
-            own.run_epoch_timed(end);
-            let wait_start = now_ns();
-            if !coordinator.wait_for_workers() {
-                // A worker is unwinding: stop here. The scope re-raises
-                // its panic, so this value is never observed.
-                return Outcome {
-                    cycle: 0,
-                    fallback: None,
-                };
-            }
-            own.stall_ns += now_ns().saturating_sub(wait_start);
-            epochs += 1;
-            if let Some(prev) = prev_start {
-                max_advance = max_advance.max(start - prev);
-            }
-            prev_start = Some(start);
-        }
-    });
 
     // Reassemble the machine in SM id order and fold the shard counters
     // into the launch totals. Shard stats start at the default and SM
     // stepping never writes `cycles`, `l1`/`l2`, `barrier_wait_cycles`
-    // or the termination fields, which the caller's epilogue sets
-    // exactly as after a serial run.
+    // or the termination fields, which the caller's epilogue sets.
     let shards: Vec<Shard<'_>> = std::iter::once(own)
         .chain(
             others
@@ -969,20 +931,119 @@ pub(crate) fn run_cycles(
         sms.push(unit.sm);
         policies.push(unit.policy);
     }
-
-    if let Some(prev) = prev_start {
-        max_advance = max_advance.max(outcome.cycle.saturating_sub(prev));
+    if let Some(mut epochs) = sharded {
+        epochs.shards = busy.len();
+        epochs.busy_ns = busy;
+        epochs.stall_ns = stall;
+        epoch_stats.merge(&epochs);
     }
-    epoch_stats.merge(&EpochStats {
-        epochs,
-        advanced_cycles: outcome.cycle,
-        max_epoch_cycles: max_advance,
-        shards: busy.len(),
-        busy_ns: busy,
-        stall_ns: stall,
-        arbiter_ns,
-    });
     outcome
+}
+
+/// One shard on the calling thread: arbitrate, pick the next epoch and
+/// simulate it, with no worker, no barrier and no epoch telemetry.
+fn run_alone(
+    shard: &mut Shard<'_>,
+    memory: &mut SharedMemory,
+    config: &GpuConfig,
+    stats: &mut KernelStats,
+) -> Outcome {
+    let shards = &mut [shard];
+    loop {
+        arbitrate(shards, memory, config, stats);
+        match next_step(shards, memory, &mut None, config, stats) {
+            Step::Epoch { end, .. } => shards[0].run_epoch(end),
+            Step::Limit(outcome) | Step::Finished(outcome) => return outcome,
+        }
+    }
+}
+
+/// The sharded loop: the calling thread coordinates and simulates `own`
+/// (the lightest shard), and every shard in `others` stays on one
+/// scoped worker thread for the whole kernel. Returns the outcome and
+/// the epoch counts; the caller adds the per-thread times.
+fn run_sharded<'a>(
+    own: &mut Shard<'a>,
+    others: &[Mutex<Shard<'a>>],
+    memory: &mut SharedMemory,
+    shadow: &mut Option<&mut (dyn ShadowCheck + 'static)>,
+    config: &GpuConfig,
+    stats: &mut KernelStats,
+) -> (Outcome, EpochStats) {
+    let barrier = EpochBarrier {
+        arrived: AtomicUsize::new(0),
+        released: AtomicU64::new(0),
+        epoch_end: AtomicU64::new(0),
+        stop: AtomicBool::new(false),
+        lost: AtomicBool::new(false),
+        coordinator: std::thread::current(),
+    };
+    let mut epochs = EpochStats::default();
+    let mut prev_start: Option<Cycles> = None;
+
+    let outcome = std::thread::scope(|scope| {
+        let coordinator = Coordinator {
+            barrier: &barrier,
+            workers: others
+                .iter()
+                .map(|slot| {
+                    let (barrier, workers) = (&barrier, others.len());
+                    scope
+                        .spawn(move || worker(barrier, slot, workers))
+                        .thread()
+                        .clone()
+                })
+                .collect(),
+        };
+        loop {
+            // Every shard is at rest: arbitrate the epoch just run, then
+            // pick the next one.
+            let mut guards: Vec<MutexGuard<'_, Shard<'_>>> = others.iter().map(lock).collect();
+            let mut all: Vec<&mut Shard<'_>> = std::iter::once(&mut *own)
+                .chain(guards.iter_mut().map(|guard| &mut **guard))
+                .collect();
+            let arbiter_start = now_ns();
+            arbitrate(&mut all, memory, config, stats);
+            replay_shadow(&mut all, shadow);
+            epochs.arbiter_ns += now_ns().saturating_sub(arbiter_start);
+            let (start, end) = match next_step(&mut all, memory, shadow, config, stats) {
+                Step::Epoch { start, end } => (start, end),
+                Step::Limit(outcome) => {
+                    epochs.epochs += 1;
+                    return outcome;
+                }
+                Step::Finished(outcome) => return outcome,
+            };
+            drop(all);
+            drop(guards);
+
+            coordinator.release(end);
+            own.run_epoch_timed(end);
+            let wait_start = now_ns();
+            if !coordinator.wait_for_workers() {
+                // A worker is unwinding: stop here. The scope re-raises
+                // its panic, so this value is never observed.
+                return Outcome {
+                    cycle: 0,
+                    fallback: None,
+                };
+            }
+            own.stall_ns += now_ns().saturating_sub(wait_start);
+            epochs.epochs += 1;
+            if let Some(prev) = prev_start {
+                epochs.max_epoch_cycles = epochs.max_epoch_cycles.max(start - prev);
+            }
+            prev_start = Some(start);
+        }
+    });
+    epochs.advanced_cycles = outcome.cycle;
+    // The last epoch runs from its start to the final cycle.
+    epochs.max_epoch_cycles = epochs.max_epoch_cycles.max(
+        outcome
+            .cycle
+            .saturating_sub(prev_start.unwrap_or(outcome.cycle)),
+    );
+    (outcome, epochs)
 }
 
 #[cfg(test)]

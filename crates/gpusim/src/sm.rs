@@ -15,16 +15,6 @@ use latte_cache::{
 };
 use latte_compress::{CacheLine, Compression, Cycles};
 
-/// The backing-store image: architectural memory contents *behind* the
-/// L2, as modified by dirty write-backs. Lines absent from the map still
-/// hold their pristine [`Kernel::line_data`] bytes, so the map stays
-/// empty (and the write-through configurations stay allocation-free)
-/// unless the write-back data path runs. Accessed only at L2-access
-/// points — inline in the serial loop, at the barrier arbiter under
-/// `--sim-threads` — so both paths read and write it in the identical
-/// `(cycle, phase, sm, seq)` order.
-pub(crate) type MemImage = LineMap<CacheLine>;
-
 /// A memory request completing at `cycle` for `sm`'s line `addr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemEvent {
@@ -44,31 +34,33 @@ pub(crate) struct MemEvent {
     pub data: Option<CacheLine>,
 }
 
-/// One buffered shared-L2 access awaiting the epoch barrier.
-///
-/// Under `--sim-threads`, SMs never touch the L2 directly; they emit
-/// these records into a shard-local [`L2Buffer`] and the barrier arbiter
-/// replays them through the real cache in `(cycle, phase, sm, seq)`
-/// order — exactly the order the serial loop would have performed them.
-/// Issue-phase traffic (loads, stores) is unique per `(cycle, sm)`
-/// thanks to the single LD/ST port, and the serial loop issues SMs in id
-/// order within a cycle; delivery-phase traffic (dirty write-backs from
-/// fill-time evictions) drains from per-shard event heaps whose pop
-/// order matches the serial heap's `(cycle, sm, addr)` order, with `seq`
-/// preserving each SM's emission order inside one cycle.
+/// The stage a record is made in, within its cycle: a completion's due
+/// cycle while the loop delivers it, [`ISSUE_STAGE`] while SMs issue.
+/// The loop delivers due completions in `(due, sm, addr)` heap order
+/// and then issues every SM in id order, so each shard emits its L2
+/// requests and oracle calls already sorted by `(cycle, stage, sm)`, and
+/// merging the shards by that key replays the one-loop order. A
+/// completion is always delivered on its due cycle unless Δ = 0 (see
+/// [`crate::parallel`]), where one due at `c` arrives at `c + 1`.
+pub(crate) type Stage = Cycles;
+
+/// The stage of every issue-time record: after all of its cycle's
+/// deliveries.
+pub(crate) const ISSUE_STAGE: Stage = Cycles::MAX;
+
+/// One buffered shared-L2 access awaiting the epoch barrier, where the
+/// arbiter replays every shard's requests through the real cache in
+/// `(cycle, stage, sm)` order (see [`Stage`]). Each SM performs at most
+/// one issue-time access per cycle (the single LD/ST port); requests of
+/// one SM with equal keys keep their emission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct L2Request {
     /// Cycle the SM performed the access.
     pub cycle: Cycles,
-    /// 0 = memory-delivery phase (write-backs from fill-time evictions),
-    /// 1 = issue phase (loads, stores, issue-time write-backs); the
-    /// serial loop delivers completions before issuing within a cycle.
-    pub phase: u8,
+    /// See [`Stage`].
+    pub stage: Stage,
     /// Issuing SM.
     pub sm: usize,
-    /// Emission sequence within the buffer, ordering one SM's multiple
-    /// accesses inside a single `(cycle, phase)`.
-    pub seq: u64,
     /// Line accessed.
     pub addr: LineAddr,
     /// What the access was.
@@ -80,8 +72,8 @@ pub(crate) struct L2Request {
 pub(crate) enum L2RequestKind {
     /// A load miss's fill round trip; the arbiter owes the SM a
     /// completion event. `spike` carries the latency-spike fault rolled
-    /// SM-locally at issue time, so the injector's stream position is
-    /// identical to the serial run.
+    /// SM-locally at issue time, so the injector's stream position does
+    /// not depend on the thread count.
     LoadFill {
         /// Extra cycles from an injected latency spike (0 when none).
         spike: Cycles,
@@ -104,146 +96,72 @@ pub(crate) enum L2RequestKind {
 pub(crate) struct L2Buffer {
     /// Buffered requests, in emission order.
     pub requests: Vec<L2Request>,
-    seq: u64,
+    /// The stage new requests are made in, set by the cycle loop.
+    pub stage: Stage,
 }
 
 impl L2Buffer {
-    fn push(&mut self, cycle: Cycles, phase: u8, sm: usize, addr: LineAddr, kind: L2RequestKind) {
+    fn push(&mut self, cycle: Cycles, sm: usize, addr: LineAddr, kind: L2RequestKind) {
         self.requests.push(L2Request {
             cycle,
-            phase,
+            stage: self.stage,
             sm,
-            seq: self.seq,
             addr,
             kind,
         });
-        self.seq += 1;
     }
-}
-
-/// How an SM reaches the shared L2 while stepping: inline in the serial
-/// loop, or deferred to the epoch-barrier arbiter under `--sim-threads`.
-/// The serial variant is the only place SM code can reach shared cache
-/// state, and it is exercised strictly one SM at a time.
-pub(crate) enum L2Port<'a> {
-    /// Serial path: access the shared L2 (and the backing-store image
-    /// behind it) inline, exactly as the single-threaded loop always has.
-    // latte-lint: shared-boundary(reason = "the shared L2 and backing-store image, accessed inline by the single-threaded loop only; one SM steps at a time, so the references are never aliased")
-    Direct {
-        /// The shared L2.
-        l2: &'a mut latte_cache::SimpleCache,
-        /// The backing-store image dirty write-backs land in.
-        image: &'a mut MemImage,
-    },
-    /// Parallel path: buffer the access into shard-local memory; the
-    /// epoch-barrier arbiter drains every shard's buffer through the
-    /// real L2 in `(cycle, sm, seq)` order.
-    // latte-lint: shared-boundary(reason = "epoch-local request buffer; the barrier arbiter serializes it through the real L2 in fixed (cycle, sm, seq) order, so no two threads ever race on cache state")
-    Deferred(&'a mut L2Buffer),
 }
 
 /// Shared resources an SM needs while stepping (split off `Gpu` to keep
 /// borrows disjoint).
 pub(crate) struct MemCtx<'a> {
-    /// The SM's window onto the shared L2 (see [`L2Port`]).
-    pub l2: L2Port<'a>,
-    // latte-lint: shared-boundary(reason = "the DRAM completion heap; every push is self-targeted, so under --sim-threads each shard owns a private heap and the barrier arbiter routes cross-stage completions, ordered by (cycle, sm, addr)")
+    // latte-lint: shared-boundary(reason = "epoch-local request buffer; the barrier arbiter serializes it through the real L2 in fixed (cycle, stage, sm) order, so no two threads ever race on cache state")
+    pub l2: &'a mut L2Buffer,
+    // latte-lint: shared-boundary(reason = "the DRAM completion heap; every push is self-targeted, so each shard owns a private heap and the barrier arbiter routes cross-stage completions, ordered by (cycle, sm, addr)")
     pub events: &'a mut std::collections::BinaryHeap<std::cmp::Reverse<MemEvent>>,
-    // latte-lint: shared-boundary(reason = "the SM's own per-SM compression policy; it travels with its SM into a shard under --sim-threads and is only consulted while that SM steps")
+    // latte-lint: shared-boundary(reason = "the SM's own per-SM compression policy; it travels with its SM into a shard and is only consulted while that SM steps")
     pub policy: &'a mut dyn L1CompressionPolicy,
     // latte-lint: shared-boundary(reason = "read-only kernel description (Kernel: Send + Sync); immutable during a launch, safe to share by reference across shard threads")
     pub kernel: &'a dyn Kernel,
     // latte-lint: shared-boundary(reason = "read-only GpuConfig; immutable for the whole run")
     pub config: &'a GpuConfig,
-    // latte-lint: shared-boundary(reason = "launch-wide counters; all updates are commutative adds, accumulated shard-locally under --sim-threads and summed at the end of the run")
+    // latte-lint: shared-boundary(reason = "launch-wide counters; all updates are commutative adds, accumulated shard-locally and summed at the end of the run")
     pub stats: &'a mut KernelStats,
     /// Differential-verification hook (`None` in normal runs).
-    // latte-lint: shared-boundary(reason = "verification-only shadow model; serial oracle runs call it directly, parallel runs record into a shard-local recorder that the barrier replays in deterministic (cycle, phase, sm, seq) order")
+    // latte-lint: shared-boundary(reason = "verification-only shadow model; a lone shard calls it directly, several shards record into shard-local recorders that the barrier replays in deterministic (cycle, stage, sm) order")
     pub shadow: Option<&'a mut (dyn ShadowCheck + 'static)>,
     /// Structural-checkpoint cadence in EPs (meaningless without `shadow`).
     pub shadow_every: u64,
 }
 
 impl MemCtx<'_> {
-    /// A write-through store reaching the shared L2. Serial: the access
-    /// happens now (a miss counts one DRAM access). Parallel: buffered
-    /// for the barrier arbiter, which applies the identical logic in the
-    /// identical order.
+    /// A write-through store reaching the shared L2.
     fn l2_store(&mut self, line: LineAddr, cycle: Cycles, sm: usize) {
-        match &mut self.l2 {
-            L2Port::Direct { l2, .. } => {
-                if !l2.access_and_fill(line) {
-                    self.stats.dram_accesses += 1;
-                }
-            }
-            L2Port::Deferred(buf) => buf.push(cycle, 1, sm, line, L2RequestKind::Store),
-        }
+        self.l2.push(cycle, sm, line, L2RequestKind::Store);
     }
 
-    /// A primary load miss's fill round trip. Serial: access the L2 now
-    /// and schedule the completion event directly. Parallel: buffer the
-    /// request; the arbiter performs the access at the barrier and pushes
-    /// the completion into the owning shard's heap. `spike` is the
-    /// SM-locally rolled latency-spike fault (0 when none) — rolled
-    /// before this call in both paths so the fault stream is identical.
-    /// The refill payload is resolved from the backing-store image at
-    /// the L2-access point in both paths, so a fill issued after a
-    /// write-back of the same line (in `(cycle, phase, sm, seq)` order)
-    /// always observes the written bytes.
+    /// A primary miss's fill round trip; the arbiter accesses the L2 and
+    /// schedules the completion, whose payload it resolves from the
+    /// backing-store image at that point, so a fill ordered after a
+    /// write-back of the same line observes the written bytes. `spike`
+    /// is the SM-locally rolled latency-spike fault (0 when none).
     fn l2_load_miss(&mut self, line: LineAddr, cycle: Cycles, sm: usize, spike: Cycles) {
-        match &mut self.l2 {
-            L2Port::Direct { l2, image } => {
-                let mut latency = if l2.access_and_fill(line) {
-                    self.config.l2_latency
-                } else {
-                    self.stats.dram_accesses += 1;
-                    self.config.dram_latency
-                };
-                latency += spike;
-                self.events.push(std::cmp::Reverse(MemEvent {
-                    cycle: cycle + latency,
-                    sm,
-                    addr: line,
-                    verified: false,
-                    data: image.get(&line).copied(),
-                }));
-            }
-            L2Port::Deferred(buf) => {
-                buf.push(cycle, 1, sm, line, L2RequestKind::LoadFill { spike });
-            }
-        }
+        self.l2
+            .push(cycle, sm, line, L2RequestKind::LoadFill { spike });
     }
 
     /// A dirty line's write-back reaching the shared L2 and the
-    /// backing-store image. `phase` is 0 for write-backs emitted while
-    /// delivering fills and 1 for issue-time ones, mirroring the serial
-    /// loop's deliver-then-issue order within a cycle. Under the planted
-    /// `drop_writebacks` mutation the write-back is silently discarded —
-    /// the lost-store failure mode the shadow oracle must catch.
-    fn l2_writeback(
-        &mut self,
-        line: LineAddr,
-        data: CacheLine,
-        cycle: Cycles,
-        sm: usize,
-        phase: u8,
-    ) {
+    /// backing-store image. Under the planted `drop_writebacks` mutation
+    /// the write-back is silently discarded — the lost-store failure
+    /// mode the shadow oracle must catch.
+    fn l2_writeback(&mut self, line: LineAddr, data: CacheLine, cycle: Cycles, sm: usize) {
         if self.config.faults.is_some_and(|f| f.drop_writebacks) {
             self.stats.faults.writebacks_dropped += 1;
             return;
         }
         self.stats.writebacks += 1;
-        match &mut self.l2 {
-            L2Port::Direct { l2, image } => {
-                image.insert(line, data);
-                if !l2.access_and_fill(line) {
-                    self.stats.dram_accesses += 1;
-                }
-            }
-            L2Port::Deferred(buf) => {
-                buf.push(cycle, phase, sm, line, L2RequestKind::WriteBack { data });
-            }
-        }
+        self.l2
+            .push(cycle, sm, line, L2RequestKind::WriteBack { data });
     }
 }
 
@@ -360,6 +278,11 @@ impl Sm {
 
     pub(crate) fn all_finished(&self) -> bool {
         self.schedulers.iter().all(WarpScheduler::all_finished) && self.waiters.is_empty()
+    }
+
+    /// `(MSHR entries in use, lines with warps waiting on them)`.
+    pub(crate) fn outstanding_misses(&self) -> (usize, usize) {
+        (self.mshr.used(), self.waiters.len())
     }
 
     /// Earliest cycle at which a warp can issue, if any warp can without
@@ -623,10 +546,8 @@ impl Sm {
             LookupOutcome::Miss => {
                 match self.mshr.allocate(line) {
                     MshrOutcome::Primary => {
-                        // Roll the latency-spike fault *before* touching
-                        // the port: the injector is SM-local state, so its
-                        // stream position must not depend on which path
-                        // (direct vs deferred) the access takes.
+                        // Roll the latency-spike fault here, SM-locally:
+                        // the arbiter only adds it to the access latency.
                         let spike = match self
                             .faults
                             .as_mut()
@@ -695,7 +616,7 @@ impl Sm {
                 .copied()
                 .unwrap_or_else(|| ctx.kernel.line_data(line));
             let merged = merge_sector(&base, sector_index, &sector);
-            self.commit_store(line, merged, cycle, 1, ctx);
+            self.commit_store(line, merged, cycle, ctx);
         } else {
             if self.mshr.allocate(line) == MshrOutcome::Primary {
                 // Write-allocate fetch. No latency-spike roll: stores are
@@ -711,14 +632,12 @@ impl Sm {
     /// Commits a store's fully merged line into the L1: re-compress
     /// under the policy's choice, rewrite the line in place (marking it
     /// dirty), write back any dirty victims the size change displaced,
-    /// and report the committed bytes to the shadow hook. `phase`
-    /// follows the [`MemCtx::l2_writeback`] convention.
+    /// and report the committed bytes to the shadow hook.
     fn commit_store(
         &mut self,
         line: LineAddr,
         merged: CacheLine,
         cycle: Cycles,
-        phase: u8,
         ctx: &mut MemCtx<'_>,
     ) {
         let set = self.l1.set_of(line);
@@ -740,7 +659,7 @@ impl Sm {
                     .record_payload(line, roundtrip_stored(stored_algo, &merged));
             }
             for victim in evicted {
-                self.writeback_victim(&victim, cycle, phase, ctx);
+                self.writeback_victim(&victim, cycle, ctx);
             }
             if let Some(shadow) = ctx.shadow.as_deref_mut() {
                 shadow.on_store(self.id, line, &merged, cycle);
@@ -749,18 +668,12 @@ impl Sm {
     }
 
     /// Sends one evicted line's dirty bytes back to the L2/DRAM (no-op
-    /// for clean victims). The outbound-link fault is rolled SM-locally
-    /// before the port access so the injector's stream position is
-    /// identical in the serial and deferred paths; a parity-detected
+    /// for clean victims). The outbound-link fault is rolled SM-locally,
+    /// so the injector's stream position does not depend on the thread
+    /// count; a parity-detected
     /// corruption is re-sent by the memory partition, costing link
     /// occupancy (counted) but no warp-visible latency.
-    fn writeback_victim(
-        &mut self,
-        victim: &EvictedLine,
-        cycle: Cycles,
-        phase: u8,
-        ctx: &mut MemCtx<'_>,
-    ) {
+    fn writeback_victim(&mut self, victim: &EvictedLine, cycle: Cycles, ctx: &mut MemCtx<'_>) {
         if !victim.dirty {
             return;
         }
@@ -773,7 +686,7 @@ impl Sm {
             ctx.stats.faults.writeback_faults += 1;
             ctx.stats.faults.writeback_retry_cycles += ctx.config.l2_latency;
         }
-        ctx.l2_writeback(victim.addr, data, cycle, self.id, phase);
+        ctx.l2_writeback(victim.addr, data, cycle, self.id);
     }
 
     /// Handles a refill arriving from the memory system. `verified` is
@@ -836,7 +749,7 @@ impl Sm {
             if ctx.config.write_back {
                 if let Some(sectors) = self.pending_stores.remove(&addr) {
                     let merged = merge_sectors(line.bytes(), &sectors);
-                    ctx.l2_writeback(addr, merged, cycle, self.id, 0);
+                    ctx.l2_writeback(addr, merged, cycle, self.id);
                     if let Some(shadow) = ctx.shadow.as_deref_mut() {
                         shadow.on_store(self.id, addr, &merged, cycle);
                     }
@@ -858,7 +771,7 @@ impl Sm {
             self.l1
                 .fill_into(addr, algo, compression, cycle, &mut victims);
             for victim in victims.drain(..) {
-                self.writeback_victim(&victim, cycle, 0, ctx);
+                self.writeback_victim(&victim, cycle, ctx);
             }
             self.victims = victims;
             if self.l1.data_tracking_enabled() {
@@ -886,7 +799,7 @@ impl Sm {
             if ctx.config.write_back {
                 if let Some(sectors) = self.pending_stores.remove(&addr) {
                     let merged = merge_sectors(line.bytes(), &sectors);
-                    self.commit_store(addr, merged, cycle, 0, ctx);
+                    self.commit_store(addr, merged, cycle, ctx);
                 }
             }
         }
@@ -1002,9 +915,8 @@ impl Sm {
         if let Some(algo) = ctx.policy.pending_invalidation() {
             // A retrain invalidation may drop dirty lines (e.g. the SC
             // codebook rebuild); their bytes must still reach memory.
-            // EP boundaries are observed at issue time, hence phase 1.
             for victim in self.l1.invalidate_algo(algo) {
-                self.writeback_victim(&victim, cycle, 1, ctx);
+                self.writeback_victim(&victim, cycle, ctx);
             }
         }
         ctx.stats.eps_completed += 1;

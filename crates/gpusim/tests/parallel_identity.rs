@@ -12,9 +12,9 @@ use std::sync::{Arc, Mutex};
 use latte_compress::{Compression, CompressionAlgo};
 use latte_gpusim::testing::{HotsetKernel, StridedKernel};
 use latte_gpusim::{
-    FaultConfig, Fingerprinter, Gpu, GpuConfig, Kernel, KernelStats, L1CompressionPolicy, Op,
-    OpStream, ShadowCheck, ShadowCheckpoint, ShadowConfig, TerminationReason, UncompressedPolicy,
-    VecStream,
+    EpochStats, FaultConfig, Fingerprinter, Gpu, GpuConfig, Kernel, KernelStats,
+    L1CompressionPolicy, Op, OpStream, ShadowCheck, ShadowCheckpoint, ShadowConfig,
+    TerminationReason, UncompressedPolicy, VecStream,
 };
 
 /// Five SMs: at 2 threads the shards split 3+2, at 4 threads 2+1+1+1 —
@@ -157,11 +157,10 @@ impl Kernel for WritePressureKernel {
 /// A kernel whose very last operations are stores to lines that are
 /// not resident: each one misses, write-allocates a background fill,
 /// and the warp exits without waiting (stores are fire-and-forget).
-/// The serial loop keeps running until the fill's completion event
-/// drains from the global heap; the parallel loop's shard-done
-/// condition must count the buffered fill request as pending work or
-/// it declares the kernel over early — cycles, write-backs and the
-/// shadow transcript all diverge.
+/// The machine must keep running until the fill's completion is
+/// delivered: a shard's done condition must count the buffered fill
+/// request as pending work or it declares the kernel over early —
+/// cycles, write-backs and the shadow transcript all diverge.
 #[derive(Clone)]
 struct TailStoreKernel;
 
@@ -303,14 +302,47 @@ fn run_with_threads(
             Box::new(UncompressedPolicy) as Box<dyn L1CompressionPolicy>
         }
     });
-    let stats = gpu.run_kernels(kernels.iter().copied());
+    let stats = run_conserving(&mut gpu, kernels);
     let capacity = gpu.l1_effective_capacity_ratio();
-    if threads > 1 && config.l2_latency.min(config.dram_latency) > 0 {
-        let epochs = gpu.take_epoch_stats();
-        assert!(epochs.epochs > 0, "parallel run must record epochs");
+    let epochs = gpu.take_epoch_stats();
+    if threads > 1 {
+        assert!(epochs.epochs > 0, "sharded run must record epochs");
         assert!(epochs.advanced_cycles > 0);
+    } else {
+        assert_eq!(
+            epochs,
+            EpochStats::default(),
+            "a one-shard run has no barrier"
+        );
     }
     (stats, capacity)
+}
+
+/// Runs each kernel and checks the conservation laws that hold whatever
+/// the thread count: every L2 miss is one DRAM access, and a kernel that
+/// ran to completion leaves no MSHR entry or waiting warp behind.
+fn run_conserving(gpu: &mut Gpu, kernels: &[&dyn Kernel]) -> Vec<KernelStats> {
+    kernels
+        .iter()
+        .map(|kernel| {
+            let stats = gpu.run_kernel(*kernel);
+            assert_eq!(
+                stats.dram_accesses,
+                stats.l2.misses,
+                "{}: each L2 miss is one DRAM access",
+                kernel.name()
+            );
+            if stats.termination == TerminationReason::Completed {
+                assert_eq!(
+                    gpu.outstanding_misses(),
+                    (0, 0),
+                    "{}: a completed kernel leaves no miss outstanding",
+                    kernel.name()
+                );
+            }
+            stats
+        })
+        .collect()
 }
 
 /// The digest of one run's output: every kernel's statistics and the
@@ -655,7 +687,7 @@ fn shadow_transcript(
         ShadowConfig::default(),
     );
     let mut total = KernelStats::default();
-    for stats in gpu.run_kernels(kernels.iter().copied()) {
+    for stats in run_conserving(&mut gpu, kernels) {
         total.accumulate(&stats);
     }
     let transcript = log.lock().map(|l| l.clone()).unwrap_or_default();
@@ -940,5 +972,5 @@ fn epoch_stats_account_for_the_whole_run() {
     assert!(epochs.mean_epoch_cycles() > 0.0);
     assert_eq!(epochs.shards, 2);
     // take_epoch_stats drains.
-    assert_eq!(gpu.take_epoch_stats(), latte_gpusim::EpochStats::default());
+    assert_eq!(gpu.take_epoch_stats(), EpochStats::default());
 }
