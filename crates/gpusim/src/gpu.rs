@@ -3,12 +3,11 @@
 
 use crate::config::GpuConfig;
 use crate::ops::Kernel;
-use crate::parallel::{self, EpochStats, MemImage, SharedMemory};
+use crate::parallel::{self, EpochStats, SharedMemory};
 use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint, ShadowConfig};
 use crate::sm::Sm;
 use crate::stats::{KernelStats, TerminationReason};
-use latte_cache::SimpleCache;
 
 /// The simulated GPU.
 ///
@@ -68,10 +67,7 @@ impl Gpu {
         Gpu {
             config: config.clone(),
             sms,
-            memory: SharedMemory {
-                l2: SimpleCache::new(config.l2_geometry),
-                image: MemImage::default(),
-            },
+            memory: SharedMemory::new(config),
             policies,
             diagnostics: Vec::new(),
             shadow: None,

@@ -100,7 +100,7 @@ pub const ARBITER_SHARED_FIELDS: &[(&str, &str)] = &[
 /// hold their pristine [`Kernel::line_data`] bytes, so the map stays
 /// empty (and the write-through configurations stay allocation-free)
 /// unless the write-back data path runs.
-pub(crate) type MemImage = LineMap<CacheLine>;
+type MemImage = LineMap<CacheLine>;
 
 /// The memory side every SM shares: the L2 and the backing-store image
 /// behind it. Only the barrier arbiter and the kernel-end flush reach
@@ -111,6 +111,13 @@ pub(crate) struct SharedMemory {
 }
 
 impl SharedMemory {
+    pub(crate) fn new(config: &GpuConfig) -> SharedMemory {
+        SharedMemory {
+            l2: SimpleCache::new(config.l2_geometry),
+            image: MemImage::default(),
+        }
+    }
+
     /// The L2/DRAM access rule, the one place it is written: a hit costs
     /// `l2_latency`; a miss counts one DRAM access and costs
     /// `dram_latency`. A write-back's bytes also land in the image, so
@@ -523,7 +530,10 @@ fn merge_runs<T, K: Ord>(
     key: impl Fn(&T) -> K,
     mut visit: impl FnMut(usize, &T),
 ) {
-    debug_assert!(runs.iter().all(|run| run.is_sorted_by_key(&key)));
+    assert!(
+        runs.iter().all(|run| run.is_sorted_by_key(&key)),
+        "a shard emitted its records out of (cycle, stage, sm) order"
+    );
     let mut next = vec![0; runs.len()];
     loop {
         let mut first: Option<(usize, K)> = None;
