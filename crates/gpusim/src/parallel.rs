@@ -534,6 +534,14 @@ fn merge_runs<T, K: Ord>(
         runs.iter().all(|run| run.is_sorted_by_key(&key)),
         "a shard emitted its records out of (cycle, stage, sm) order"
     );
+    if let [run] = runs {
+        // A lone shard's run is already the merged order.
+        for item in run.iter() {
+            visit(0, item);
+        }
+        run.clear();
+        return;
+    }
     let mut next = vec![0; runs.len()];
     loop {
         let mut first: Option<(usize, K)> = None;
