@@ -410,7 +410,8 @@ mod tests {
     fn sim_threads_is_excluded_from_the_fingerprint() {
         // The cycle loop is byte-identical at every thread count, so the
         // thread count must NOT fragment the memo/store key space: a warm
-        // one-thread result has to satisfy a sharded run and vice versa. This pin is load-bearing — folding `sim_threads` into
+        // one-thread result has to satisfy a sharded run and vice versa.
+        // This pin is load-bearing — folding `sim_threads` into
         // `fingerprint()` would silently invalidate every stored result.
         let base = GpuConfig::paper();
         for n in [0, 2, 4, 64] {

@@ -108,15 +108,9 @@ impl Gpu {
     /// statistics.
     pub fn run_kernel(&mut self, kernel: &dyn Kernel) -> KernelStats {
         let mut stats = KernelStats::default();
-        if self.config.flush_at_kernel_boundary {
-            self.memory.l2.invalidate_all();
-            // Each kernel's memory is defined by its own `line_data`
-            // function, so the write-back image resets with the caches.
-            // Without boundary flushes, caches stay warm, dirty lines
-            // stay resident, and the image must persist with them.
-            self.memory.image.clear();
-        }
-        self.memory.l2.reset_stats();
+        // Without boundary flushes, caches stay warm, dirty lines stay
+        // resident, and the write-back image must persist with them.
+        self.memory.reset(self.config.flush_at_kernel_boundary);
         for (sm, policy) in self.sms.iter_mut().zip(&mut self.policies) {
             sm.launch(kernel, &self.config);
             policy.on_kernel_start();
@@ -181,7 +175,7 @@ impl Gpu {
         );
         stats.barrier_wait_cycles = self.sms.iter().map(|s| s.barrier_wait).sum();
         stats.l1 = self.sms.iter().map(|s| *s.l1.stats()).sum();
-        stats.l2 = *self.memory.l2.stats();
+        stats.l2 = self.memory.l2_stats();
         stats
     }
 

@@ -19,9 +19,15 @@
 //!   takes ≥ Δ cycles, so a request issued inside an epoch cannot
 //!   complete — and therefore cannot influence any SM — before the epoch
 //!   ends. Within an epoch the shards are fully independent. With Δ = 0
-//!   every epoch is one cycle: SMs reach the L2 only while they issue, so
-//!   a completion due at cycle `c` is delivered at `c + 1` whatever the
-//!   shard count.
+//!   every epoch is one cycle. A cycle delivers its due completions
+//!   before it issues, so an event that falls due at `c` only during or
+//!   after `c`'s issue phase arrives at `c + 1`: the arbiter's completion
+//!   of a load fill (only issue-time load misses produce completions)
+//!   and a write-allocate fetch pushed at issue. An event a delivery
+//!   pushes and makes due at `c`, such as a fill-bitflip retry when
+//!   `l2_latency = 0`, is delivered in that same cycle. Each of these is
+//!   decided inside one shard or after the epoch, so the shard count
+//!   changes none of them.
 //! * **Total order at the barrier.** Each shard emits its L2 requests
 //!   already sorted by `(cycle, stage, sm)` (see [`crate::sm::Stage`]):
 //!   cycles in order, due completions before issue, SMs in id order. An
@@ -31,7 +37,8 @@
 //! * **Self-targeted events.** Every event an SM pushes targets itself
 //!   (fill retries, write-allocate fetches), so per-shard event heaps pop
 //!   the same per-SM subsequences as one machine-wide heap, and
-//!   arbiter-generated completions land at cycles ≥ the epoch end.
+//!   arbiter-generated completions are delivered no earlier than the
+//!   epoch end.
 //! * **Idle equivalence.** A scheduler swept with nothing ready behaves
 //!   identically to `account_idle_cycles(1)`: both add its maintained
 //!   available-warp count once. No warp changes state inside an idle
@@ -53,7 +60,7 @@ use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint};
 use crate::sm::{L2Buffer, L2Request, L2RequestKind, MemCtx, MemEvent, Sm, Stage, ISSUE_STAGE};
 use crate::stats::{KernelStats, TerminationReason};
-use latte_cache::{LineAddr, LineMap, SimpleCache};
+use latte_cache::{CacheStats, LineAddr, LineMap, SimpleCache};
 use latte_compress::{CacheLine, Cycles};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,11 +110,13 @@ pub const ARBITER_SHARED_FIELDS: &[(&str, &str)] = &[
 type MemImage = LineMap<CacheLine>;
 
 /// The memory side every SM shares: the L2 and the backing-store image
-/// behind it. Only the barrier arbiter and the kernel-end flush reach
-/// it, one access at a time, through [`SharedMemory::access`].
+/// behind it. Only the barrier arbiter and the kernel-end flush access
+/// it, one access at a time, through [`SharedMemory::access`];
+/// [`crate::Gpu`] also resets it and reads the L2's counters between
+/// kernels.
 pub(crate) struct SharedMemory {
-    pub l2: SimpleCache,
-    pub image: MemImage,
+    l2: SimpleCache,
+    image: MemImage,
 }
 
 impl SharedMemory {
@@ -116,6 +125,22 @@ impl SharedMemory {
             l2: SimpleCache::new(config.l2_geometry),
             image: MemImage::default(),
         }
+    }
+
+    /// Prepares a kernel launch: zeroes the L2's counters and, with
+    /// `flush`, empties the L2 and resets the image to pristine memory
+    /// (each kernel's memory is defined by its own `line_data`).
+    pub(crate) fn reset(&mut self, flush: bool) {
+        if flush {
+            self.l2.invalidate_all();
+            self.image.clear();
+        }
+        self.l2.reset_stats();
+    }
+
+    /// The L2's counters since the last [`SharedMemory::reset`].
+    pub(crate) fn l2_stats(&self) -> CacheStats {
+        *self.l2.stats()
     }
 
     /// The L2/DRAM access rule, the one place it is written: a hit costs
@@ -534,14 +559,6 @@ fn merge_runs<T, K: Ord>(
         runs.iter().all(|run| run.is_sorted_by_key(&key)),
         "a shard emitted its records out of (cycle, stage, sm) order"
     );
-    if let [run] = runs {
-        // A lone shard's run is already the merged order.
-        for item in run.iter() {
-            visit(0, item);
-        }
-        run.clear();
-        return;
-    }
     let mut next = vec![0; runs.len()];
     loop {
         let mut first: Option<(usize, K)> = None;

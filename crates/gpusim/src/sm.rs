@@ -40,8 +40,11 @@ pub(crate) struct MemEvent {
 /// and then issues every SM in id order, so each shard emits its L2
 /// requests and oracle calls already sorted by `(cycle, stage, sm)`, and
 /// merging the shards by that key replays the one-loop order. A
-/// completion is always delivered on its due cycle unless Δ = 0 (see
-/// [`crate::parallel`]), where one due at `c` arrives at `c + 1`.
+/// completion is delivered on its due cycle, except that with Δ = 0 one
+/// that falls due at `c` during or after `c`'s issue phase (the
+/// arbiter's completion of a load fill, a write-allocate fetch) arrives
+/// at `c + 1` (see [`crate::parallel`]). One pushed while delivering,
+/// such as a fill-bitflip retry, can still fall due and arrive at `c`.
 pub(crate) type Stage = Cycles;
 
 /// The stage of every issue-time record: after all of its cycle's
