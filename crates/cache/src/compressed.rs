@@ -609,10 +609,7 @@ impl CompressedCache {
                     return Err(format!("set {i} holds duplicate address {}", t.addr));
                 }
                 if t.subblocks < 1 || t.subblocks > 4 {
-                    return Err(format!(
-                        "set {i} holds tag with {} sub-blocks",
-                        t.subblocks
-                    ));
+                    return Err(format!("set {i} holds tag with {} sub-blocks", t.subblocks));
                 }
                 if self.geometry.set_of(t.addr) != i {
                     return Err(format!("line {} mapped to wrong set {i}", t.addr));
@@ -722,10 +719,20 @@ mod tests {
         let mut c = l1();
         // 4 uncompressed lines fill a set; the 5th evicts.
         for i in 0..4 {
-            let ev = c.fill(set0_addr(i), CompressionAlgo::None, Compression::UNCOMPRESSED, i);
+            let ev = c.fill(
+                set0_addr(i),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                i,
+            );
             assert!(ev.is_empty());
         }
-        let ev = c.fill(set0_addr(4), CompressionAlgo::None, Compression::UNCOMPRESSED, 4);
+        let ev = c.fill(
+            set0_addr(4),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            4,
+        );
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].addr, set0_addr(0), "LRU victim");
         c.assert_invariants();
@@ -750,14 +757,29 @@ mod tests {
     fn mixed_sizes_evict_until_space() {
         let mut c = l1();
         // Two uncompressed (4 sb each) + three 2-sb lines: 14/16 sub-blocks.
-        c.fill(set0_addr(0), CompressionAlgo::None, Compression::UNCOMPRESSED, 0);
-        c.fill(set0_addr(1), CompressionAlgo::None, Compression::UNCOMPRESSED, 1);
+        c.fill(
+            set0_addr(0),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            0,
+        );
+        c.fill(
+            set0_addr(1),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            1,
+        );
         c.fill(set0_addr(2), CompressionAlgo::Bdi, Compression::new(64), 2);
         c.fill(set0_addr(3), CompressionAlgo::Bdi, Compression::new(64), 3);
         c.fill(set0_addr(5), CompressionAlgo::Bdi, Compression::new(64), 5);
         // An uncompressed fill needs 4 sub-blocks but only 2 are free:
         // exactly one eviction (the LRU, a 4-sb line) frees enough.
-        let ev = c.fill(set0_addr(4), CompressionAlgo::None, Compression::UNCOMPRESSED, 6);
+        let ev = c.fill(
+            set0_addr(4),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            6,
+        );
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].addr, set0_addr(0));
         c.assert_invariants();
@@ -767,11 +789,21 @@ mod tests {
     fn lru_respects_lookups() {
         let mut c = l1();
         for i in 0..4 {
-            c.fill(set0_addr(i), CompressionAlgo::None, Compression::UNCOMPRESSED, i);
+            c.fill(
+                set0_addr(i),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                i,
+            );
         }
         // Touch line 0 so line 1 becomes LRU.
         assert!(c.lookup(set0_addr(0), 10).is_hit());
-        let ev = c.fill(set0_addr(9), CompressionAlgo::None, Compression::UNCOMPRESSED, 11);
+        let ev = c.fill(
+            set0_addr(9),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            11,
+        );
         assert_eq!(ev[0].addr, set0_addr(1));
     }
 
@@ -819,7 +851,12 @@ mod tests {
     fn invalidate_all_counts() {
         let mut c = l1();
         for i in 0..10 {
-            c.fill(LineAddr::new(i), CompressionAlgo::Bdi, Compression::new(30), i);
+            c.fill(
+                LineAddr::new(i),
+                CompressionAlgo::Bdi,
+                Compression::new(30),
+                i,
+            );
         }
         assert_eq!(c.invalidate_all(), 10);
         assert_eq!(c.valid_lines(), 0);
@@ -869,7 +906,12 @@ mod tests {
     fn validate_accepts_live_state() {
         let mut c = l1();
         for i in 0..40 {
-            c.fill(LineAddr::new(i * 32), CompressionAlgo::Bdi, Compression::new(48), i);
+            c.fill(
+                LineAddr::new(i * 32),
+                CompressionAlgo::Bdi,
+                Compression::new(48),
+                i,
+            );
             c.lookup(LineAddr::new(i * 16), i);
         }
         assert_eq!(c.validate(), Ok(()));
@@ -881,13 +923,23 @@ mod tests {
         c.enable_payload_shadow();
         let data = CacheLine::from_u32_words(&[7; 32]);
         for i in 0..4 {
-            c.fill(set0_addr(i), CompressionAlgo::None, Compression::UNCOMPRESSED, i);
+            c.fill(
+                set0_addr(i),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                i,
+            );
             c.record_payload(set0_addr(i), data);
         }
         assert_eq!(c.payload(set0_addr(0)), Some(&data));
         assert_eq!(c.validate(), Ok(()));
         // The 5th uncompressed fill evicts the LRU line and its payload.
-        c.fill(set0_addr(9), CompressionAlgo::None, Compression::UNCOMPRESSED, 9);
+        c.fill(
+            set0_addr(9),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            9,
+        );
         c.record_payload(set0_addr(9), data);
         assert_eq!(c.payload(set0_addr(0)), None);
         assert_eq!(c.validate(), Ok(()));
@@ -925,8 +977,17 @@ mod tests {
         let new = CacheLine::from_u32_words(&[2; 32]);
         c.fill(set0_addr(0), CompressionAlgo::Bdi, Compression::new(24), 0);
         c.record_payload(set0_addr(0), old);
-        c.fill(set0_addr(0), CompressionAlgo::None, Compression::UNCOMPRESSED, 1);
-        assert_eq!(c.payload(set0_addr(0)), None, "stale payload must not survive a refill");
+        c.fill(
+            set0_addr(0),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            1,
+        );
+        assert_eq!(
+            c.payload(set0_addr(0)),
+            None,
+            "stale payload must not survive a refill"
+        );
         c.record_payload(set0_addr(0), new);
         assert_eq!(c.payload(set0_addr(0)), Some(&new));
         assert_eq!(c.validate(), Ok(()));
@@ -947,7 +1008,9 @@ mod tests {
         c.enable_payload_shadow();
         // A resident line without a payload is a divergence…
         c.fill(set0_addr(0), CompressionAlgo::Bdi, Compression::new(24), 0);
-        let err = c.validate().expect_err("missing payload must fail validation");
+        let err = c
+            .validate()
+            .expect_err("missing payload must fail validation");
         assert!(err.contains("no shadow payload"), "{err}");
         c.record_payload(set0_addr(0), CacheLine::zeroed());
         assert_eq!(c.validate(), Ok(()));
@@ -955,7 +1018,9 @@ mod tests {
         if let Some(map) = &mut c.payload_shadow {
             map.insert(set0_addr(31), CacheLine::zeroed());
         }
-        let err = c.validate().expect_err("orphaned payload must fail validation");
+        let err = c
+            .validate()
+            .expect_err("orphaned payload must fail validation");
         assert!(err.contains("orphaned"), "{err}");
     }
 
@@ -976,7 +1041,13 @@ mod tests {
         c.fill(a, CompressionAlgo::Bdi, Compression::new(24), 0);
         c.record_line_data(a, line_of(1));
         assert!(!c.is_dirty(a));
-        let ev = c.write(a, CompressionAlgo::Bdi, Compression::new(24), &line_of(2), 1);
+        let ev = c.write(
+            a,
+            CompressionAlgo::Bdi,
+            Compression::new(24),
+            &line_of(2),
+            1,
+        );
         assert_eq!(ev, Some(vec![]), "same size: no evictions");
         assert!(c.is_dirty(a));
         assert_eq!(c.line_data(a), Some(&line_of(2)));
@@ -989,7 +1060,13 @@ mod tests {
     fn write_to_absent_line_is_none() {
         let mut c = tracked();
         assert_eq!(
-            c.write(set0_addr(7), CompressionAlgo::None, Compression::UNCOMPRESSED, &line_of(0), 0),
+            c.write(
+                set0_addr(7),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                &line_of(0),
+                0
+            ),
             None
         );
     }
@@ -1004,16 +1081,33 @@ mod tests {
             c.record_line_data(set0_addr(i), line_of(i as u8));
         }
         for i in 4..7 {
-            c.fill(set0_addr(i), CompressionAlgo::None, Compression::UNCOMPRESSED, i);
+            c.fill(
+                set0_addr(i),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                i,
+            );
             c.record_line_data(set0_addr(i), line_of(i as u8));
         }
         // Growing line 0 from 1 to 4 sub-blocks exceeds the budget by 3.
         let ev = c
-            .write(set0_addr(0), CompressionAlgo::None, Compression::UNCOMPRESSED, &line_of(9), 6)
+            .write(
+                set0_addr(0),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                &line_of(9),
+                6,
+            )
             .unwrap_or_default();
         assert!(!ev.is_empty(), "grown line must evict");
-        assert!(ev.iter().all(|e| e.addr != set0_addr(0)), "never evicts itself");
-        assert!(ev.iter().all(|e| e.data.is_some()), "victims carry their bytes");
+        assert!(
+            ev.iter().all(|e| e.addr != set0_addr(0)),
+            "never evicts itself"
+        );
+        assert!(
+            ev.iter().all(|e| e.data.is_some()),
+            "victims carry their bytes"
+        );
         assert!(c.is_dirty(set0_addr(0)));
         assert_eq!(c.line_data(set0_addr(0)), Some(&line_of(9)));
         c.assert_invariants();
@@ -1023,15 +1117,31 @@ mod tests {
     fn evicted_dirty_line_carries_its_written_bytes() {
         let mut c = tracked();
         for i in 0..4 {
-            c.fill(set0_addr(i), CompressionAlgo::None, Compression::UNCOMPRESSED, i);
+            c.fill(
+                set0_addr(i),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                i,
+            );
             c.record_line_data(set0_addr(i), line_of(i as u8));
         }
-        c.write(set0_addr(0), CompressionAlgo::None, Compression::UNCOMPRESSED, &line_of(0xAA), 4);
+        c.write(
+            set0_addr(0),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            &line_of(0xAA),
+            4,
+        );
         // Touch the clean lines so the dirty one becomes LRU.
         for i in 1..4 {
             c.lookup(set0_addr(i), 5 + i);
         }
-        let ev = c.fill(set0_addr(9), CompressionAlgo::None, Compression::UNCOMPRESSED, 9);
+        let ev = c.fill(
+            set0_addr(9),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            9,
+        );
         c.record_line_data(set0_addr(9), line_of(9));
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].addr, set0_addr(0));
@@ -1047,8 +1157,20 @@ mod tests {
             c.fill(set0_addr(i), CompressionAlgo::Bdi, Compression::new(32), i);
             c.record_line_data(set0_addr(i), line_of(i as u8));
         }
-        c.write(set0_addr(2), CompressionAlgo::Bdi, Compression::new(32), &line_of(12), 3);
-        c.write(set0_addr(0), CompressionAlgo::Bdi, Compression::new(32), &line_of(10), 4);
+        c.write(
+            set0_addr(2),
+            CompressionAlgo::Bdi,
+            Compression::new(32),
+            &line_of(12),
+            3,
+        );
+        c.write(
+            set0_addr(0),
+            CompressionAlgo::Bdi,
+            Compression::new(32),
+            &line_of(10),
+            4,
+        );
         assert_eq!(c.dirty_lines(), 2);
         let drained = c.drain_dirty();
         // Tag-slot order within the set, regardless of write order.
@@ -1066,7 +1188,13 @@ mod tests {
         let mut c = tracked();
         c.fill(set0_addr(0), CompressionAlgo::Sc, Compression::new(16), 0);
         c.record_line_data(set0_addr(0), line_of(1));
-        c.write(set0_addr(0), CompressionAlgo::Sc, Compression::new(16), &line_of(2), 1);
+        c.write(
+            set0_addr(0),
+            CompressionAlgo::Sc,
+            Compression::new(16),
+            &line_of(2),
+            1,
+        );
         let dropped = c.invalidate_algo(CompressionAlgo::Sc);
         assert_eq!(dropped.len(), 1);
         assert!(dropped[0].dirty);
@@ -1077,8 +1205,18 @@ mod tests {
     #[test]
     fn fill_ratio_statistics() {
         let mut c = l1();
-        c.fill(LineAddr::new(0), CompressionAlgo::Bdi, Compression::new(32), 0);
-        c.fill(LineAddr::new(1), CompressionAlgo::Bdi, Compression::new(32), 1);
+        c.fill(
+            LineAddr::new(0),
+            CompressionAlgo::Bdi,
+            Compression::new(32),
+            0,
+        );
+        c.fill(
+            LineAddr::new(1),
+            CompressionAlgo::Bdi,
+            Compression::new(32),
+            1,
+        );
         // 2 lines of 128 B stored in 2 x 32 B.
         assert!((c.stats().fill_compression_ratio() - 4.0).abs() < 1e-12);
     }

@@ -17,7 +17,12 @@ enum WbOp {
     Access(u64),
     /// A store of `[fill; 32]` into `sector` of the line at `addr`
     /// (allocating on miss), re-compressed with the selected algorithm.
-    Store { addr: u64, sector: u8, fill: u8, algo_sel: u8 },
+    Store {
+        addr: u64,
+        sector: u8,
+        fill: u8,
+        algo_sel: u8,
+    },
     /// The kernel-end flush: every dirty line written back in place.
     DrainDirty,
     /// Invalidation of one line (dirty bytes written back first, as the
@@ -62,11 +67,13 @@ fn roundtrip(algo: CompressionAlgo, line: &CacheLine) -> CacheLine {
     match algo {
         CompressionAlgo::Bdi => {
             let bdi = Bdi::new();
-            bdi.decode(&bdi.encode(line)).expect("BDI decodes its own encoding")
+            bdi.decode(&bdi.encode(line))
+                .expect("BDI decodes its own encoding")
         }
         CompressionAlgo::Fpc => {
             let fpc = Fpc::new();
-            fpc.decode(&fpc.encode(line)).expect("FPC decodes its own encoding")
+            fpc.decode(&fpc.encode(line))
+                .expect("FPC decodes its own encoding")
         }
         _ => *line,
     }
@@ -92,7 +99,10 @@ struct Model {
 
 impl Model {
     fn mem_bytes(&self, addr: u64) -> CacheLine {
-        self.mem.get(&addr).copied().unwrap_or_else(|| pristine(addr))
+        self.mem
+            .get(&addr)
+            .copied()
+            .unwrap_or_else(|| pristine(addr))
     }
 
     /// Audits one eviction batch: every victim must carry exactly the
@@ -120,18 +130,16 @@ impl Model {
 }
 
 /// Fills `addr` from backing memory (the miss path) and syncs the model.
-fn fill_line(
-    cache: &mut CompressedCache,
-    model: &mut Model,
-    addr: u64,
-    cycle: u64,
-) {
+fn fill_line(cache: &mut CompressedCache, model: &mut Model, addr: u64, cycle: u64) {
     let data = model.mem_bytes(addr);
     let line = LineAddr::new(addr);
     // Fills always come from memory at BDI size here; the algorithm mix
     // on the write path is what varies sizes.
     let evicted = cache.fill(line, CompressionAlgo::Bdi, Bdi::new().probe(&data), cycle);
-    prop_assert!(evicted.iter().all(|e| e.addr != line), "fill evicted itself");
+    prop_assert!(
+        evicted.iter().all(|e| e.addr != line),
+        "fill evicted itself"
+    );
     model.absorb_evictions(&evicted);
     cache.record_line_data(line, data);
     model.resident.insert(addr, data);
@@ -146,7 +154,12 @@ fn check_sync(cache: &CompressedCache, model: &Model) {
     for (&addr, bytes) in &model.resident {
         let line = LineAddr::new(addr);
         prop_assert!(cache.contains(line), "model thinks {line} is resident");
-        prop_assert_eq!(cache.line_data(line), Some(bytes), "bytes of {} diverged", line);
+        prop_assert_eq!(
+            cache.line_data(line),
+            Some(bytes),
+            "bytes of {} diverged",
+            line
+        );
         prop_assert_eq!(cache.is_dirty(line), model.dirty.contains(&addr));
     }
 }
@@ -166,7 +179,12 @@ fn run_interleaving(ops: &[WbOp], addr_space: u64) {
                     fill_line(&mut cache, &mut model, addr, cycle);
                 }
             }
-            WbOp::Store { addr, sector, fill, algo_sel } => {
+            WbOp::Store {
+                addr,
+                sector,
+                fill,
+                algo_sel,
+            } => {
                 let line = LineAddr::new(addr);
                 if !cache.contains(line) {
                     // Write-allocate: fetch the line, then merge the store.
