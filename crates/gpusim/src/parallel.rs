@@ -58,12 +58,11 @@ use crate::config::GpuConfig;
 use crate::ops::Kernel;
 use crate::policy::L1CompressionPolicy;
 use crate::shadow::{ShadowCheck, ShadowCheckpoint};
-use crate::sm::{L2Buffer, L2Request, L2RequestKind, MemCtx, MemEvent, Sm, Stage, ISSUE_STAGE};
+use crate::sm::{EventQueue, L2Buffer, L2Request, L2RequestKind, MemCtx, Sm, Stage, ISSUE_STAGE};
 use crate::stats::{KernelStats, TerminationReason};
 use latte_cache::{CacheStats, LineAddr, LineMap, SimpleCache};
 use latte_compress::{CacheLine, Cycles};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
@@ -356,8 +355,8 @@ struct ShardUnit {
 struct Shard<'a> {
     /// The shard's SMs, in id order.
     units: Vec<ShardUnit>,
-    /// Shard-private completion heap (every SM event is self-targeted).
-    events: BinaryHeap<Reverse<MemEvent>>,
+    /// Shard-private completion queue (every SM event is self-targeted).
+    events: EventQueue,
     /// Deferred shared-L2 traffic for the barrier arbiter.
     buffer: L2Buffer,
     shadow: ShardShadow<'a>,
@@ -393,7 +392,7 @@ impl Shard<'_> {
         if self.issued_last {
             return Some(last + 1);
         }
-        let next_event = self.events.peek().map(|&Reverse(e)| e.cycle);
+        let next_event = self.events.next_due();
         let next_wake = self.units.iter().filter_map(|u| u.sm.next_wake()).min();
         let target = match (next_event, next_wake) {
             (Some(a), Some(b)) => a.min(b),
@@ -449,11 +448,7 @@ impl Shard<'_> {
                 }
             }
         }
-        while let Some(&Reverse(ev)) = self.events.peek() {
-            if ev.cycle > cycle {
-                break;
-            }
-            self.events.pop();
+        while let Some((ev, payload)) = self.events.pop_due(cycle) {
             self.set_stage(ev.cycle);
             let unit = &mut self.units[self.slot_of[ev.sm]];
             let mut ctx = MemCtx {
@@ -467,7 +462,7 @@ impl Shard<'_> {
                 shadow_every: self.shadow_every,
             };
             unit.sm
-                .handle_fill(ev.addr, cycle, ev.verified, ev.data, &mut ctx);
+                .handle_fill(ev.addr, cycle, ev.verified, payload, &mut ctx);
         }
         self.set_stage(ISSUE_STAGE);
         let mut issued = 0;
@@ -606,13 +601,13 @@ fn arbitrate(
             };
             let latency = memory.access(req.addr, write_back, config, stats);
             if let L2RequestKind::LoadFill { spike } = req.kind {
-                shards[owner].events.push(Reverse(MemEvent {
-                    cycle: req.cycle + latency + spike,
-                    sm: req.sm,
-                    addr: req.addr,
-                    verified: false,
-                    data: memory.image.get(&req.addr).copied(),
-                }));
+                shards[owner].events.push(
+                    req.cycle + latency + spike,
+                    req.sm,
+                    req.addr,
+                    false,
+                    memory.image.get(&req.addr).copied(),
+                );
             }
         },
     );
@@ -908,7 +903,7 @@ pub(crate) fn run_cycles(
     let record = shadow.is_some();
     let mut new_shard = |members: &[usize]| Shard {
         units: members.iter().filter_map(|&sm| units[sm].take()).collect(),
-        events: BinaryHeap::new(),
+        events: EventQueue::default(),
         buffer: L2Buffer::default(),
         shadow: match direct.take() {
             Some(hook) => ShardShadow::Direct(hook),

@@ -14,8 +14,12 @@ use latte_cache::{
     MshrOutcome,
 };
 use latte_compress::{CacheLine, Compression, Cycles};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::num::NonZeroU32;
 
-/// A memory request completing at `cycle` for `sm`'s line `addr`.
+/// A memory request completing at `cycle` for `sm`'s line `addr`: 32
+/// bytes, so the completion heap moves no line data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemEvent {
     pub cycle: Cycles,
@@ -25,13 +29,106 @@ pub(crate) struct MemEvent {
     /// already been checked, so the fill-bitflip site must not roll
     /// again (guarantees forward progress even at injection rate 1.0).
     pub verified: bool,
-    /// Refill payload resolved from the backing-store image at L2-access
-    /// time (`None` = the line is pristine and the fill delivers
+    /// Handle of the refill payload resolved from the backing-store image
+    /// at L2-access time, parked in the owning [`EventQueue`]'s slab
+    /// (`None` = the line is pristine and the fill delivers
     /// [`Kernel::line_data`]). Always `None` outside write-back mode.
     /// Kept as the last field so the derived heap order stays
-    /// `(cycle, sm, addr, verified)`-major; the payload can never decide
+    /// `(cycle, sm, addr, verified)`-major; the handle can never decide
     /// a tie because each SM has at most one outstanding fill per line.
-    pub data: Option<CacheLine>,
+    pub payload: Option<PayloadId>,
+}
+
+/// A line parked in a [`PayloadSlab`]. Non-zero, so an
+/// `Option<PayloadId>` takes four bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct PayloadId(NonZeroU32);
+
+/// Line payloads kept beside the records that carry them, so a record
+/// holds a four-byte [`PayloadId`] instead of the 128-byte line. Freed
+/// slots are reused: once the slab has grown to its peak occupancy,
+/// parking a line does not allocate. Only the write-back data path parks
+/// any lines.
+#[derive(Debug, Default)]
+pub(crate) struct PayloadSlab {
+    lines: Vec<CacheLine>,
+    free: Vec<u32>,
+}
+
+impl PayloadSlab {
+    /// Parks `line` and returns its handle.
+    pub(crate) fn park(&mut self, line: CacheLine) -> PayloadId {
+        let index = match self.free.pop() {
+            Some(index) => {
+                self.lines[index as usize] = line;
+                index
+            }
+            None => {
+                self.lines.push(line);
+                (self.lines.len() - 1) as u32
+            }
+        };
+        PayloadId(NonZeroU32::MIN.saturating_add(index))
+    }
+
+    /// Removes the line behind `id` and frees its slot.
+    pub(crate) fn take(&mut self, id: PayloadId) -> CacheLine {
+        let index = id.0.get() - 1;
+        self.free.push(index);
+        self.lines[index as usize]
+    }
+}
+
+/// A shard's pending memory completions: a min-heap of [`MemEvent`]s in
+/// `(cycle, sm, addr)` order, plus the slab their refill payloads wait
+/// in.
+#[derive(Debug, Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Reverse<MemEvent>>,
+    payloads: PayloadSlab,
+}
+
+impl EventQueue {
+    /// Schedules the completion of `sm`'s line `addr` at `cycle`, with
+    /// the refill payload `payload` (`None` for pristine memory).
+    pub(crate) fn push(
+        &mut self,
+        cycle: Cycles,
+        sm: usize,
+        addr: LineAddr,
+        verified: bool,
+        payload: Option<CacheLine>,
+    ) {
+        let payload = payload.map(|line| self.payloads.park(line));
+        self.heap.push(Reverse(MemEvent {
+            cycle,
+            sm,
+            addr,
+            verified,
+            payload,
+        }));
+    }
+
+    /// The due cycle of the earliest pending completion.
+    pub(crate) fn next_due(&self) -> Option<Cycles> {
+        self.heap.peek().map(|Reverse(ev)| ev.cycle)
+    }
+
+    /// `true` when no completion is pending.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Removes the earliest completion if it is due by `cycle`, and
+    /// returns it with its payload.
+    pub(crate) fn pop_due(&mut self, cycle: Cycles) -> Option<(MemEvent, Option<CacheLine>)> {
+        let top = self.heap.peek_mut()?;
+        if top.0.cycle > cycle {
+            return None;
+        }
+        let Reverse(ev) = PeekMut::pop(top);
+        Some((ev, ev.payload.map(|id| self.payloads.take(id))))
+    }
 }
 
 /// The stage a record is made in, within its cycle: a completion's due
@@ -121,7 +218,7 @@ pub(crate) struct MemCtx<'a> {
     // latte-lint: shared-boundary(reason = "epoch-local request buffer; the barrier arbiter serializes it through the real L2 in fixed (cycle, stage, sm) order, so no two threads ever race on cache state")
     pub l2: &'a mut L2Buffer,
     // latte-lint: shared-boundary(reason = "the DRAM completion heap; every push is self-targeted, so each shard owns a private heap and the barrier arbiter routes cross-stage completions, ordered by (cycle, sm, addr)")
-    pub events: &'a mut std::collections::BinaryHeap<std::cmp::Reverse<MemEvent>>,
+    pub events: &'a mut EventQueue,
     // latte-lint: shared-boundary(reason = "the SM's own per-SM compression policy; it travels with its SM into a shard and is only consulted while that SM steps")
     pub policy: &'a mut dyn L1CompressionPolicy,
     // latte-lint: shared-boundary(reason = "read-only kernel description (Kernel: Send + Sync); immutable during a launch, safe to share by reference across shard threads")
@@ -381,13 +478,8 @@ impl Sm {
                     && self.mshr.allocate(line) == MshrOutcome::Primary
                 {
                     // Fetch in the background; no warp waits on it.
-                    ctx.events.push(std::cmp::Reverse(MemEvent {
-                        cycle: cycle + ctx.config.l2_latency,
-                        sm: self.id,
-                        addr: line,
-                        verified: false,
-                        data: None,
-                    }));
+                    ctx.events
+                        .push(cycle + ctx.config.l2_latency, self.id, line, false, None);
                 }
                 self.set_state(wid, WarpState::BusyUntil(cycle + 1));
                 true
@@ -719,13 +811,8 @@ impl Sm {
                 let retry_latency = ctx.config.l2_latency;
                 ctx.stats.faults.fill_bitflips += 1;
                 ctx.stats.faults.fill_retry_cycles += retry_latency;
-                ctx.events.push(std::cmp::Reverse(MemEvent {
-                    cycle: cycle + retry_latency,
-                    sm: self.id,
-                    addr,
-                    verified: true,
-                    data: payload,
-                }));
+                ctx.events
+                    .push(cycle + retry_latency, self.id, addr, true, payload);
                 return;
             }
         }
@@ -1013,6 +1100,25 @@ mod tests {
     use super::*;
     use crate::policy::UncompressedPolicy;
     use crate::testing::StridedKernel;
+
+    #[test]
+    fn events_carry_handles_not_lines() {
+        assert_eq!(std::mem::size_of::<MemEvent>(), 32);
+        let mut events = EventQueue::default();
+        let line = CacheLine::from_bytes([7; CacheLine::SIZE_BYTES]);
+        events.push(9, 1, LineAddr::new(3), false, Some(line));
+        events.push(5, 0, LineAddr::new(4), false, None);
+        assert_eq!(events.next_due(), Some(5));
+        assert!(events.pop_due(4).is_none(), "nothing due before cycle 5");
+        let (ev, payload) = events.pop_due(9).expect("due by cycle 9");
+        assert_eq!((ev.cycle, ev.addr, payload), (5, LineAddr::new(4), None));
+        let (ev, payload) = events.pop_due(9).expect("due by cycle 9");
+        assert_eq!((ev.cycle, ev.sm, payload), (9, 1, Some(line)));
+        assert!(events.is_empty());
+        // The freed slot is reused rather than grown.
+        events.push(12, 0, LineAddr::new(5), true, Some(line));
+        assert_eq!(events.payloads.lines.len(), 1);
+    }
 
     #[test]
     fn structural_errors_report_a_stale_readiness_table() {
