@@ -272,9 +272,13 @@ pub(crate) struct Sm {
     pub l1: CompressedCache,
     mshr: Mshr,
     dq: DecompressionQueue,
-    /// Warps blocked on each outstanding line. Keyed access only; the
-    /// Vec behind each key keeps wakeups in enqueue order.
-    waiters: LineMap<Vec<(usize, Cycles)>>,
+    /// Warps blocked on each outstanding line, with the cycle each one
+    /// missed. Keyed access only; the list behind each key keeps wakeups
+    /// in enqueue order.
+    waiters: LineMap<WaitList>,
+    /// Emptied waiter lists kept for the next missed line, so that a miss
+    /// reuses a list instead of allocating one.
+    spare_lists: Vec<WaitList>,
     /// Write-back mode: sectors stored while the line's allocating fill
     /// is in flight, merged into the line when the fill arrives (last
     /// write to a sector wins). Keyed access only, never iterated.
@@ -314,6 +318,7 @@ impl Sm {
             mshr: Mshr::new(config.mshr_entries, config.mshr_merges),
             dq: DecompressionQueue::new(),
             waiters: LineMap::default(),
+            spare_lists: Vec::new(),
             pending_stores: LineMap::default(),
             victims: Vec::new(),
             blocks: Vec::new(),
@@ -660,7 +665,10 @@ impl Sm {
                     MshrOutcome::Merged => {}
                     MshrOutcome::Full => unreachable!("would_accept checked above"),
                 }
-                self.waiters.entry(line).or_default().push((wid, cycle));
+                self.waiters
+                    .entry(line)
+                    .or_insert_with(|| self.spare_lists.pop().unwrap_or_default())
+                    .push((wid, cycle));
                 let warp = &mut self.warps[wid];
                 let state = if blocking {
                     WarpState::WaitingData {
@@ -907,12 +915,14 @@ impl Sm {
                 .is_some_and(FaultInjector::roll_wakeup_drop);
             if dropped {
                 ctx.stats.faults.wakeup_drops += 1;
-                self.waiters.remove(&addr);
+                if let Some(waiters) = self.waiters.remove(&addr) {
+                    self.spare_lists.push(recycled(waiters));
+                }
                 return;
             }
         }
         if let Some(waiters) = self.waiters.remove(&addr) {
-            for (wid, issued_at) in waiters {
+            for &(wid, issued_at) in &waiters {
                 ctx.stats.miss_wait_cycles += cycle.saturating_sub(issued_at);
                 match self.warps[wid].state {
                     WarpState::WaitingData {
@@ -939,6 +949,7 @@ impl Sm {
                     }
                 }
             }
+            self.spare_lists.push(recycled(waiters));
         }
     }
 
@@ -1076,6 +1087,16 @@ impl Sm {
     }
 }
 
+/// The warps waiting on one line, with the cycle each one missed, in
+/// enqueue order.
+type WaitList = Vec<(usize, Cycles)>;
+
+/// Empties a waiter list for reuse, keeping its capacity.
+fn recycled(mut list: WaitList) -> WaitList {
+    list.clear();
+    list
+}
+
 /// Replaces one 32-byte sector of `base` with `bytes`.
 fn merge_sector(base: &CacheLine, sector: usize, bytes: &[u8; 32]) -> CacheLine {
     let mut out = *base.as_bytes();
@@ -1118,6 +1139,48 @@ mod tests {
         // The freed slot is reused rather than grown.
         events.push(12, 0, LineAddr::new(5), true, Some(line));
         assert_eq!(events.payloads.lines.len(), 1);
+    }
+
+    #[test]
+    fn merged_misses_wake_in_enqueue_order_on_a_recycled_list() {
+        let config = GpuConfig::small();
+        let kernel = StridedKernel::new(5, 4, 64);
+        let mut sm = Sm::new(0, &config);
+        sm.launch(&kernel, &config);
+        let mut l2 = L2Buffer::default();
+        let mut events = EventQueue::default();
+        let mut policy = UncompressedPolicy;
+        let mut stats = KernelStats::default();
+        let mut ctx = MemCtx {
+            l2: &mut l2,
+            events: &mut events,
+            policy: &mut policy,
+            kernel: &kernel,
+            config: &config,
+            stats: &mut stats,
+            shadow: None,
+            shadow_every: 1,
+        };
+        // A first miss and its fill leave one emptied list behind.
+        let first = LineAddr::new(1);
+        assert!(sm.execute_load(0, first.byte_addr(), 10, true, &mut ctx));
+        sm.handle_fill(first, 20, true, None, &mut ctx);
+        assert_eq!(sm.spare_lists.len(), 1);
+        // Three warps miss on one line, out of id order: the misses merge
+        // onto the recycled list in the order they were enqueued.
+        let line = LineAddr::new(2);
+        for (wid, cycle) in [(3, 30), (1, 31), (4, 32)] {
+            assert!(sm.execute_load(wid, line.byte_addr(), cycle, true, &mut ctx));
+        }
+        assert!(sm.spare_lists.is_empty(), "the miss took the spare list");
+        assert_eq!(sm.waiters[&line], vec![(3, 30), (1, 31), (4, 32)]);
+        sm.handle_fill(line, 40, true, None, &mut ctx);
+        for wid in [3, 1, 4] {
+            assert_eq!(sm.warps[wid].state, WarpState::BusyUntil(40), "warp {wid}");
+        }
+        assert_eq!(ctx.stats.miss_wait_cycles, 10 + 10 + 9 + 8);
+        assert!(sm.waiters.is_empty());
+        assert_eq!(sm.spare_lists.len(), 1, "the list went back for reuse");
     }
 
     #[test]
