@@ -595,11 +595,11 @@ fn arbitrate(
         &mut runs,
         |r| (r.cycle, r.stage, r.sm),
         |owner, req| {
-            let write_back = match &req.kind {
-                L2RequestKind::WriteBack { data } => Some(data),
+            let write_back = match req.kind {
+                L2RequestKind::WriteBack { data } => Some(shards[owner].buffer.payloads.take(data)),
                 _ => None,
             };
-            let latency = memory.access(req.addr, write_back, config, stats);
+            let latency = memory.access(req.addr, write_back.as_ref(), config, stats);
             if let L2RequestKind::LoadFill { spike } = req.kind {
                 shards[owner].events.push(
                     req.cycle + latency + spike,

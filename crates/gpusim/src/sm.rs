@@ -184,8 +184,9 @@ pub(crate) enum L2RequestKind {
     /// image so later fills of the line observe the written bytes. No
     /// completion is delivered (stores are fire-and-forget).
     WriteBack {
-        /// The evicted line's architectural bytes.
-        data: CacheLine,
+        /// The evicted line's architectural bytes, parked in the
+        /// buffer's [`PayloadSlab`].
+        data: PayloadId,
     },
 }
 
@@ -198,6 +199,9 @@ pub(crate) struct L2Buffer {
     pub requests: Vec<L2Request>,
     /// The stage new requests are made in, set by the cycle loop.
     pub stage: Stage,
+    /// Write-back payloads of the buffered requests; the arbiter takes
+    /// each one as it replays its request.
+    pub payloads: PayloadSlab,
 }
 
 impl L2Buffer {
@@ -260,6 +264,7 @@ impl MemCtx<'_> {
             return;
         }
         self.stats.writebacks += 1;
+        let data = self.l2.payloads.park(data);
         self.l2
             .push(cycle, sm, line, L2RequestKind::WriteBack { data });
     }
@@ -1123,8 +1128,9 @@ mod tests {
     use crate::testing::StridedKernel;
 
     #[test]
-    fn events_carry_handles_not_lines() {
+    fn records_carry_handles_not_lines() {
         assert_eq!(std::mem::size_of::<MemEvent>(), 32);
+        assert_eq!(std::mem::size_of::<L2Request>(), 48);
         let mut events = EventQueue::default();
         let line = CacheLine::from_bytes([7; CacheLine::SIZE_BYTES]);
         events.push(9, 1, LineAddr::new(3), false, Some(line));
