@@ -1,6 +1,6 @@
 //! The compressed L1 data cache organisation of §IV-A.
 
-use crate::geometry::{CacheGeometry, LineAddr, LineMap};
+use crate::geometry::{CacheGeometry, LineAddr, LineMap, SetIndex};
 use crate::stats::CacheStats;
 use latte_compress::{CacheLine, Compression, CompressionAlgo};
 
@@ -64,6 +64,33 @@ impl LookupOutcome {
     }
 }
 
+/// Where a line sits in a [`CompressedCache`]: its set and, when
+/// resident, its tag slot. Made by [`CompressedCache::locate`] and
+/// consumed by [`CompressedCache::lookup_at`], so one tag scan serves
+/// both the residency check and the lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Location {
+    addr: LineAddr,
+    set: usize,
+    slot: Option<usize>,
+    /// The cache's layout generation when the line was located.
+    layout: u64,
+}
+
+impl Location {
+    /// The set index the line maps to.
+    #[must_use]
+    pub fn set(self) -> usize {
+        self.set
+    }
+
+    /// Whether the line was resident when located.
+    #[must_use]
+    pub fn is_resident(self) -> bool {
+        self.slot.is_some()
+    }
+}
+
 /// A line evicted by a fill or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
@@ -111,7 +138,11 @@ pub struct EvictedLine {
 #[derive(Debug, Clone)]
 pub struct CompressedCache {
     geometry: CacheGeometry,
+    index: SetIndex,
     sets: Vec<Set>,
+    /// Bumped whenever a tag enters or leaves a set, which can move the
+    /// other tags' slots; a [`Location`] from an older layout is stale.
+    layout: u64,
     stats: CacheStats,
     clock: u64,
     /// When enabled, the post-round-trip bytes of every resident line,
@@ -131,9 +162,12 @@ impl CompressedCache {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> CompressedCache {
+        let index = SetIndex::new(&geometry);
         CompressedCache {
             geometry,
-            sets: vec![Set::default(); geometry.num_sets()],
+            index,
+            sets: vec![Set::default(); index.num_sets()],
+            layout: 0,
             stats: CacheStats::new(),
             clock: 0,
             payload_shadow: None,
@@ -174,7 +208,7 @@ impl CompressedCache {
     /// Whether a resident line is dirty.
     #[must_use]
     pub fn is_dirty(&self, addr: LineAddr) -> bool {
-        self.sets[self.geometry.set_of(addr)]
+        self.sets[self.index.set_of(addr)]
             .tags
             .iter()
             .any(|t| t.addr == addr && t.dirty)
@@ -263,15 +297,41 @@ impl CompressedCache {
     /// The set index a line maps to (used by set sampling).
     #[must_use]
     pub fn set_of(&self, addr: LineAddr) -> usize {
-        self.geometry.set_of(addr)
+        self.index.set_of(addr)
+    }
+
+    /// Finds `addr`'s set and, when it is resident, its tag slot, without
+    /// perturbing LRU or statistics.
+    #[must_use]
+    pub fn locate(&self, addr: LineAddr) -> Location {
+        let set = self.index.set_of(addr);
+        Location {
+            addr,
+            set,
+            slot: self.sets[set].tags.iter().position(|t| t.addr == addr),
+            layout: self.layout,
+        }
     }
 
     /// Looks up `addr`, updating LRU state and hit/miss statistics.
     pub fn lookup(&mut self, addr: LineAddr, _cycle: u64) -> LookupOutcome {
+        self.lookup_at(self.locate(addr))
+    }
+
+    /// [`CompressedCache::lookup`] of a located line, without scanning
+    /// its set again. A location made before the last fill, write or
+    /// invalidation is located afresh, so it costs a scan but is never
+    /// wrong.
+    pub fn lookup_at(&mut self, at: Location) -> LookupOutcome {
+        let at = if at.layout == self.layout {
+            at
+        } else {
+            self.locate(at.addr)
+        };
         self.clock += 1;
         let clock = self.clock;
-        let set = &mut self.sets[self.geometry.set_of(addr)];
-        if let Some(tag) = set.tags.iter_mut().find(|t| t.addr == addr) {
+        let tags = &mut self.sets[at.set].tags;
+        if let Some(tag) = at.slot.and_then(|slot| tags.get_mut(slot)) {
             tag.lru = clock;
             self.stats.hits += 1;
             if tag.compressed {
@@ -290,10 +350,7 @@ impl CompressedCache {
     /// Checks residency without perturbing LRU or statistics.
     #[must_use]
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.sets[self.geometry.set_of(addr)]
-            .tags
-            .iter()
-            .any(|t| t.addr == addr)
+        self.locate(addr).is_resident()
     }
 
     /// Inserts (or re-inserts) a line stored with `algo` at the compressed
@@ -347,7 +404,8 @@ impl CompressedCache {
         self.stats.filled_bytes_stored +=
             u64::from(needed) * crate::geometry::SUBBLOCK_BYTES as u64;
 
-        let set_idx = self.geometry.set_of(addr);
+        self.layout += 1;
+        let set_idx = self.index.set_of(addr);
         // Re-fill in place when the line is already resident. The stale
         // payload and data go too; the caller re-records after the fill.
         let set = &mut self.sets[set_idx];
@@ -449,9 +507,10 @@ impl CompressedCache {
             CacheLine::SIZE_BYTES / crate::geometry::SUBBLOCK_BYTES
         } as u8;
 
-        let set_idx = self.geometry.set_of(addr);
+        let set_idx = self.index.set_of(addr);
         let set = &mut self.sets[set_idx];
         let pos = set.tags.iter().position(|t| t.addr == addr)?;
+        self.layout += 1;
         // Pull the line out, make room for its new size, re-insert dirty.
         set.tags.remove(pos);
         if let Some(map) = &mut self.payload_shadow {
@@ -495,9 +554,10 @@ impl CompressedCache {
 
     /// Invalidates one line if resident; returns whether it was.
     pub fn invalidate(&mut self, addr: LineAddr) -> bool {
-        let set = &mut self.sets[self.geometry.set_of(addr)];
+        let set = &mut self.sets[self.index.set_of(addr)];
         if let Some(pos) = set.tags.iter().position(|t| t.addr == addr) {
             set.tags.remove(pos);
+            self.layout += 1;
             if let Some(map) = &mut self.payload_shadow {
                 map.remove(&addr);
             }
@@ -513,6 +573,7 @@ impl CompressedCache {
     /// Invalidates every line; returns how many were valid. Used at kernel
     /// boundaries.
     pub fn invalidate_all(&mut self) -> usize {
+        self.layout += 1;
         let mut count = 0;
         for set in &mut self.sets {
             count += set.tags.len();
@@ -532,6 +593,7 @@ impl CompressedCache {
     /// write dirty victims back). The paper's SC invalidates stale lines
     /// when a period's codebook is rebuilt (§IV-C2).
     pub fn invalidate_algo(&mut self, algo: CompressionAlgo) -> Vec<EvictedLine> {
+        self.layout += 1;
         let mut dropped = Vec::new();
         for set in &mut self.sets {
             let payload_shadow = &mut self.payload_shadow;
@@ -611,6 +673,8 @@ impl CompressedCache {
                 if t.subblocks < 1 || t.subblocks > 4 {
                     return Err(format!("set {i} holds tag with {} sub-blocks", t.subblocks));
                 }
+                // The division-based reference mapping, so a wrong
+                // `SetIndex` would show here.
                 if self.geometry.set_of(t.addr) != i {
                     return Err(format!("line {} mapped to wrong set {i}", t.addr));
                 }
@@ -872,6 +936,72 @@ mod tests {
         assert!(c.contains(a));
         assert!(!c.contains(LineAddr::new(8)));
         assert_eq!(*c.stats(), before);
+    }
+
+    #[test]
+    fn lookup_at_a_location_matches_lookup() {
+        let mut c = l1();
+        for i in 0..3 {
+            c.fill(set0_addr(i), CompressionAlgo::Bdi, Compression::new(30), i);
+        }
+        let at = c.locate(set0_addr(1));
+        assert!(at.is_resident());
+        assert_eq!(at.set(), 0);
+        let before = *c.stats();
+        assert_eq!(
+            c.lookup_at(at),
+            LookupOutcome::Hit {
+                algo: CompressionAlgo::Bdi,
+                compressed: true
+            }
+        );
+        assert_eq!(c.stats().hits, before.hits + 1);
+        let missing = c.locate(set0_addr(7));
+        assert!(!missing.is_resident());
+        assert!(c.lookup_at(missing).is_miss());
+        assert_eq!(c.stats().misses, before.misses + 1);
+    }
+
+    #[test]
+    fn a_stale_location_is_located_afresh() {
+        let mut c = l1();
+        for i in 0..3 {
+            c.fill(
+                set0_addr(i),
+                CompressionAlgo::None,
+                Compression::UNCOMPRESSED,
+                i,
+            );
+        }
+        // Invalidating slot 0 shifts line 2 from slot 2 to slot 1.
+        let shifted = c.locate(set0_addr(2));
+        assert!(c.invalidate(set0_addr(0)));
+        // A miss located before the line was filled.
+        let filled_since = c.locate(set0_addr(5));
+        c.fill(
+            set0_addr(5),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            5,
+        );
+        assert!(c.lookup_at(shifted).is_hit());
+        assert!(c.lookup_at(filled_since).is_hit());
+        // The hits refreshed lines 2 and 5, so line 1 is the LRU victim.
+        c.fill(
+            set0_addr(6),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            6,
+        );
+        let ev = c.fill(
+            set0_addr(8),
+            CompressionAlgo::None,
+            Compression::UNCOMPRESSED,
+            7,
+        );
+        assert_eq!(ev.len(), 1);
+        assert_eq!(ev[0].addr, set0_addr(1));
+        c.assert_invariants();
     }
 
     #[test]

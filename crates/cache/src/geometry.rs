@@ -192,6 +192,62 @@ impl CacheGeometry {
     }
 }
 
+/// A geometry's line-to-set mapping with the set count computed once: a
+/// mask when the count is a power of two, a modulo otherwise. Agrees with
+/// [`CacheGeometry::set_of`] on every address without its per-call
+/// division and divisibility check.
+///
+/// # Example
+///
+/// ```
+/// use latte_cache::{CacheGeometry, LineAddr, SetIndex};
+///
+/// let l1 = CacheGeometry::paper_l1();
+/// let index = SetIndex::new(&l1);
+/// assert_eq!(index.num_sets(), 32);
+/// assert_eq!(index.set_of(LineAddr::new(70)), l1.set_of(LineAddr::new(70)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetIndex {
+    sets: u64,
+    /// `sets - 1` when `sets` is a power of two.
+    mask: Option<u64>,
+}
+
+impl SetIndex {
+    /// The mapping of `geometry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry does not divide into whole sets (see
+    /// [`CacheGeometry::num_sets`]).
+    #[must_use]
+    pub fn new(geometry: &CacheGeometry) -> SetIndex {
+        let sets = geometry.num_sets() as u64;
+        SetIndex {
+            sets,
+            mask: sets.is_power_of_two().then(|| sets - 1),
+        }
+    }
+
+    /// Number of sets.
+    #[must_use]
+    pub fn num_sets(self) -> usize {
+        self.sets as usize
+    }
+
+    /// The set index for a line address (modulo interleaving).
+    #[must_use]
+    pub fn set_of(self, addr: LineAddr) -> usize {
+        let line = addr.line_number();
+        let set = match self.mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        };
+        set as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,8 +45,10 @@ mod queue;
 mod simple;
 mod stats;
 
-pub use compressed::{CompressedCache, EvictedLine, LookupOutcome};
-pub use geometry::{CacheGeometry, LineAddr, LineHasher, LineMap, LineSet, SUBBLOCK_BYTES};
+pub use compressed::{CompressedCache, EvictedLine, Location, LookupOutcome};
+pub use geometry::{
+    CacheGeometry, LineAddr, LineHasher, LineMap, LineSet, SetIndex, SUBBLOCK_BYTES,
+};
 pub use mshr::{Mshr, MshrOutcome};
 pub use queue::DecompressionQueue;
 pub use simple::SimpleCache;

@@ -1,7 +1,7 @@
 //! A conventional (uncompressed) set-associative cache with LRU
 //! replacement, used for the shared L2 and for baseline configurations.
 
-use crate::geometry::{CacheGeometry, LineAddr};
+use crate::geometry::{CacheGeometry, LineAddr, SetIndex};
 use crate::stats::CacheStats;
 
 #[derive(Debug, Clone, Copy)]
@@ -25,6 +25,7 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct SimpleCache {
     geometry: CacheGeometry,
+    index: SetIndex,
     sets: Vec<Vec<Way>>,
     stats: CacheStats,
     clock: u64,
@@ -34,9 +35,11 @@ impl SimpleCache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> SimpleCache {
+        let index = SetIndex::new(&geometry);
         SimpleCache {
             geometry,
-            sets: vec![Vec::new(); geometry.num_sets()],
+            index,
+            sets: vec![Vec::new(); index.num_sets()],
             stats: CacheStats::new(),
             clock: 0,
         }
@@ -65,7 +68,7 @@ impl SimpleCache {
         self.clock += 1;
         let clock = self.clock;
         let ways = self.geometry.ways;
-        let set = &mut self.sets[self.geometry.set_of(addr)];
+        let set = &mut self.sets[self.index.set_of(addr)];
         if let Some(w) = set.iter_mut().find(|w| w.addr == addr) {
             w.lru = clock;
             self.stats.hits += 1;
@@ -93,7 +96,7 @@ impl SimpleCache {
     /// Checks residency without perturbing LRU or statistics.
     #[must_use]
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.sets[self.geometry.set_of(addr)]
+        self.sets[self.index.set_of(addr)]
             .iter()
             .any(|w| w.addr == addr)
     }

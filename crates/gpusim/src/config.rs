@@ -426,4 +426,23 @@ mod tests {
             );
         }
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The caches' precomputed set index agrees with the geometry's
+        /// division-based mapping: the paper L1's 32 sets take the mask
+        /// path, the small machine's 204-set L2 the modulo path.
+        #[test]
+        fn set_index_matches_the_geometry_mapping(line in proptest::prelude::any::<u64>()) {
+            let l1 = GpuConfig::small().l1_geometry;
+            let l2 = GpuConfig::small().l2_geometry;
+            proptest::prop_assert_eq!((l1, l2.num_sets()), (CacheGeometry::paper_l1(), 204));
+            for geometry in [l1, l2] {
+                let index = latte_cache::SetIndex::new(&geometry);
+                let addr = latte_cache::LineAddr::new(line);
+                proptest::prop_assert_eq!(index.set_of(addr), geometry.set_of(addr));
+            }
+        }
+    }
 }

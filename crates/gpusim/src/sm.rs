@@ -517,11 +517,14 @@ impl Sm {
         ctx: &mut MemCtx<'_>,
     ) -> bool {
         let line = LineAddr::from_byte_addr(addr);
+        // One tag scan finds the line's set and slot for both the
+        // residency check and the lookup below.
+        let at = self.l1.locate(line);
 
         // If this would be a miss the MSHR cannot take — really full, or
         // transiently exhausted by an injected fault — stall before any
         // statistics are recorded and retry shortly.
-        let mshr_blocked = !self.l1.contains(line) && {
+        let mshr_blocked = !at.is_resident() && {
             let injected = self
                 .faults
                 .as_mut()
@@ -547,7 +550,7 @@ impl Sm {
         }
 
         ctx.stats.loads += 1;
-        let mut outcome = self.l1.lookup(line, cycle);
+        let mut outcome = self.l1.lookup_at(at);
         // Fault injection: a compressed hit may read a payload with one
         // flipped bit. A detected flip becomes a decode failure — the hit
         // is re-classified as a miss and the line re-fetched — while a
@@ -604,7 +607,7 @@ impl Sm {
             }
             _ => None,
         };
-        let set = self.l1.set_of(line);
+        let set = at.set();
         let (hit, algo) = match outcome {
             LookupOutcome::Hit { algo, .. } => (true, algo),
             LookupOutcome::Miss => (false, latte_compress::CompressionAlgo::None),
@@ -709,7 +712,8 @@ impl Sm {
         ctx: &mut MemCtx<'_>,
     ) -> bool {
         let line = LineAddr::from_byte_addr(addr);
-        if !self.l1.contains(line) && !self.mshr.would_accept(line) {
+        let resident = self.l1.contains(line);
+        if !resident && !self.mshr.would_accept(line) {
             ctx.stats.mshr_stalls += 1;
             self.warps[wid].unfetch(Op::Store { addr, data: sector });
             self.set_state(wid, WarpState::BusyUntil(cycle + 8));
@@ -717,7 +721,7 @@ impl Sm {
         }
         ctx.stats.stores += 1;
         let sector_index = ((addr >> 5) & 3) as usize;
-        if self.l1.contains(line) {
+        if resident {
             let base = self
                 .l1
                 .line_data(line)
