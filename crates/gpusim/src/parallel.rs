@@ -384,7 +384,7 @@ impl Shard<'_> {
     /// cycle, else the earliest due completion or warp wake-up.
     /// `None` means stuck: nothing pending, not all finished (revivable
     /// only by an arbiter completion; otherwise a deadlock).
-    fn next_candidate(&self) -> Option<Cycles> {
+    fn next_candidate(&mut self) -> Option<Cycles> {
         let Some(last) = self.last else {
             // Cycle 0 is processed unconditionally.
             return Some(0);
@@ -393,7 +393,7 @@ impl Shard<'_> {
             return Some(last + 1);
         }
         let next_event = self.events.next_due();
-        let next_wake = self.units.iter().filter_map(|u| u.sm.next_wake()).min();
+        let next_wake = self.units.iter_mut().filter_map(|u| u.sm.next_wake()).min();
         let target = match (next_event, next_wake) {
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
@@ -814,7 +814,7 @@ fn next_step(
 ) -> Step {
     let mut any_stuck = false;
     let mut epoch_start: Option<Cycles> = None;
-    for shard in shards.iter().filter(|s| s.done_at.is_none()) {
+    for shard in shards.iter_mut().filter(|s| s.done_at.is_none()) {
         match shard.next_candidate() {
             Some(c) => epoch_start = Some(epoch_start.map_or(c, |s| s.min(c))),
             None => any_stuck = true,

@@ -11,14 +11,23 @@
 //! which the slot's warp can issue, plus maintained counts of available
 //! and finished warps. A pick compares cycles in that table; the probe
 //! sample reads the count.
+//!
+//! The same update maintains the scheduler's wake: the table's earliest
+//! ready cycle and the number of slots holding it. When the last holder
+//! moves later, the cycle it held stays behind as a strict lower bound,
+//! and [`WarpScheduler::next_wake`] makes it exact again on its next
+//! call with one pass over the table. A state change therefore never
+//! searches, `next_wake` searches at most once per such move, and a pick
+//! whose bound lies after its cycle returns without reading the table.
 
 use crate::config::SchedulerKind;
 use crate::warp::{Warp, WarpState};
 use latte_compress::Cycles;
+use std::fmt;
 
 /// One warp scheduler: owns a fixed set of the SM's warps (by index) and
 /// picks at most one to issue per cycle.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WarpScheduler {
     kind: SchedulerKind,
     /// Indices (into the SM's warp vector) this scheduler arbitrates, in
@@ -27,6 +36,12 @@ pub struct WarpScheduler {
     /// Per slot: the cycle from which the warp can issue (`Cycles::MAX`
     /// while it waits on misses, sits at a barrier or has finished).
     ready_at: Vec<Cycles>,
+    /// The minimum of `ready_at` while `wake_holders > 0`; otherwise a
+    /// bound every slot lies strictly after. `next_wake` refreshes it.
+    wake: Cycles,
+    /// How many slots have `ready_at == wake`, or 0 while `wake` is only
+    /// a bound.
+    wake_holders: usize,
     /// Owned warps holding execution work (Ready or BusyUntil).
     available: u64,
     /// Owned warps that executed their final op.
@@ -40,6 +55,30 @@ pub struct WarpScheduler {
     ready_sum: u64,
     runs_completed: u64,
     run_length_sum: u64,
+}
+
+/// Prints the true earliest wake in place of the kept one, which may be a
+/// bound until `next_wake` refreshes it: two schedulers given the same
+/// state changes print the same.
+impl fmt::Debug for WarpScheduler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (wake, wake_holders) = self.earliest();
+        f.debug_struct("WarpScheduler")
+            .field("kind", &self.kind)
+            .field("warp_ids", &self.warp_ids)
+            .field("ready_at", &self.ready_at)
+            .field("wake", &wake)
+            .field("wake_holders", &wake_holders)
+            .field("available", &self.available)
+            .field("finished", &self.finished)
+            .field("current", &self.current)
+            .field("run_length", &self.run_length)
+            .field("ready_samples", &self.ready_samples)
+            .field("ready_sum", &self.ready_sum)
+            .field("runs_completed", &self.runs_completed)
+            .field("run_length_sum", &self.run_length_sum)
+            .finish()
+    }
 }
 
 /// Probe counters extracted at an EP boundary.
@@ -86,6 +125,8 @@ impl WarpScheduler {
             kind,
             warp_ids,
             ready_at: vec![0; n],
+            wake: if n == 0 { Cycles::MAX } else { 0 },
+            wake_holders: n,
             available: n as u64,
             finished: 0,
             current: None,
@@ -106,9 +147,22 @@ impl WarpScheduler {
     /// Records that the warp in `slot` changed from state `from` to
     /// `to`. Every state change of an owned warp must be reported here,
     /// in order; the SM does so through its single state setter.
+    #[inline]
     pub fn on_state_change(&mut self, slot: usize, from: WarpState, to: WarpState) {
         let (ready_at, available) = table_entry(to);
-        self.ready_at[slot] = ready_at;
+        let old = std::mem::replace(&mut self.ready_at[slot], ready_at);
+        // While `wake` is only a bound, no slot sits at it (every slot
+        // lies after it), so reaching it makes it exact with one holder.
+        let wake = self.wake;
+        if ready_at < wake {
+            self.wake = ready_at;
+            self.wake_holders = 1;
+        } else if ready_at == wake && old != wake {
+            self.wake_holders += 1;
+        } else if ready_at > wake && old == wake {
+            // The last holder leaving turns `wake` into a bound.
+            self.wake_holders -= 1;
+        }
         self.available = self.available + u64::from(available) - u64::from(table_entry(from).1);
         self.finished = self.finished + usize::from(to == WarpState::Finished)
             - usize::from(from == WarpState::Finished);
@@ -139,23 +193,26 @@ impl WarpScheduler {
         }
         // An unready current warp ends its greedy run.
         self.end_run();
-        let oldest = self.ready_at.iter().position(|&at| at <= cycle)?;
+        if self.wake > cycle {
+            return None;
+        }
+        let oldest = self.ready_from(0, cycle)?;
         self.current = Some(oldest);
         self.run_length = 1;
         Some(oldest)
     }
 
     fn pick_lrr(&mut self, cycle: Cycles) -> Option<usize> {
+        if self.wake > cycle {
+            self.end_run();
+            return None;
+        }
         // Rotate: the next ready slot after the last issued one,
         // wrapping to the first ready slot.
         let start = self.current.map_or(0, |rotor| rotor + 1);
-        let (before, after) = self.ready_at.split_at(start);
-        let ready = |at: &Cycles| *at <= cycle;
-        let Some(next) = after
-            .iter()
-            .position(ready)
-            .map(|p| start + p)
-            .or_else(|| before.iter().position(ready))
+        let Some(next) = self
+            .ready_from(start, cycle)
+            .or_else(|| self.ready_from(0, cycle))
         else {
             self.end_run();
             return None;
@@ -182,12 +239,35 @@ impl WarpScheduler {
 
     /// Earliest cycle at which an owned warp can issue, or `None` when
     /// every owned warp waits on misses, sits at a barrier or finished.
-    pub(crate) fn next_wake(&self) -> Option<Cycles> {
-        self.ready_at
+    #[must_use]
+    pub fn next_wake(&mut self) -> Option<Cycles> {
+        if self.wake_holders == 0 {
+            (self.wake, self.wake_holders) = self.earliest();
+        }
+        Some(self.wake).filter(|&at| at != Cycles::MAX)
+    }
+
+    /// The table's earliest ready cycle and how many slots hold it.
+    fn earliest(&self) -> (Cycles, usize) {
+        let mut wake = Cycles::MAX;
+        let mut holders = 0;
+        for &at in &self.ready_at {
+            if at < wake {
+                wake = at;
+                holders = 1;
+            } else if at == wake {
+                holders += 1;
+            }
+        }
+        (wake, holders)
+    }
+
+    /// The first slot from `start` on that is ready at `cycle`.
+    fn ready_from(&self, start: usize, cycle: Cycles) -> Option<usize> {
+        self.ready_at[start..]
             .iter()
-            .copied()
-            .min()
-            .filter(|&at| at != Cycles::MAX)
+            .position(|&at| at <= cycle)
+            .map(|p| start + p)
     }
 
     /// `true` once every owned warp executed its final op.
@@ -226,6 +306,18 @@ impl WarpScheduler {
             return Err(format!(
                 "finished count {} but {finished} owned warps finished",
                 self.finished
+            ));
+        }
+        let (wake, holders) = self.earliest();
+        let (kept, kept_holders) = (self.wake, self.wake_holders);
+        let consistent = if kept_holders == 0 {
+            self.ready_at.iter().all(|&at| at > kept)
+        } else {
+            (kept, kept_holders) == (wake, holders)
+        };
+        if !consistent {
+            return Err(format!(
+                "earliest wake {kept} held by {kept_holders} slots, but the table has {wake} held by {holders}"
             ));
         }
         Ok(())
@@ -434,6 +526,12 @@ mod tests {
                         step
                     ),
                 }
+                prop_assert_eq!(
+                    fast.next_wake(),
+                    reference_next_wake(&slow, &ws),
+                    "next wake after step {}",
+                    step
+                );
                 // The probe as it would read now, without resetting the
                 // accumulators the next steps build on.
                 prop_assert_eq!(
@@ -528,6 +626,39 @@ mod tests {
         let _ = s.take_probe();
         let probe = s.take_probe();
         assert_eq!(probe, SchedulerProbe::default());
+    }
+
+    #[test]
+    fn next_wake_follows_the_earliest_slot() {
+        let mut ws = warps(4);
+        let mut s = WarpScheduler::new(SchedulerKind::Gto, vec![0, 1, 2, 3]);
+        let mut set = |s: &mut WarpScheduler, w: usize, to: WarpState| {
+            s.on_state_change(w, std::mem::replace(&mut ws[w].state, to), to);
+        };
+        for (w, until) in [(0, 40), (1, 25), (2, 30), (3, 60)] {
+            set(&mut s, w, WarpState::BusyUntil(until));
+        }
+        assert_eq!(s.next_wake(), Some(25));
+        assert_eq!(s.pick(24), None, "nothing is ready before 25");
+        let waiting = WarpState::WaitingData {
+            until: 0,
+            pending_misses: 1,
+        };
+        set(&mut s, 1, waiting);
+        assert_eq!(s.next_wake(), Some(30));
+        set(&mut s, 3, WarpState::BusyUntil(20));
+        assert_eq!(s.next_wake(), Some(20));
+        assert_eq!(s.pick(20), Some(3));
+        for w in [0, 2, 3] {
+            set(&mut s, w, WarpState::Finished);
+        }
+        assert_eq!(s.next_wake(), None);
+        assert_eq!(s.pick(1000), None);
+        assert_eq!(s.validate(&ws), Ok(()));
+        // A kept wake that drifted from the table is reported.
+        s.wake = 7;
+        let err = s.validate(&ws).unwrap_err();
+        assert!(err.starts_with("earliest wake 7 held by"), "{err}");
     }
 
     #[test]

@@ -397,9 +397,9 @@ impl Sm {
 
     /// Earliest cycle at which a warp can issue, if any warp can without
     /// a refill or a barrier release.
-    pub(crate) fn next_wake(&self) -> Option<Cycles> {
+    pub(crate) fn next_wake(&mut self) -> Option<Cycles> {
         self.schedulers
-            .iter()
+            .iter_mut()
             .filter_map(WarpScheduler::next_wake)
             .min()
     }
