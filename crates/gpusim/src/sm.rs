@@ -274,6 +274,8 @@ pub(crate) struct Sm {
     pub id: usize,
     pub warps: Vec<Warp>,
     schedulers: Vec<WarpScheduler>,
+    /// Each warp's `(scheduler, slot)`, fixed at launch.
+    sched_slot: Vec<(usize, usize)>,
     pub l1: CompressedCache,
     mshr: Mshr,
     dq: DecompressionQueue,
@@ -319,6 +321,7 @@ impl Sm {
             id,
             warps: Vec::new(),
             schedulers: Vec::new(),
+            sched_slot: Vec::new(),
             l1,
             mshr: Mshr::new(config.mshr_entries, config.mshr_merges),
             dq: DecompressionQueue::new(),
@@ -354,7 +357,9 @@ impl Sm {
             .map(|b| (0..n).filter(|w| w / config.warps_per_block == b).collect())
             .collect();
         // Split warps round-robin across schedulers: warp `w` sits in
-        // slot `w / k` of scheduler `w % k` (see `Sm::set_state`).
+        // slot `w / k` of scheduler `w % k`.
+        let k = config.schedulers_per_sm.max(1);
+        self.sched_slot = (0..n).map(|w| (w % k, w / k)).collect();
         self.schedulers = (0..config.schedulers_per_sm)
             .map(|s| {
                 WarpScheduler::new(
@@ -416,9 +421,9 @@ impl Sm {
     /// schedulers' readiness tables never go stale (`structural_errors`
     /// audits them).
     fn set_state(&mut self, wid: usize, state: WarpState) {
-        let k = self.schedulers.len();
+        let (s, slot) = self.sched_slot[wid];
         let from = std::mem::replace(&mut self.warps[wid].state, state);
-        self.schedulers[wid % k].on_state_change(wid / k, from, state);
+        self.schedulers[s].on_state_change(slot, from, state);
     }
 
     /// Runs one issue cycle: each scheduler issues at most one op, and the
@@ -431,8 +436,13 @@ impl Sm {
         let mut ldst_free = true;
         let n = self.schedulers.len();
         // Rotate LD/ST port priority between schedulers.
+        let first = cycle.checked_rem(n as u64).unwrap_or(0) as usize;
         for i in 0..n {
-            let s = (i + cycle as usize) % n;
+            let s = if first + i < n {
+                first + i
+            } else {
+                first + i - n
+            };
             let Some(wid) = self.schedulers[s].pick(cycle) else {
                 continue;
             };
