@@ -1,10 +1,12 @@
 //! Criterion macro-benchmarks: whole-simulation throughput per policy —
 //! how long a simulated kernel takes to run on the substrate — plus the
-//! per-cycle warp-scheduler step.
+//! per-cycle warp-scheduler step, the idle fast-forward and the memory
+//! completion queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_bench::PolicyKind;
-use latte_gpusim::{Gpu, GpuConfig, Kernel, SchedulerKind, WarpScheduler, WarpState};
+use latte_cache::LineAddr;
+use latte_gpusim::{EventQueue, Gpu, GpuConfig, Kernel, SchedulerKind, WarpScheduler, WarpState};
 use latte_workloads::benchmark;
 use std::hint::black_box;
 
@@ -100,5 +102,98 @@ fn bench_scheduler_pick(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulation, bench_scheduler_pick);
+/// The idle fast-forward: with every warp of a 48-warp SM waiting on a
+/// miss or busy, the cycle loop asks both schedulers for their next wake
+/// and jumps there. Four warps are in flight, waking in turn: the one
+/// that wakes issues a load that misses (no ready cycle), and a refill
+/// makes the fourth warp after it busy for another 40 cycles, so the
+/// earliest wake moves on at every step. One iteration is 64
+/// fast-forwards (128 wake queries, 128 state changes).
+fn bench_scheduler_next_wake(c: &mut Criterion) {
+    const WARPS: usize = 48;
+    const IN_FLIGHT: usize = 4;
+    let mut group = c.benchmark_group("scheduler_next_wake");
+    group.bench_function(BenchmarkId::from_parameter("idle_fast_forward"), |b| {
+        // Warp `w` sits in slot `w / 2` of scheduler `w % 2`.
+        let mut states = vec![WarpState::Ready; WARPS];
+        let mut schedulers: Vec<WarpScheduler> = (0..2)
+            .map(|s| WarpScheduler::new(SchedulerKind::Gto, (s..WARPS).step_by(2).collect()))
+            .collect();
+        let mut set = |schedulers: &mut [WarpScheduler], w: usize, to: WarpState| {
+            schedulers[w % 2].on_state_change(w / 2, states[w], to);
+            states[w] = to;
+        };
+        let miss = WarpState::WaitingData {
+            until: 0,
+            pending_misses: 1,
+        };
+        for w in 0..WARPS {
+            let to = if w < IN_FLIGHT {
+                WarpState::BusyUntil(10 * w as u64 + 10)
+            } else {
+                miss
+            };
+            set(&mut schedulers, w, to);
+        }
+        let mut next = 0;
+        b.iter(|| {
+            for _ in 0..64 {
+                let wake = schedulers
+                    .iter_mut()
+                    .filter_map(WarpScheduler::next_wake)
+                    .min()
+                    .expect("four warps are in flight");
+                set(&mut schedulers, next, miss);
+                let refilled = (next + IN_FLIGHT) % WARPS;
+                set(
+                    &mut schedulers,
+                    refilled,
+                    WarpState::BusyUntil(black_box(wake) + 40),
+                );
+                next = (next + 1) % WARPS;
+            }
+        });
+    });
+    group.finish();
+}
+
+/// The shard's completion queue: 64 outstanding fills, each popped when
+/// due and replaced by a new one 120 (an L2 hit) or 230 (a DRAM access)
+/// cycles later, alternating between two SMs. One iteration is 64
+/// pop-and-push pairs.
+fn bench_event_queue(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_queue");
+    group.bench_function(BenchmarkId::from_parameter("fills_64_outstanding"), |b| {
+        let latency = |n: u64| if n.is_multiple_of(3) { 230 } else { 120 };
+        let mut events = EventQueue::default();
+        for n in 0..64u64 {
+            events.push(
+                latency(n) + n,
+                (n % 2) as usize,
+                LineAddr::new(n),
+                false,
+                None,
+            );
+        }
+        let mut n = 64u64;
+        b.iter(|| {
+            for _ in 0..64 {
+                let due = events.next_due().expect("64 fills are outstanding");
+                let (ev, payload) = events.pop_due(due).expect("the earliest fill is due");
+                black_box((ev.addr, payload));
+                events.push(due + latency(n), ev.sm, LineAddr::new(n), false, None);
+                n += 1;
+            }
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_simulation,
+    bench_scheduler_pick,
+    bench_scheduler_next_wake,
+    bench_event_queue
+);
 criterion_main!(benches);

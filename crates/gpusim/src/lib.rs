@@ -62,5 +62,6 @@ pub use shadow::{
     roundtrip_stored, ShadowCheck, ShadowCheckpoint, ShadowConfig, ShadowViolation,
     ShadowViolationKind,
 };
+pub use sm::{EventQueue, MemEvent, PayloadId};
 pub use stats::{AlgoCounts, EpTraceEntry, KernelStats, TerminationReason};
 pub use warp::{Warp, WarpState};

@@ -21,9 +21,12 @@ use std::num::NonZeroU32;
 /// A memory request completing at `cycle` for `sm`'s line `addr`: 32
 /// bytes, so the completion heap moves no line data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct MemEvent {
+pub struct MemEvent {
+    /// Cycle the completion is due.
     pub cycle: Cycles,
+    /// The SM the line returns to.
     pub sm: usize,
+    /// The completed line.
     pub addr: LineAddr,
     /// `true` for a parity-retry re-send: the return-path data has
     /// already been checked, so the fill-bitflip site must not roll
@@ -42,7 +45,7 @@ pub(crate) struct MemEvent {
 /// A line parked in a [`PayloadSlab`]. Non-zero, so an
 /// `Option<PayloadId>` takes four bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct PayloadId(NonZeroU32);
+pub struct PayloadId(NonZeroU32);
 
 /// Line payloads kept beside the records that carry them, so a record
 /// holds a four-byte [`PayloadId`] instead of the 128-byte line. Freed
@@ -81,9 +84,9 @@ impl PayloadSlab {
 
 /// A shard's pending memory completions: a min-heap of [`MemEvent`]s in
 /// `(cycle, sm, addr)` order, plus the slab their refill payloads wait
-/// in.
+/// in. Public for the simulator's criterion rows.
 #[derive(Debug, Default)]
-pub(crate) struct EventQueue {
+pub struct EventQueue {
     heap: BinaryHeap<Reverse<MemEvent>>,
     payloads: PayloadSlab,
 }
@@ -91,7 +94,7 @@ pub(crate) struct EventQueue {
 impl EventQueue {
     /// Schedules the completion of `sm`'s line `addr` at `cycle`, with
     /// the refill payload `payload` (`None` for pristine memory).
-    pub(crate) fn push(
+    pub fn push(
         &mut self,
         cycle: Cycles,
         sm: usize,
@@ -110,18 +113,20 @@ impl EventQueue {
     }
 
     /// The due cycle of the earliest pending completion.
-    pub(crate) fn next_due(&self) -> Option<Cycles> {
+    #[must_use]
+    pub fn next_due(&self) -> Option<Cycles> {
         self.heap.peek().map(|Reverse(ev)| ev.cycle)
     }
 
     /// `true` when no completion is pending.
-    pub(crate) fn is_empty(&self) -> bool {
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// Removes the earliest completion if it is due by `cycle`, and
     /// returns it with its payload.
-    pub(crate) fn pop_due(&mut self, cycle: Cycles) -> Option<(MemEvent, Option<CacheLine>)> {
+    pub fn pop_due(&mut self, cycle: Cycles) -> Option<(MemEvent, Option<CacheLine>)> {
         let top = self.heap.peek_mut()?;
         if top.0.cycle > cycle {
             return None;
