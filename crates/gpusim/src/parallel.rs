@@ -35,8 +35,8 @@
 //!   replays exactly the order one shard holding every SM would emit —
 //!   preserving the L2's LRU clock and hit/miss statistics.
 //! * **Self-targeted events.** Every event an SM pushes targets itself
-//!   (fill retries, write-allocate fetches), so per-shard event heaps pop
-//!   the same per-SM subsequences as one machine-wide heap, and
+//!   (fill retries, write-allocate fetches), so per-shard event queues
+//!   pop the same per-SM subsequences as one machine-wide queue, and
 //!   arbiter-generated completions are delivered no earlier than the
 //!   epoch end.
 //! * **Idle equivalence.** A scheduler swept with nothing ready behaves
@@ -578,9 +578,11 @@ fn merge_runs<T, K: Ord>(
 
 /// Drains every shard's buffered L2 traffic through the shared memory in
 /// `(cycle, stage, sm)` order, updating the launch stats and routing
-/// each load-fill completion back into the heap of the shard that
-/// buffered the request (the shard that owns its SM). The refill payload
-/// is resolved from the backing-store image at this point.
+/// each load-fill completion back into the event queue of the shard that
+/// buffered the request (the shard that owns its SM). A write-back's
+/// line comes out of that shard's buffer slab into the image; a refill
+/// payload is resolved from the image at this point and parked in the
+/// queue's slab.
 fn arbitrate(
     shards: &mut [&mut Shard<'_>],
     memory: &mut SharedMemory,
