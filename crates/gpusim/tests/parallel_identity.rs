@@ -13,7 +13,7 @@ use latte_compress::{Compression, CompressionAlgo};
 use latte_gpusim::testing::{HotsetKernel, StridedKernel};
 use latte_gpusim::{
     EpochStats, FaultConfig, Fingerprinter, Gpu, GpuConfig, Kernel, KernelStats,
-    L1CompressionPolicy, Op, OpStream, ShadowCheck, ShadowCheckpoint, ShadowConfig,
+    L1CompressionPolicy, Op, OpStream, SchedulerKind, ShadowCheck, ShadowCheckpoint, ShadowConfig,
     TerminationReason, UncompressedPolicy, VecStream,
 };
 
@@ -205,6 +205,59 @@ impl Kernel for TailStoreKernel {
             .map(|i| (addr.line_number() as u32).wrapping_mul(31).wrapping_add(i))
             .collect();
         latte_compress::CacheLine::from_u32_words(&words)
+    }
+}
+
+/// A streaming kernel that keeps a two-entry MSHR full: every warp
+/// walks its own lines with blocking loads, async loads and stores, and
+/// every fourth access lands on a line its neighbour warp also touches,
+/// so misses merge as well as stall. Most picks of a memory op replay
+/// one the MSHR cannot take yet.
+#[derive(Clone)]
+struct MshrStallKernel;
+
+impl Kernel for MshrStallKernel {
+    fn name(&self) -> &str {
+        "mshr-stall-test"
+    }
+
+    fn warps_on_sm(&self, _sm: usize) -> usize {
+        8
+    }
+
+    fn warp_program(&self, sm: usize, warp: usize) -> Box<dyn OpStream> {
+        let line = |i: u64| ((sm as u64) << 20 | i) * 128;
+        let w = warp as u64;
+        let mut ops = Vec::new();
+        for i in 0..48u64 {
+            let shared = i % 4 == 3;
+            let a = if shared {
+                line(4096 + i * 2 + w / 2)
+            } else {
+                line(w * 256 + i)
+            };
+            match i % 6 {
+                0 | 3 => ops.push(Op::Load { addr: a }),
+                1 | 4 => ops.push(Op::LoadAsync { addr: a }),
+                2 => {
+                    let mut data = [0u8; 32];
+                    for (j, b) in data.iter_mut().enumerate() {
+                        *b = (i as u8).wrapping_mul(7).wrapping_add(w as u8 ^ j as u8);
+                    }
+                    ops.push(Op::Store {
+                        addr: a + (i + w) % 4 * 32,
+                        data,
+                    });
+                }
+                _ => ops.push(Op::Compute { cycles: 2 }),
+            }
+        }
+        ops.push(Op::Exit);
+        Box::new(VecStream::new(ops))
+    }
+
+    fn line_data(&self, addr: latte_cache::LineAddr) -> latte_compress::CacheLine {
+        MixedKernel.line_data(addr)
     }
 }
 
@@ -446,6 +499,44 @@ fn store_and_barrier_traffic_is_identical() {
         &[&MixedKernel],
         0x3ca8644130d753ea863910b657a7eac5,
     );
+}
+
+#[test]
+fn mshr_stall_replays_are_identical() {
+    // Two MSHR entries of two merges each: loads, async loads and
+    // write-back stores replay while the MSHR is full, under both
+    // schedulers and both store paths.
+    for (write_back, scheduler, pinned) in [
+        (
+            false,
+            SchedulerKind::Gto,
+            0x4fc47f0537f2e9ea14edd629779897fb_u128,
+        ),
+        (
+            false,
+            SchedulerKind::Lrr,
+            0xa9eee6a0291b8a9e35d5b864edb9218d,
+        ),
+        (true, SchedulerKind::Gto, 0xaaa1b5856700dd69439bf4d3c5a5d898),
+        (true, SchedulerKind::Lrr, 0xb314429274b492c56604463d1966bdd6),
+    ] {
+        let cfg = GpuConfig {
+            mshr_entries: 2,
+            mshr_merges: 2,
+            write_back,
+            scheduler,
+            ..config()
+        };
+        let label = format!("mshr-stall/write-back={write_back}/{scheduler:?}");
+        let stats = assert_pinned(&label, &cfg, true, &[&MshrStallKernel], pinned);
+        assert_eq!(stats[0].termination, TerminationReason::Completed);
+        let loads = stats[0].loads;
+        assert!(
+            stats[0].mshr_stalls > loads,
+            "{label}: {} stalls for {loads} loads is not stall-heavy",
+            stats[0].mshr_stalls
+        );
+    }
 }
 
 #[test]
