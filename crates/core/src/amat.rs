@@ -64,7 +64,12 @@ impl ModeSample {
 /// assert!(tolerant < exposed);
 /// ```
 #[must_use]
-pub fn amat_gpu(sample: ModeSample, hit_latency: f64, miss_latency: f64, latency_tolerance: f64) -> f64 {
+pub fn amat_gpu(
+    sample: ModeSample,
+    hit_latency: f64,
+    miss_latency: f64,
+    latency_tolerance: f64,
+) -> f64 {
     let accesses = sample.accesses();
     if accesses == 0 {
         return 0.0;

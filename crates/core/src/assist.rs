@@ -103,7 +103,9 @@ impl L1CompressionPolicy for AssistWarp {
         line: &mut FillLine<'_>,
     ) -> (CompressionAlgo, Compression) {
         if self.compressing {
-            let size = self.memo.size(line, CompressionAlgo::Bdi, |line| self.bdi.probe(line));
+            let size = self
+                .memo
+                .size(line, CompressionAlgo::Bdi, |line| self.bdi.probe(line));
             (CompressionAlgo::Bdi, size)
         } else {
             (CompressionAlgo::None, Compression::UNCOMPRESSED)

@@ -294,7 +294,11 @@ mod tests {
     }
 
     fn churn_line(i: u32) -> CacheLine {
-        CacheLine::from_u32_words(&(0..32).map(|w| 0x5000_0000 + i * 64 + w).collect::<Vec<_>>())
+        CacheLine::from_u32_words(
+            &(0..32)
+                .map(|w| 0x5000_0000 + i * 64 + w)
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -327,7 +331,9 @@ mod tests {
     fn validate_flags_inconsistent_bootstrap_state() {
         let mut sc = ScManager::new(4);
         sc.bootstrap_done = true; // no rebuild recorded
-        let err = sc.validate().expect_err("bootstrap without rebuild must fail");
+        let err = sc
+            .validate()
+            .expect_err("bootstrap without rebuild must fail");
         assert!(err.contains("rebuild count"), "{err}");
     }
 

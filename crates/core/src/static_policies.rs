@@ -36,7 +36,9 @@ impl L1CompressionPolicy for StaticBdi {
         _set: usize,
         line: &mut FillLine<'_>,
     ) -> (CompressionAlgo, Compression) {
-        let size = self.memo.size(line, CompressionAlgo::Bdi, |line| self.bdi.probe(line));
+        let size = self
+            .memo
+            .size(line, CompressionAlgo::Bdi, |line| self.bdi.probe(line));
         (CompressionAlgo::Bdi, size)
     }
 
@@ -78,7 +80,9 @@ impl L1CompressionPolicy for StaticBpc {
         _set: usize,
         line: &mut FillLine<'_>,
     ) -> (CompressionAlgo, Compression) {
-        let size = self.memo.size(line, CompressionAlgo::Bpc, |line| self.bpc.probe(line));
+        let size = self
+            .memo
+            .size(line, CompressionAlgo::Bpc, |line| self.bpc.probe(line));
         (CompressionAlgo::Bpc, size)
     }
 
@@ -139,7 +143,9 @@ impl L1CompressionPolicy for StaticSc {
         if self.manager.reads_fills() {
             self.manager.observe_fill(line.bytes());
         }
-        let size = self.memo.size(line, CompressionAlgo::Sc, |line| self.manager.probe(line));
+        let size = self
+            .memo
+            .size(line, CompressionAlgo::Sc, |line| self.manager.probe(line));
         (CompressionAlgo::Sc, size)
     }
 
@@ -159,7 +165,9 @@ impl L1CompressionPolicy for StaticSc {
     }
 
     fn pending_invalidation(&mut self) -> Option<CompressionAlgo> {
-        self.manager.take_invalidation().then_some(CompressionAlgo::Sc)
+        self.manager
+            .take_invalidation()
+            .then_some(CompressionAlgo::Sc)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -176,7 +184,12 @@ mod tests {
     }
 
     fn sc_friendly() -> CacheLine {
-        let vals = [f32::to_bits(1.5), f32::to_bits(-2.25), f32::to_bits(9.75), 0];
+        let vals = [
+            f32::to_bits(1.5),
+            f32::to_bits(-2.25),
+            f32::to_bits(9.75),
+            0,
+        ];
         CacheLine::from_u32_words(&(0..32).map(|i| vals[i % 4]).collect::<Vec<_>>())
     }
 
@@ -211,6 +224,10 @@ mod tests {
         let (algo, c) = p.compress_fill(0, &sc_friendly());
         assert_eq!(algo, CompressionAlgo::Sc);
         assert!(c.is_compressed());
-        assert!(c.size_bytes() <= 32, "4-symbol alphabet: got {}", c.size_bytes());
+        assert!(
+            c.size_bytes() <= 32,
+            "4-symbol alphabet: got {}",
+            c.size_bytes()
+        );
     }
 }
