@@ -246,8 +246,14 @@ mod tests {
     #[test]
     fn compression_energies_use_paper_constants() {
         let r = EnergyModel::paper().account(&stats());
-        assert!((r.compression_nj - 0.192).abs() < 1e-12, "one BDI compression");
-        assert!((r.decompression_nj - 0.336).abs() < 1e-12, "one SC decompression");
+        assert!(
+            (r.compression_nj - 0.192).abs() < 1e-12,
+            "one BDI compression"
+        );
+        assert!(
+            (r.decompression_nj - 0.336).abs() < 1e-12,
+            "one SC decompression"
+        );
     }
 
     #[test]
