@@ -124,10 +124,7 @@ impl MemoryOracle {
     }
 
     fn record(&self, violation: ShadowViolation) {
-        let mut report = self
-            .report
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut report = self.report.lock().unwrap_or_else(PoisonError::into_inner);
         report.violations_total += 1;
         if report.violations.len() < MAX_STORED_VIOLATIONS {
             report.violations.push(violation);
@@ -135,10 +132,7 @@ impl MemoryOracle {
     }
 
     fn bump(&self, f: impl FnOnce(&mut OracleReport)) {
-        f(&mut self
-            .report
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner));
+        f(&mut self.report.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
 
