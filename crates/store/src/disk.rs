@@ -196,8 +196,7 @@ impl Store {
     /// failure quarantines the file and returns `None`: a corrupt
     /// entry is a miss, never an answer.
     pub fn get(&self, key: u128) -> Option<Vec<u8>> {
-        if lock(&self.shared.denylist).contains(&key) || !lock(&self.shared.keys).contains(&key)
-        {
+        if lock(&self.shared.denylist).contains(&key) || !lock(&self.shared.keys).contains(&key) {
             return None;
         }
         let path = segment_path(&self.segments, key);
@@ -277,7 +276,10 @@ impl Store {
             missing: load(&c.missing),
             torn_removed: load(&c.torn_removed),
             evictions: 0,
-            injected_faults: self.injector.as_ref().map_or(0, StoreFaultInjector::injected),
+            injected_faults: self
+                .injector
+                .as_ref()
+                .map_or(0, StoreFaultInjector::injected),
         }
     }
 
@@ -398,7 +400,10 @@ fn writer_loop(ctx: &WriterCtx, rx: &mpsc::Receiver<Cmd>) {
 /// in memory, so correctness is unaffected).
 fn write_one(ctx: &WriterCtx, key: u128, payload: &[u8]) {
     let rec = record::encode(key, payload);
-    let (tmp, dest) = (temp_path(&ctx.segments, key), segment_path(&ctx.segments, key));
+    let (tmp, dest) = (
+        temp_path(&ctx.segments, key),
+        segment_path(&ctx.segments, key),
+    );
     let counters = &ctx.shared.counters;
     for (attempt, backoff) in RETRY_BACKOFF_MS.iter().enumerate() {
         match try_write(&rec, &tmp, &dest) {
@@ -444,10 +449,8 @@ mod tests {
     use crate::faults::StoreFaultConfig;
 
     fn tmp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "latte-store-disk-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("latte-store-disk-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -583,8 +586,16 @@ mod tests {
                 store.put(2, b"crashes".to_vec());
                 store.put(3, b"after crash".to_vec());
                 store.flush();
-                assert_eq!(store.get(2), None, "{point:?}: crashed write must not be durable");
-                assert_eq!(store.get(3), None, "{point:?}: post-crash write must be dropped");
+                assert_eq!(
+                    store.get(2),
+                    None,
+                    "{point:?}: crashed write must not be durable"
+                );
+                assert_eq!(
+                    store.get(3),
+                    None,
+                    "{point:?}: post-crash write must be dropped"
+                );
                 assert_eq!(store.stats().dropped_writes, 1, "{point:?}");
                 store.shutdown();
             }
@@ -620,7 +631,10 @@ mod tests {
         let root = tmp_root("inject");
         let (store, _) = Store::open(StoreConfig {
             dir: root.clone(),
-            faults: Some(StoreFaultConfig { seed: 1234, rate: 1.0 }),
+            faults: Some(StoreFaultConfig {
+                seed: 1234,
+                rate: 1.0,
+            }),
             kill: None,
         });
         let store = store.unwrap();

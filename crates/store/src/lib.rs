@@ -105,10 +105,8 @@ mod tests {
     use std::path::Path;
 
     fn tmp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "latte-store-facade-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("latte-store-facade-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -151,7 +149,11 @@ mod tests {
         assert!(store.is_none());
         assert!(!report.disk_enabled);
         assert_eq!(report.warnings.len(), 1);
-        assert!(report.warnings[0].contains("in-memory only"), "{:?}", report.warnings);
+        assert!(
+            report.warnings[0].contains("in-memory only"),
+            "{:?}",
+            report.warnings
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 

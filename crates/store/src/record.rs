@@ -218,7 +218,10 @@ mod tests {
     fn every_truncation_is_detected() {
         let rec = encode(42, b"payload under test");
         for len in 0..rec.len() {
-            assert!(decode(&rec[..len], 42).is_err(), "truncation to {len} bytes");
+            assert!(
+                decode(&rec[..len], 42).is_err(),
+                "truncation to {len} bytes"
+            );
         }
     }
 

@@ -38,7 +38,11 @@ fn populate(root: &Path, keys: u128) {
     }
     store.flush();
     for key in 0..keys {
-        assert_eq!(store.get(key), Some(payload_for(key)), "key {key} not durable after flush");
+        assert_eq!(
+            store.get(key),
+            Some(payload_for(key)),
+            "key {key} not durable after flush"
+        );
     }
     store.shutdown();
 }
@@ -179,7 +183,9 @@ proptest! {
 fn every_truncation_offset_of_one_segment_recovers() {
     let root = fresh_root("trunc-sweep");
     populate(&root, 1);
-    let len = fs::metadata(segment_path(&root, 0)).map(|m| m.len()).unwrap_or(0);
+    let len = fs::metadata(segment_path(&root, 0))
+        .map(|m| m.len())
+        .unwrap_or(0);
     assert!(len > 0);
     // Sweep a spread of truncation points including both edges.
     let mut cuts: Vec<u64> = (0..len).step_by((len as usize / 16).max(1)).collect();
@@ -208,7 +214,11 @@ fn seeded_injector_full_sweep_never_serves_wrong_bytes() {
         for key in 0..12u128 {
             match store.get(key) {
                 Some(bytes) => {
-                    assert_eq!(bytes.as_slice(), payload_for(key).as_slice(), "seed {seed} key {key}");
+                    assert_eq!(
+                        bytes.as_slice(),
+                        payload_for(key).as_slice(),
+                        "seed {seed} key {key}"
+                    );
                 }
                 None => misses += 1,
             }
