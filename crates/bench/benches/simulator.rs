@@ -1,7 +1,7 @@
-//! Criterion macro-benchmarks: whole-simulation throughput per policy —
-//! how long a simulated kernel takes to run on the substrate — plus the
-//! per-cycle warp-scheduler step, the idle fast-forward and the memory
-//! completion queue.
+//! Criterion macro-benchmarks: whole-simulation throughput per policy and
+//! on an MSHR-bound streaming benchmark — how long a simulated kernel
+//! takes to run on the substrate — plus the per-cycle warp-scheduler
+//! step, the idle fast-forward and the memory completion queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_bench::PolicyKind;
@@ -17,27 +17,38 @@ fn bench_simulation(c: &mut Criterion) {
         num_sms: 1,
         ..GpuConfig::small()
     };
-    let bench = benchmark("NW").expect("NW is small and quick");
-    for policy in [
-        PolicyKind::Baseline,
-        PolicyKind::StaticBdi,
-        PolicyKind::StaticSc,
-        PolicyKind::LatteCc,
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("nw", policy.name()),
-            &policy,
-            |b, &policy| {
-                b.iter(|| {
-                    let mut gpu = Gpu::new(&config, |_| policy.build(&config));
-                    let mut cycles = 0;
-                    for kernel in bench.build_kernels() {
-                        cycles += gpu.run_kernel(black_box(&kernel as &dyn Kernel)).cycles;
-                    }
-                    black_box(cycles)
-                });
-            },
-        );
+    // NW is small and never stalls on the MSHR; FWT streams, so most of
+    // its scheduler picks replay a load the full MSHR cannot take yet.
+    let rows: [(&str, &[PolicyKind]); 2] = [
+        (
+            "NW",
+            &[
+                PolicyKind::Baseline,
+                PolicyKind::StaticBdi,
+                PolicyKind::StaticSc,
+                PolicyKind::LatteCc,
+            ],
+        ),
+        ("FWT", &[PolicyKind::Baseline]),
+    ];
+    for (abbr, policies) in rows {
+        let bench = benchmark(abbr).expect("the suite defines every row's benchmark");
+        for &policy in policies {
+            group.bench_with_input(
+                BenchmarkId::new(abbr.to_lowercase(), policy.name()),
+                &policy,
+                |b, &policy| {
+                    b.iter(|| {
+                        let mut gpu = Gpu::new(&config, |_| policy.build(&config));
+                        let mut cycles = 0;
+                        for kernel in bench.build_kernels() {
+                            cycles += gpu.run_kernel(black_box(&kernel as &dyn Kernel)).cycles;
+                        }
+                        black_box(cycles)
+                    });
+                },
+            );
+        }
     }
     group.finish();
 }
