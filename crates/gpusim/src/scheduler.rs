@@ -150,6 +150,24 @@ impl WarpScheduler {
     #[inline]
     pub fn on_state_change(&mut self, slot: usize, from: WarpState, to: WarpState) {
         let (ready_at, available) = table_entry(to);
+        self.move_slot(slot, ready_at);
+        self.available = self.available + u64::from(available) - u64::from(table_entry(from).1);
+        self.finished = self.finished + usize::from(to == WarpState::Finished)
+            - usize::from(from == WarpState::Finished);
+    }
+
+    /// Records that the busy warp in `slot` stays busy, now until
+    /// `until`: the state change `BusyUntil(_)` to `BusyUntil(until)`,
+    /// which leaves both counts as they are and moves only the slot's
+    /// ready cycle.
+    #[inline]
+    pub fn on_busy_moved(&mut self, slot: usize, until: Cycles) {
+        self.move_slot(slot, until);
+    }
+
+    /// Sets `slot`'s ready cycle and keeps the wake in step.
+    #[inline]
+    fn move_slot(&mut self, slot: usize, ready_at: Cycles) {
         let old = std::mem::replace(&mut self.ready_at[slot], ready_at);
         // While `wake` is only a bound, no slot sits at it (every slot
         // lies after it), so reaching it makes it exact with one holder.
@@ -163,9 +181,6 @@ impl WarpScheduler {
             // The last holder leaving turns `wake` into a bound.
             self.wake_holders -= 1;
         }
-        self.available = self.available + u64::from(available) - u64::from(table_entry(from).1);
-        self.finished = self.finished + usize::from(to == WarpState::Finished)
-            - usize::from(from == WarpState::Finished);
     }
 
     /// Picks the warp to issue at `cycle`, or `None` if no owned warp is
@@ -483,9 +498,10 @@ mod tests {
             }
             let kind = if gto { SchedulerKind::Gto } else { SchedulerKind::Lrr };
             // `fast` learns of state changes only through its
-            // notification path; `slow` is driven by the reference
-            // functions, which read the warps. Both are notified, so
-            // their whole state (tables included) must stay equal.
+            // notification paths (a busy warp staying busy takes the
+            // narrow one); `slow` is driven by the reference functions,
+            // which read the warps. Both are notified, so their whole
+            // state (tables included) must stay equal.
             let mut fast = WarpScheduler::new(kind, ids.clone());
             let mut slow = WarpScheduler::new(kind, ids);
             let mut ws = warps(POOL);
@@ -496,7 +512,12 @@ mod tests {
                     let to = state_at(code, offset, cycle);
                     let from = std::mem::replace(&mut ws[w].state, to);
                     if let Some(slot) = fast.warp_ids().iter().position(|&id| id == w) {
-                        fast.on_state_change(slot, from, to);
+                        match (from, to) {
+                            (WarpState::BusyUntil(_), WarpState::BusyUntil(until)) => {
+                                fast.on_busy_moved(slot, until);
+                            }
+                            _ => fast.on_state_change(slot, from, to),
+                        }
                         slow.on_state_change(slot, from, to);
                     }
                 }

@@ -302,6 +302,10 @@ pub(crate) struct Sm {
     blocks: Vec<Vec<usize>>,
     /// Deterministic fault source (absent when injection is disabled).
     faults: Option<FaultInjector>,
+    /// Bumped by every fill delivery and every launch: the only events
+    /// that can let a replay the full MSHR refused through (see
+    /// [`Sm::issue_cycle`]).
+    fill_gen: u64,
     // EP bookkeeping.
     ep_access_count: u64,
     ep_hits: u64,
@@ -336,6 +340,7 @@ impl Sm {
             victims: Vec::new(),
             blocks: Vec::new(),
             faults: config.faults.map(|fc| FaultInjector::new(fc, id)),
+            fill_gen: 0,
             ep_access_count: 0,
             ep_hits: 0,
             ep_index: 0,
@@ -388,6 +393,7 @@ impl Sm {
             // only on (seed, SM), not on what ran before it.
             f.reseed();
         }
+        self.fill_gen += 1;
         self.ep_access_count = 0;
         self.ep_hits = 0;
         self.ep_index = 0;
@@ -436,6 +442,11 @@ impl Sm {
     /// (the structural hazard that bounds L1 bandwidth — and hence
     /// decompressor demand — to one access per cycle).
     /// Returns the number of instructions issued.
+    ///
+    /// A warp whose pushed-back memory op stalled on the full MSHR at the
+    /// current fill generation is not fetched again: only a fill frees an
+    /// MSHR entry or makes a line resident, so its replay would stall
+    /// again, and [`Sm::replay_mshr_stall`] books that stall directly.
     pub(crate) fn issue_cycle(&mut self, cycle: Cycles, ctx: &mut MemCtx<'_>) -> u64 {
         let mut issued = 0;
         let mut ldst_free = true;
@@ -451,6 +462,14 @@ impl Sm {
             let Some(wid) = self.schedulers[s].pick(cycle) else {
                 continue;
             };
+            if self.warps[wid].mshr_stall_gen == Some(self.fill_gen) {
+                // With the port taken, the full path would roll the
+                // fetch back and leave the warp as it is.
+                if ldst_free {
+                    self.replay_mshr_stall(wid, cycle, ctx);
+                }
+                continue;
+            }
             let op = self.warps[wid].fetch_op();
             let is_mem = matches!(
                 op,
@@ -469,6 +488,54 @@ impl Sm {
             }
         }
         issued
+    }
+
+    /// Hands `op` back to warp `wid` after the MSHR refused its line, and
+    /// parks the warp for the back-off before its replay (hardware keeps
+    /// the replay in the instruction buffer, so the warp does not hog its
+    /// scheduler's issue slot every cycle). Without fault injection the
+    /// stall is stamped with the fill generation, so the replays that
+    /// follow before the next fill skip the fetch and the checks. With
+    /// injection every replay takes the full path: each one draws the
+    /// MSHR-exhaustion fault from the injector's stream.
+    fn stall_on_mshr(&mut self, wid: usize, op: Op, cycle: Cycles, ctx: &mut MemCtx<'_>) {
+        ctx.stats.mshr_stalls += 1;
+        let warp = &mut self.warps[wid];
+        warp.unfetch(op);
+        if self.faults.is_none() {
+            warp.mshr_stall_gen = Some(self.fill_gen);
+        }
+        self.set_state(wid, WarpState::BusyUntil(cycle + 8));
+    }
+
+    /// A replay of a stamped MSHR stall (see [`Sm::stall_on_mshr`]): the
+    /// warp, busy since its last stall, backs off again. It stays busy,
+    /// so only its slot's ready cycle moves.
+    fn replay_mshr_stall(&mut self, wid: usize, cycle: Cycles, ctx: &mut MemCtx<'_>) {
+        debug_assert!(
+            self.replay_would_stall(wid, ctx.config),
+            "warp {wid}'s stamped replay would not stall"
+        );
+        ctx.stats.mshr_stalls += 1;
+        let until = cycle + 8;
+        let (s, slot) = self.sched_slot[wid];
+        let state = &mut self.warps[wid].state;
+        debug_assert!(matches!(state, WarpState::BusyUntil(_)), "{state:?}");
+        *state = WarpState::BusyUntil(until);
+        self.schedulers[s].on_busy_moved(slot, until);
+    }
+
+    /// The full path's verdict on warp `wid`'s pushed-back op: a load, or
+    /// a write-back store, whose line is not resident and which the MSHR
+    /// cannot take, with no fault injector to roll.
+    fn replay_would_stall(&self, wid: usize, config: &GpuConfig) -> bool {
+        let addr = match self.warps[wid].pushed_back() {
+            Some(Op::Load { addr } | Op::LoadAsync { addr }) => addr,
+            Some(Op::Store { addr, .. }) if config.write_back => addr,
+            _ => return false,
+        };
+        let line = LineAddr::from_byte_addr(addr);
+        self.faults.is_none() && !self.l1.contains(line) && !self.mshr.would_accept(line)
     }
 
     /// Returns `false` when the op could not issue (structural stall) and
@@ -550,17 +617,12 @@ impl Sm {
             injected || !self.mshr.would_accept(line)
         };
         if mshr_blocked {
-            ctx.stats.mshr_stalls += 1;
             let op = if blocking {
                 Op::Load { addr }
             } else {
                 Op::LoadAsync { addr }
             };
-            self.warps[wid].unfetch(op);
-            // Back off before replaying so the stalled warp does not hog
-            // its scheduler's issue slot every cycle (hardware parks the
-            // replay in the instruction buffer).
-            self.set_state(wid, WarpState::BusyUntil(cycle + 8));
+            self.stall_on_mshr(wid, op, cycle, ctx);
             return false;
         }
 
@@ -729,9 +791,7 @@ impl Sm {
         let line = LineAddr::from_byte_addr(addr);
         let resident = self.l1.contains(line);
         if !resident && !self.mshr.would_accept(line) {
-            ctx.stats.mshr_stalls += 1;
-            self.warps[wid].unfetch(Op::Store { addr, data: sector });
-            self.set_state(wid, WarpState::BusyUntil(cycle + 8));
+            self.stall_on_mshr(wid, Op::Store { addr, data: sector }, cycle, ctx);
             return false;
         }
         ctx.stats.stores += 1;
@@ -827,6 +887,8 @@ impl Sm {
         payload: Option<CacheLine>,
         ctx: &mut MemCtx<'_>,
     ) {
+        // Any fill may free an MSHR entry or make a line resident.
+        self.fill_gen += 1;
         // Fault injection on the L2/DRAM return path: the refill arrives
         // with a flipped bit. Per-sector parity always detects a
         // single-bit flip, so the data is never consumed; the memory

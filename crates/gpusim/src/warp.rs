@@ -35,6 +35,10 @@ pub struct Warp {
     /// An op handed back by [`Warp::unfetch`] (e.g. on an MSHR stall),
     /// replayed by the next fetch.
     pushback: Option<crate::ops::Op>,
+    /// The SM's fill generation when the pushed-back op last stalled on
+    /// a full MSHR. While it still matches, the replay stalls again
+    /// without being fetched (see `Sm::issue_cycle`).
+    pub(crate) mshr_stall_gen: Option<u64>,
     /// Async-load misses issued but not yet returned (while running).
     pub outstanding_misses: u32,
     /// Latest completion time of in-flight async-load hits.
@@ -56,6 +60,7 @@ impl Warp {
             block,
             stream,
             pushback: None,
+            mshr_stall_gen: None,
             outstanding_misses: 0,
             data_ready_at: 0,
             state: WarpState::Ready,
@@ -114,6 +119,12 @@ impl Warp {
         debug_assert!(self.pushback.is_none(), "double unfetch");
         self.instructions -= 1;
         self.pushback = Some(op);
+    }
+
+    /// The op the next fetch replays, if one was handed back.
+    #[must_use]
+    pub(crate) fn pushed_back(&self) -> Option<crate::ops::Op> {
+        self.pushback
     }
 }
 
