@@ -14,12 +14,11 @@ use latte_cache::{
     MshrOutcome,
 };
 use latte_compress::{CacheLine, Compression, Cycles};
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::VecDeque;
 use std::num::NonZeroU32;
 
 /// A memory request completing at `cycle` for `sm`'s line `addr`: 32
-/// bytes, so the completion heap moves no line data.
+/// bytes, so the completion queue moves no line data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemEvent {
     /// Cycle the completion is due.
@@ -36,7 +35,7 @@ pub struct MemEvent {
     /// at L2-access time, parked in the owning [`EventQueue`]'s slab
     /// (`None` = the line is pristine and the fill delivers
     /// [`Kernel::line_data`]). Always `None` outside write-back mode.
-    /// Kept as the last field so the derived heap order stays
+    /// Kept as the last field so the derived order stays
     /// `(cycle, sm, addr, verified)`-major; the handle can never decide
     /// a tie because each SM has at most one outstanding fill per line.
     pub payload: Option<PayloadId>,
@@ -82,12 +81,29 @@ impl PayloadSlab {
     }
 }
 
-/// A shard's pending memory completions: a min-heap of [`MemEvent`]s in
-/// `(cycle, sm, addr)` order, plus the slab their refill payloads wait
-/// in. Public for the simulator's criterion rows.
+/// The most sorted runs an [`EventQueue`] opens; a record that fits no
+/// run's tail once this many are open is inserted in sorted position.
+const MAX_RUNS: usize = 8;
+
+/// A shard's pending memory completions in [`MemEvent`] order, plus the
+/// slab their refill payloads wait in. Public for the simulator's
+/// criterion rows.
+///
+/// The arbiter pushes each latency class (an L2 hit, a DRAM access)
+/// already in due order, so the records are kept as a few sorted runs
+/// instead of a heap: a push appends to the run whose tail is the
+/// greatest one not after the record, and a pop takes the least run
+/// head, whose run the queue keeps track of. A record that sorts before
+/// every tail (a latency spike, a fill-bitflip retry) opens a new run,
+/// or once [`MAX_RUNS`] are open is inserted in sorted position. Runs
+/// that drain keep their capacity, so steady-state pushes do not
+/// allocate.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<MemEvent>>,
+    /// Each run is sorted front to back; empty runs wait for reuse.
+    runs: Vec<VecDeque<MemEvent>>,
+    /// The run holding the least head, or `None` when every run is empty.
+    first: Option<usize>,
     payloads: PayloadSlab,
 }
 
@@ -103,42 +119,84 @@ impl EventQueue {
         payload: Option<CacheLine>,
     ) {
         let payload = payload.map(|line| self.payloads.park(line));
-        self.heap.push(Reverse(MemEvent {
+        let ev = MemEvent {
             cycle,
             sm,
             addr,
             verified,
             payload,
-        }));
+        };
+        let mut append: Option<(usize, MemEvent)> = None;
+        let mut empty = None;
+        // Among the runs whose tail is after `ev`, the one with the
+        // least tail.
+        let mut least_tail: Option<(usize, MemEvent)> = None;
+        for (i, run) in self.runs.iter().enumerate() {
+            match run.back() {
+                None => {
+                    empty.get_or_insert(i);
+                }
+                Some(&tail) if tail <= ev => {
+                    if append.is_none_or(|(_, best)| tail > best) {
+                        append = Some((i, tail));
+                    }
+                }
+                Some(&tail) => {
+                    if least_tail.is_none_or(|(_, least)| tail < least) {
+                        least_tail = Some((i, tail));
+                    }
+                }
+            }
+        }
+        let run = if let Some(i) = append.map(|(i, _)| i).or(empty) {
+            self.runs[i].push_back(ev);
+            i
+        } else if self.runs.len() < MAX_RUNS {
+            self.runs.push(VecDeque::from([ev]));
+            self.runs.len() - 1
+        } else {
+            let (i, _) = least_tail.expect("MAX_RUNS runs are open and none is empty");
+            let run = &mut self.runs[i];
+            run.insert(run.partition_point(|&queued| queued < ev), ev);
+            i
+        };
+        if self.head().is_none_or(|head| ev < head) {
+            self.first = Some(run);
+        }
+    }
+
+    /// The earliest pending completion.
+    fn head(&self) -> Option<MemEvent> {
+        self.first.and_then(|i| self.runs[i].front().copied())
     }
 
     /// The due cycle of the earliest pending completion.
     #[must_use]
     pub fn next_due(&self) -> Option<Cycles> {
-        self.heap.peek().map(|Reverse(ev)| ev.cycle)
+        self.head().map(|ev| ev.cycle)
     }
 
     /// `true` when no completion is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.first.is_none()
     }
 
     /// Removes the earliest completion if it is due by `cycle`, and
     /// returns it with its payload.
     pub fn pop_due(&mut self, cycle: Cycles) -> Option<(MemEvent, Option<CacheLine>)> {
-        let top = self.heap.peek_mut()?;
-        if top.0.cycle > cycle {
-            return None;
-        }
-        let Reverse(ev) = PeekMut::pop(top);
+        let i = self.first?;
+        let ev = self.runs[i].pop_front_if(|ev| ev.cycle <= cycle)?;
+        self.first = (0..self.runs.len())
+            .filter(|&r| !self.runs[r].is_empty())
+            .min_by_key(|&r| self.runs[r][0]);
         Some((ev, ev.payload.map(|id| self.payloads.take(id))))
     }
 }
 
 /// The stage a record is made in, within its cycle: a completion's due
 /// cycle while the loop delivers it, [`ISSUE_STAGE`] while SMs issue.
-/// The loop delivers due completions in `(due, sm, addr)` heap order
+/// The loop delivers due completions in `(due, sm, addr)` order
 /// and then issues every SM in id order, so each shard emits its L2
 /// requests and oracle calls already sorted by `(cycle, stage, sm)`, and
 /// merging the shards by that key replays the one-loop order. A
@@ -226,7 +284,7 @@ impl L2Buffer {
 pub(crate) struct MemCtx<'a> {
     // latte-lint: shared-boundary(reason = "epoch-local request buffer; the barrier arbiter serializes it through the real L2 in fixed (cycle, stage, sm) order, so no two threads ever race on cache state")
     pub l2: &'a mut L2Buffer,
-    // latte-lint: shared-boundary(reason = "the DRAM completion heap; every push is self-targeted, so each shard owns a private heap and the barrier arbiter routes cross-stage completions, ordered by (cycle, sm, addr)")
+    // latte-lint: shared-boundary(reason = "the DRAM completion queue; every push is self-targeted, so each shard owns a private queue and the barrier arbiter routes cross-stage completions, ordered by (cycle, sm, addr)")
     pub events: &'a mut EventQueue,
     // latte-lint: shared-boundary(reason = "the SM's own per-SM compression policy; it travels with its SM into a shard and is only consulted while that SM steps")
     pub policy: &'a mut dyn L1CompressionPolicy,
@@ -1207,6 +1265,9 @@ mod tests {
     use super::*;
     use crate::policy::UncompressedPolicy;
     use crate::testing::StridedKernel;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap};
 
     #[test]
     fn records_carry_handles_not_lines() {
@@ -1226,6 +1287,129 @@ mod tests {
         // The freed slot is reused rather than grown.
         events.push(12, 0, LineAddr::new(5), true, Some(line));
         assert_eq!(events.payloads.lines.len(), 1);
+    }
+
+    /// Pops everything due by `cycle` from both queues and checks they
+    /// agree record for record.
+    fn drain_both(
+        events: &mut EventQueue,
+        reference: &mut BinaryHeap<Reverse<(Cycles, usize, LineAddr, bool)>>,
+        payloads: &mut HashMap<(usize, LineAddr), Option<CacheLine>>,
+        cycle: Cycles,
+    ) -> Result<(), String> {
+        loop {
+            let expected = match reference.peek() {
+                Some(&Reverse(key)) if key.0 <= cycle => {
+                    reference.pop();
+                    Some((key, payloads.remove(&(key.1, key.2)).flatten()))
+                }
+                _ => None,
+            };
+            let actual = events
+                .pop_due(cycle)
+                .map(|(ev, payload)| ((ev.cycle, ev.sm, ev.addr, ev.verified), payload));
+            if actual != expected {
+                return Err(format!(
+                    "at cycle {cycle}: popped {actual:?}, expected {expected:?}"
+                ));
+            }
+            if actual.is_none() {
+                return Ok(());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sorted-run queue pops exactly what a binary min-heap of the
+        /// same records pops, under random interleavings of pushes in
+        /// latency-class order, pushes before the current tails (spikes,
+        /// retries), equal-cycle ties and draining pops.
+        #[test]
+        fn event_queue_pops_in_heap_order(
+            steps in prop::collection::vec(
+                (0u8..8, 0u64..300, 0usize..3, 0u64..48, any::<bool>(), any::<bool>()),
+                1..200,
+            ),
+        ) {
+            let mut events = EventQueue::default();
+            let mut reference = BinaryHeap::new();
+            let mut payloads = HashMap::new();
+            let mut now: Cycles = 0;
+            for (action, offset, sm, addr, verified, with_payload) in steps {
+                let addr = LineAddr::new(addr);
+                match action {
+                    0..=3 => {
+                        // An SM has at most one outstanding fill per line.
+                        if payloads.contains_key(&(sm, addr)) {
+                            continue;
+                        }
+                        let cycle = now + match action {
+                            0 => 120,
+                            1 => 230,
+                            2 => offset,
+                            _ => offset % 4,
+                        };
+                        let payload = with_payload
+                            .then(|| CacheLine::from_bytes([offset as u8; CacheLine::SIZE_BYTES]));
+                        events.push(cycle, sm, addr, verified, payload);
+                        reference.push(Reverse((cycle, sm, addr, verified)));
+                        payloads.insert((sm, addr), payload);
+                    }
+                    4..=6 => {
+                        now += offset / 8;
+                        prop_assert_eq!(drain_both(&mut events, &mut reference, &mut payloads, now), Ok(()));
+                    }
+                    _ => {
+                        let due = reference.peek().map(|Reverse(key)| key.0);
+                        prop_assert_eq!(events.next_due(), due);
+                        prop_assert_eq!(events.is_empty(), reference.is_empty());
+                    }
+                }
+            }
+            prop_assert_eq!(
+                drain_both(&mut events, &mut reference, &mut payloads, Cycles::MAX),
+                Ok(())
+            );
+            prop_assert!(events.is_empty());
+        }
+    }
+
+    #[test]
+    fn event_queue_reuses_drained_runs() {
+        let mut events = EventQueue::default();
+        // Two latency classes make two runs; an early record a third.
+        for n in 0..4 {
+            events.push(100 + n, 0, LineAddr::new(n), false, None);
+            events.push(200 + n, 1, LineAddr::new(n), false, None);
+        }
+        events.push(50, 1, LineAddr::new(9), false, None);
+        assert_eq!(events.runs.len(), 3);
+        assert_eq!(events.next_due(), Some(50));
+        while events.pop_due(1000).is_some() {}
+        assert!(events.is_empty());
+        let capacity: Vec<usize> = events.runs.iter().map(VecDeque::capacity).collect();
+        // Refilled in the same shape, the drained runs take the records
+        // without opening a run or growing one.
+        for n in 0..4 {
+            events.push(1100 + n, 0, LineAddr::new(n), false, None);
+            events.push(1200 + n, 1, LineAddr::new(n), false, None);
+        }
+        assert_eq!(events.runs.len(), 3);
+        let refilled: Vec<usize> = events.runs.iter().map(VecDeque::capacity).collect();
+        assert_eq!(refilled, capacity);
+        // Past MAX_RUNS open runs, a record before every tail is inserted
+        // in sorted position.
+        for n in 0..MAX_RUNS as u64 {
+            events.push(1000 - n, 2, LineAddr::new(n), false, None);
+        }
+        assert_eq!(events.runs.len(), MAX_RUNS);
+        let popped: Vec<Cycles> = std::iter::from_fn(|| events.pop_due(Cycles::MAX))
+            .map(|(ev, _)| ev.cycle)
+            .collect();
+        assert!(popped.is_sorted(), "{popped:?}");
+        assert_eq!(popped.len(), 8 + MAX_RUNS);
     }
 
     #[test]
