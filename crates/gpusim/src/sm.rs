@@ -148,17 +148,20 @@ impl EventQueue {
                 }
             }
         }
-        let run = if let Some(i) = append.map(|(i, _)| i).or(empty) {
-            self.runs[i].push_back(ev);
-            i
-        } else if self.runs.len() < MAX_RUNS {
-            self.runs.push(VecDeque::from([ev]));
-            self.runs.len() - 1
-        } else {
-            let (i, _) = least_tail.expect("MAX_RUNS runs are open and none is empty");
-            let run = &mut self.runs[i];
-            run.insert(run.partition_point(|&queued| queued < ev), ev);
-            i
+        let run = match (append.map(|(i, _)| i).or(empty), least_tail) {
+            (Some(i), _) => {
+                self.runs[i].push_back(ev);
+                i
+            }
+            (None, Some((i, _))) if self.runs.len() >= MAX_RUNS => {
+                let run = &mut self.runs[i];
+                run.insert(run.partition_point(|&queued| queued < ev), ev);
+                i
+            }
+            _ => {
+                self.runs.push(VecDeque::from([ev]));
+                self.runs.len() - 1
+            }
         };
         if self.head().is_none_or(|head| ev < head) {
             self.first = Some(run);
