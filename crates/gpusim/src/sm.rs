@@ -81,29 +81,21 @@ impl PayloadSlab {
     }
 }
 
-/// The most sorted runs an [`EventQueue`] opens; a record that fits no
-/// run's tail once this many are open is inserted in sorted position.
-const MAX_RUNS: usize = 8;
-
 /// A shard's pending memory completions in [`MemEvent`] order, plus the
 /// slab their refill payloads wait in. Public for the simulator's
 /// criterion rows.
 ///
-/// The arbiter pushes each latency class (an L2 hit, a DRAM access)
-/// already in due order, so the records are kept as a few sorted runs
-/// instead of a heap: a push appends to the run whose tail is the
-/// greatest one not after the record, and a pop takes the least run
-/// head, whose run the queue keeps track of. A record that sorts before
-/// every tail (a latency spike, a fill-bitflip retry) opens a new run,
-/// or once [`MAX_RUNS`] are open is inserted in sorted position. Runs
-/// that drain keep their capacity, so steady-state pushes do not
-/// allocate.
+/// The records are kept in one sorted deque rather than a heap: the
+/// arbiter pushes each latency class (an L2 hit, a DRAM access) already
+/// in due order, so a push mostly lands at or near the back, and a pop
+/// takes the front. A record due before others (an L2 hit behind DRAM
+/// fills, a latency spike, a fill-bitflip retry) is inserted in sorted
+/// position, shifting the shorter side. The deque keeps its capacity
+/// once drained, so steady-state pushes do not allocate.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Each run is sorted front to back; empty runs wait for reuse.
-    runs: Vec<VecDeque<MemEvent>>,
-    /// The run holding the least head, or `None` when every run is empty.
-    first: Option<usize>,
+    /// Pending records, sorted front to back.
+    pending: VecDeque<MemEvent>,
     payloads: PayloadSlab,
 }
 
@@ -126,73 +118,26 @@ impl EventQueue {
             verified,
             payload,
         };
-        let mut append: Option<(usize, MemEvent)> = None;
-        let mut empty = None;
-        // Among the runs whose tail is after `ev`, the one with the
-        // least tail.
-        let mut least_tail: Option<(usize, MemEvent)> = None;
-        for (i, run) in self.runs.iter().enumerate() {
-            match run.back() {
-                None => {
-                    empty.get_or_insert(i);
-                }
-                Some(&tail) if tail <= ev => {
-                    if append.is_none_or(|(_, best)| tail > best) {
-                        append = Some((i, tail));
-                    }
-                }
-                Some(&tail) => {
-                    if least_tail.is_none_or(|(_, least)| tail < least) {
-                        least_tail = Some((i, tail));
-                    }
-                }
-            }
-        }
-        let run = match (append.map(|(i, _)| i).or(empty), least_tail) {
-            (Some(i), _) => {
-                self.runs[i].push_back(ev);
-                i
-            }
-            (None, Some((i, _))) if self.runs.len() >= MAX_RUNS => {
-                let run = &mut self.runs[i];
-                run.insert(run.partition_point(|&queued| queued < ev), ev);
-                i
-            }
-            _ => {
-                self.runs.push(VecDeque::from([ev]));
-                self.runs.len() - 1
-            }
-        };
-        if self.head().is_none_or(|head| ev < head) {
-            self.first = Some(run);
-        }
-    }
-
-    /// The earliest pending completion.
-    fn head(&self) -> Option<MemEvent> {
-        self.first.and_then(|i| self.runs[i].front().copied())
+        let at = self.pending.partition_point(|&queued| queued < ev);
+        self.pending.insert(at, ev);
     }
 
     /// The due cycle of the earliest pending completion.
     #[must_use]
     pub fn next_due(&self) -> Option<Cycles> {
-        self.head().map(|ev| ev.cycle)
+        self.pending.front().map(|ev| ev.cycle)
     }
 
     /// `true` when no completion is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.first.is_none()
+        self.pending.is_empty()
     }
 
     /// Removes the earliest completion if it is due by `cycle`, and
     /// returns it with its payload.
     pub fn pop_due(&mut self, cycle: Cycles) -> Option<(MemEvent, Option<CacheLine>)> {
-        let i = self.first?;
-        let ev = self.runs[i].pop_front_if(|ev| ev.cycle <= cycle)?;
-        self.first = (0..self.runs.len())
-            .filter(|&r| !self.runs[r].is_empty())
-            .min_by_key(|&r| self.runs[r][0]);
+        let ev = self.pending.pop_front_if(|ev| ev.cycle <= cycle)?;
         Some((ev, ev.payload.map(|id| self.payloads.take(id))))
     }
 }
@@ -1325,7 +1270,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The sorted-run queue pops exactly what a binary min-heap of the
+        /// The sorted queue pops exactly what a binary min-heap of the
         /// same records pops, under random interleavings of pushes in
         /// latency-class order, pushes before the current tails (spikes,
         /// retries), equal-cycle ties and draining pops.
@@ -1380,39 +1325,27 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_reuses_drained_runs() {
+    fn event_queue_refills_without_growing() {
         let mut events = EventQueue::default();
-        // Two latency classes make two runs; an early record a third.
-        for n in 0..4 {
-            events.push(100 + n, 0, LineAddr::new(n), false, None);
-            events.push(200 + n, 1, LineAddr::new(n), false, None);
-        }
-        events.push(50, 1, LineAddr::new(9), false, None);
-        assert_eq!(events.runs.len(), 3);
+        // Two latency classes, interleaved, and one record before both.
+        let fill = |events: &mut EventQueue, base: Cycles| {
+            for n in 0..4 {
+                events.push(base + 200 + n, 1, LineAddr::new(n), false, None);
+                events.push(base + 100 + n, 0, LineAddr::new(n), false, None);
+            }
+            events.push(base + 50, 1, LineAddr::new(9), false, None);
+        };
+        fill(&mut events, 0);
         assert_eq!(events.next_due(), Some(50));
-        while events.pop_due(1000).is_some() {}
-        assert!(events.is_empty());
-        let capacity: Vec<usize> = events.runs.iter().map(VecDeque::capacity).collect();
-        // Refilled in the same shape, the drained runs take the records
-        // without opening a run or growing one.
-        for n in 0..4 {
-            events.push(1100 + n, 0, LineAddr::new(n), false, None);
-            events.push(1200 + n, 1, LineAddr::new(n), false, None);
-        }
-        assert_eq!(events.runs.len(), 3);
-        let refilled: Vec<usize> = events.runs.iter().map(VecDeque::capacity).collect();
-        assert_eq!(refilled, capacity);
-        // Past MAX_RUNS open runs, a record before every tail is inserted
-        // in sorted position.
-        for n in 0..MAX_RUNS as u64 {
-            events.push(1000 - n, 2, LineAddr::new(n), false, None);
-        }
-        assert_eq!(events.runs.len(), MAX_RUNS);
+        let capacity = events.pending.capacity();
         let popped: Vec<Cycles> = std::iter::from_fn(|| events.pop_due(Cycles::MAX))
             .map(|(ev, _)| ev.cycle)
             .collect();
         assert!(popped.is_sorted(), "{popped:?}");
-        assert_eq!(popped.len(), 8 + MAX_RUNS);
+        assert_eq!(popped.len(), 9);
+        assert!(events.is_empty());
+        fill(&mut events, 1000);
+        assert_eq!(events.pending.capacity(), capacity);
     }
 
     #[test]
