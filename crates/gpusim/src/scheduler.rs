@@ -499,7 +499,8 @@ mod tests {
             let kind = if gto { SchedulerKind::Gto } else { SchedulerKind::Lrr };
             // `fast` learns of state changes only through its
             // notification paths (a busy warp staying busy takes the
-            // narrow one); `slow` is driven by the reference functions,
+            // narrow one on every other step and warp, the general one
+            // otherwise); `slow` is driven by the reference functions,
             // which read the warps. Both are notified, so their whole
             // state (tables included) must stay equal.
             let mut fast = WarpScheduler::new(kind, ids.clone());
@@ -513,7 +514,9 @@ mod tests {
                     let from = std::mem::replace(&mut ws[w].state, to);
                     if let Some(slot) = fast.warp_ids().iter().position(|&id| id == w) {
                         match (from, to) {
-                            (WarpState::BusyUntil(_), WarpState::BusyUntil(until)) => {
+                            (WarpState::BusyUntil(_), WarpState::BusyUntil(until))
+                                if (step + w) % 2 == 0 =>
+                            {
                                 fast.on_busy_moved(slot, until);
                             }
                             _ => fast.on_state_change(slot, from, to),
