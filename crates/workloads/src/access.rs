@@ -534,7 +534,10 @@ mod tests {
             .take(16)
             .filter(|&&(_, line)| line % 32 < 4)
             .count();
-        assert!(low_sets <= 8, "hot lines clustered in low sets: {low_sets}/16");
+        assert!(
+            low_sets <= 8,
+            "hot lines clustered in low sets: {low_sets}/16"
+        );
     }
 
     #[test]

@@ -45,5 +45,5 @@ mod write_heavy;
 pub use access::AccessPattern;
 pub use spec::{store_payload, BenchmarkSpec, Category, KernelSpec, PhaseSpec, SyntheticKernel};
 pub use suite::{benchmark, c_insens, c_sens, suite};
-pub use write_heavy::{write_heavy_benchmark, write_heavy_suite};
 pub use values::{mix64, LineGenerator, RegionSpec, ValueProfile, REGION_MASK, REGION_SHIFT};
+pub use write_heavy::{write_heavy_benchmark, write_heavy_suite};

@@ -358,7 +358,8 @@ impl OpStream for PhaseStream {
             // of each batch issue asynchronously, and the batch's compute
             // follows the blocking join.
             let mlp = u64::from(p.mlp.max(1));
-            let batch_end = self.load_idx.is_multiple_of(mlp) || self.load_idx >= u64::from(p.loads_per_warp);
+            let batch_end =
+                self.load_idx.is_multiple_of(mlp) || self.load_idx >= u64::from(p.loads_per_warp);
             if !batch_end {
                 if let Op::Load { addr } = op {
                     return Op::LoadAsync { addr };
@@ -479,9 +480,7 @@ mod tests {
         let spec = KernelSpec {
             name: "w".into(),
             warps_per_sm: 1,
-            phases: vec![
-                PhaseSpec::loads(AccessPattern::Stream, 200, 0).with_stores(50),
-            ],
+            phases: vec![PhaseSpec::loads(AccessPattern::Stream, 200, 0).with_stores(50)],
         };
         let b = BenchmarkSpec {
             kernels: vec![spec],

@@ -63,8 +63,16 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         name: "Binomial Options",
         category: Category::CInSens,
         kernels: vec![
-            kernel("bo_k0", 32, vec![PhaseSpec::loads(reuse(48), 800, 10).with_mlp(4)]),
-            kernel("bo_k1", 32, vec![PhaseSpec::loads(reuse(48), 800, 10).with_mlp(4)]),
+            kernel(
+                "bo_k0",
+                32,
+                vec![PhaseSpec::loads(reuse(48), 800, 10).with_mlp(4)],
+            ),
+            kernel(
+                "bo_k1",
+                32,
+                vec![PhaseSpec::loads(reuse(48), 800, 10).with_mlp(4)],
+            ),
         ],
         generator: LineGenerator::uniform(ValueProfile::HotFloats { alphabet: 128 }, 0xB0),
         seed: 0xB0,
@@ -78,12 +86,11 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         kernels: vec![kernel(
             "pth_k0",
             32,
-            vec![PhaseSpec::loads(AccessPattern::Stream, 1500, 2).with_stores(10).with_mlp(4)],
+            vec![PhaseSpec::loads(AccessPattern::Stream, 1500, 2)
+                .with_stores(10)
+                .with_mlp(4)],
         )],
-        generator: LineGenerator::new(
-            vec![region(ValueProfile::SmallInts { max: 64 }, 10)],
-            0x47,
-        ),
+        generator: LineGenerator::new(vec![region(ValueProfile::SmallInts { max: 64 }, 10)], 0x47),
         seed: 0x47,
     });
 
@@ -95,7 +102,9 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         kernels: vec![kernel(
             "hot_k0",
             24,
-            vec![PhaseSpec::loads(reuse(96), 1200, 5).with_stores(10).with_mlp(4)],
+            vec![PhaseSpec::loads(reuse(96), 1200, 5)
+                .with_stores(10)
+                .with_mlp(4)],
         )],
         generator: LineGenerator::uniform(ValueProfile::RandomFloats, 0x107),
         seed: 0x107,
@@ -107,8 +116,16 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         name: "Fast Walsh Transform",
         category: Category::CInSens,
         kernels: vec![
-            kernel("fwt_k0", 48, vec![PhaseSpec::loads(AccessPattern::Stream, 900, 3).with_mlp(4)]),
-            kernel("fwt_k1", 48, vec![PhaseSpec::loads(AccessPattern::Stream, 900, 3).with_mlp(4)]),
+            kernel(
+                "fwt_k0",
+                48,
+                vec![PhaseSpec::loads(AccessPattern::Stream, 900, 3).with_mlp(4)],
+            ),
+            kernel(
+                "fwt_k1",
+                48,
+                vec![PhaseSpec::loads(AccessPattern::Stream, 900, 3).with_mlp(4)],
+            ),
         ],
         generator: LineGenerator::uniform(ValueProfile::HotFloats { alphabet: 256 }, 0xF17),
         seed: 0xF17,
@@ -152,7 +169,9 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         kernels: vec![kernel(
             "sr1_k0",
             32,
-            vec![PhaseSpec::loads(AccessPattern::Stream, 1200, 4).with_stores(15).with_mlp(4)],
+            vec![PhaseSpec::loads(AccessPattern::Stream, 1200, 4)
+                .with_stores(15)
+                .with_mlp(4)],
         )],
         generator: LineGenerator::uniform(ValueProfile::RandomFloats, 0x521),
         seed: 0x521,
@@ -190,7 +209,9 @@ pub fn suite() -> Vec<BenchmarkSpec> {
             24,
             vec![
                 PhaseSpec::loads(AccessPattern::Stream, 1000, 2).with_mlp(4),
-                PhaseSpec::loads(reuse(112), 600, 2).in_region(1).with_mlp(4),
+                PhaseSpec::loads(reuse(112), 600, 2)
+                    .in_region(1)
+                    .with_mlp(4),
             ],
         )],
         generator: LineGenerator::new(
@@ -225,7 +246,9 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         kernels: vec![kernel(
             "wc_k0",
             32,
-            vec![PhaseSpec::loads(AccessPattern::Stream, 1500, 1).with_stores(20).with_mlp(4)],
+            vec![PhaseSpec::loads(AccessPattern::Stream, 1500, 1)
+                .with_stores(20)
+                .with_mlp(4)],
         )],
         generator: LineGenerator::uniform(ValueProfile::Text, 0x3c),
         seed: 0x3c,
@@ -238,11 +261,17 @@ pub fn suite() -> Vec<BenchmarkSpec> {
         name: "Breadth First Search",
         category: Category::CInSens,
         kernels: vec![
-            kernel("bfs_k0", 48, vec![PhaseSpec::loads(zipf(3072, 45), 700, 1).with_mlp(2)]),
+            kernel(
+                "bfs_k0",
+                48,
+                vec![PhaseSpec::loads(zipf(3072, 45), 700, 1).with_mlp(2)],
+            ),
             kernel(
                 "bfs_k1",
                 48,
-                vec![PhaseSpec::loads(zipf(3072, 45), 700, 1).in_region(1).with_mlp(2)],
+                vec![PhaseSpec::loads(zipf(3072, 45), 700, 1)
+                    .in_region(1)
+                    .with_mlp(2)],
             ),
         ],
         generator: LineGenerator::new(
@@ -437,7 +466,9 @@ pub fn suite() -> Vec<BenchmarkSpec> {
             20,
             vec![
                 PhaseSpec::loads(zipf(384, 75), 800, 20).with_mlp(4),
-                PhaseSpec::loads(zipf(384, 75), 400, 20).in_region(1).with_mlp(4),
+                PhaseSpec::loads(zipf(384, 75), 400, 20)
+                    .in_region(1)
+                    .with_mlp(4),
             ],
         )],
         generator: LineGenerator::new(

@@ -264,7 +264,9 @@ impl LineGenerator {
                 return CacheLine::zeroed();
             }
         }
-        region.profile.line(addr, self.seed ^ (region_id as u64) << 56)
+        region
+            .profile
+            .line(addr, self.seed ^ (region_id as u64) << 56)
     }
 }
 
@@ -375,7 +377,11 @@ mod tests {
 
     fn ratio_of(compressor: &dyn Compressor, profile: ValueProfile, n: u64) -> f64 {
         let total: usize = (0..n)
-            .map(|i| compressor.compress(&profile.line(LineAddr::new(i), 42)).size_bytes())
+            .map(|i| {
+                compressor
+                    .compress(&profile.line(LineAddr::new(i), 42))
+                    .size_bytes()
+            })
             .sum();
         (n as usize * CacheLine::SIZE_BYTES) as f64 / total as f64
     }
@@ -423,7 +429,10 @@ mod tests {
         let bdi_ratio = ratio_of(&Bdi::new(), profile, 200);
         let sc = sc_trained(profile, 200);
         let sc_ratio = ratio_of(&sc, profile, 200);
-        assert!(bdi_ratio < 1.2, "BDI on random-mantissa floats: {bdi_ratio:.2}");
+        assert!(
+            bdi_ratio < 1.2,
+            "BDI on random-mantissa floats: {bdi_ratio:.2}"
+        );
         assert!(sc_ratio > 2.0, "SC on a 64-value alphabet: {sc_ratio:.2}");
     }
 

@@ -47,7 +47,9 @@ pub fn write_heavy_suite() -> Vec<BenchmarkSpec> {
         kernels: vec![kernel(
             "wsc_k0",
             16,
-            vec![PhaseSpec::loads(reuse(512), 1200, 1).with_stores(50).with_mlp(2)],
+            vec![PhaseSpec::loads(reuse(512), 1200, 1)
+                .with_stores(50)
+                .with_mlp(2)],
         )],
         generator: LineGenerator::uniform(ValueProfile::SmallInts { max: 256 }, 0x5C1),
         seed: 0x5C1,
@@ -64,7 +66,9 @@ pub fn write_heavy_suite() -> Vec<BenchmarkSpec> {
             "wrr_k0",
             24,
             vec![
-                PhaseSpec::loads(reuse(384), 900, 2).with_stores(70).with_mlp(4),
+                PhaseSpec::loads(reuse(384), 900, 2)
+                    .with_stores(70)
+                    .with_mlp(4),
                 PhaseSpec::loads(reuse(384), 900, 2).with_mlp(4),
             ],
         )],
@@ -89,12 +93,16 @@ pub fn write_heavy_suite() -> Vec<BenchmarkSpec> {
             kernel(
                 "wac_k0",
                 32,
-                vec![PhaseSpec::loads(reuse(256), 800, 8).with_stores(45).with_mlp(4)],
+                vec![PhaseSpec::loads(reuse(256), 800, 8)
+                    .with_stores(45)
+                    .with_mlp(4)],
             ),
             kernel(
                 "wac_k1",
                 32,
-                vec![PhaseSpec::loads(reuse(256), 800, 8).with_stores(45).with_mlp(4)],
+                vec![PhaseSpec::loads(reuse(256), 800, 8)
+                    .with_stores(45)
+                    .with_mlp(4)],
             ),
         ],
         generator: LineGenerator::uniform(ValueProfile::HotFloats { alphabet: 64 }, 0xACC),

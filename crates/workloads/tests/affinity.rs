@@ -42,7 +42,11 @@ fn ratios(bench: &BenchmarkSpec) -> (f64, f64, f64) {
     let sc = Sc::new(vft.build());
     let total = (lines.len() * CacheLine::SIZE_BYTES) as f64;
     let size = |c: &dyn Compressor| -> f64 {
-        total / lines.iter().map(|l| c.compress(l).size_bytes()).sum::<usize>() as f64
+        total
+            / lines
+                .iter()
+                .map(|l| c.compress(l).size_bytes())
+                .sum::<usize>() as f64
     };
     (size(&Bdi::new()), size(&Bpc::new()), size(&sc))
 }
@@ -122,7 +126,11 @@ fn kernel_streams_are_sm_disjoint() {
             }
         }
     };
-    assert_ne!(addr_of(0) >> 39, addr_of(1) >> 39, "SMs share address space");
+    assert_ne!(
+        addr_of(0) >> 39,
+        addr_of(1) >> 39,
+        "SMs share address space"
+    );
 }
 
 #[test]
