@@ -118,8 +118,14 @@ impl EventQueue {
             verified,
             payload,
         };
-        let at = self.pending.partition_point(|&queued| queued < ev);
-        self.pending.insert(at, ev);
+        // Most records belong at the back: skip the search for them.
+        match self.pending.back() {
+            Some(&back) if back >= ev => {
+                let at = self.pending.partition_point(|&queued| queued < ev);
+                self.pending.insert(at, ev);
+            }
+            _ => self.pending.push_back(ev),
+        }
     }
 
     /// The due cycle of the earliest pending completion.
