@@ -11,9 +11,13 @@
 //! generate ops through a [`PreparedPattern`] instead, which hoists the
 //! work that is constant over a phase (the Zipf inverse-CDF constants and
 //! the rank scatter permutation) out of the per-op path while producing
-//! the same offsets bit for bit.
+//! the same offsets bit for bit. A Zipf draw is looked up in its
+//! `(universe, α)`'s [`ZipfTable`] of rank steps, one per benchmark
+//! build; only draws in a narrow guard band around a step evaluate the
+//! reference's `powf`.
 
 use crate::values::mix64;
+use std::sync::Arc;
 
 /// How a phase's loads pick their target lines (within the phase's
 /// region).
@@ -122,10 +126,10 @@ impl AccessPattern {
     }
 }
 
-/// Largest Zipf universe whose scatter permutation is tabulated (every
-/// rank then fits a `u16`). Larger universes, which only hand-built specs
-/// use, evaluate the Feistel network per op instead of allocating a table
-/// proportional to the universe.
+/// Largest Zipf universe whose scatter permutation and rank steps are
+/// tabulated (every rank then fits a `u16`). Larger universes, which only
+/// hand-built specs use, evaluate the Feistel network and the `powf` per
+/// op instead of allocating tables proportional to the universe.
 const MAX_TABULATED_UNIVERSE: u64 = 1 << 16;
 
 /// An [`AccessPattern`] prepared for one phase: the phase seed is bound
@@ -164,8 +168,13 @@ enum Scatter {
 
 impl PreparedPattern {
     /// Prepares `pattern` for a phase whose loads use `seed` (the seed
-    /// [`AccessPattern::line_offset`] would be called with).
-    pub(crate) fn new(pattern: AccessPattern, seed: u64) -> PreparedPattern {
+    /// [`AccessPattern::line_offset`] would be called with), taking a
+    /// Zipf phase's sampler from `samplers`.
+    pub(crate) fn new(
+        pattern: AccessPattern,
+        seed: u64,
+        samplers: &mut ZipfSamplers,
+    ) -> PreparedPattern {
         let zipf = match pattern {
             AccessPattern::Zipf {
                 universe_lines,
@@ -178,7 +187,7 @@ impl PreparedPattern {
                     Scatter::Feistel { n }
                 };
                 Some(PreparedZipf {
-                    sampler: ZipfSampler::new(n, alpha_x100),
+                    sampler: samplers.get(n, alpha_x100),
                     scatter,
                 })
             }
@@ -205,8 +214,8 @@ impl PreparedPattern {
 
 impl PreparedZipf {
     /// [`PreparedPattern::line_offset`] of a Zipf phase. Kept out of
-    /// line: inlined, its `powf` call and table lookup bloat the op
-    /// generator's hot loop and slow the other patterns' ops.
+    /// line: inlined, its two table lookups and the rank scan bloat the
+    /// op generator's hot loop and slow the other patterns' ops.
     #[inline(never)]
     fn line_offset(&self, i: u64, warp: u64, seed: u64) -> u64 {
         let rank = self.sampler.sample(zipf_random(i, warp, seed));
@@ -277,12 +286,12 @@ fn zipf_sample(random: u64, n: u64, alpha_x100: u32) -> u64 {
     (rank as u64).min(n - 1)
 }
 
-/// [`zipf_sample`] for one `(n, α)`, with the terms that depend only on
-/// them computed once. Every remaining f64 operation is the one
-/// `zipf_sample` performs, on the same operands in the same order, so the
-/// sampled ranks are bit-identical; each sample costs one `powf` instead
-/// of two.
-#[derive(Debug, Clone, Copy)]
+/// [`zipf_sample`] for one `(n, α)`: a [`ZipfTable`] lookup, or the
+/// reference expression with the terms that depend only on `(n, α)`
+/// computed once. Every f64 operation left on that path is the one
+/// `zipf_sample` performs, on the same operands in the same order, so
+/// the sampled ranks are bit-identical either way.
+#[derive(Debug, Clone)]
 struct ZipfSampler {
     /// `n - 1`, the largest rank.
     max_rank: u64,
@@ -294,6 +303,8 @@ struct ZipfSampler {
     span: f64,
     /// `1/(1−α)` (unused when `harmonic`).
     inv_p: f64,
+    /// The rank steps, for `3 ≤ n ≤` [`MAX_TABULATED_UNIVERSE`].
+    table: Option<Arc<ZipfTable>>,
 }
 
 impl ZipfSampler {
@@ -301,17 +312,34 @@ impl ZipfSampler {
         let alpha = f64::from(alpha_x100) / 100.0;
         let p = 1.0 - alpha;
         let nf = n as f64;
-        ZipfSampler {
+        let mut sampler = ZipfSampler {
             max_rank: n - 1,
             n: nf,
             harmonic: (alpha - 1.0).abs() < 0.01,
             span: nf.powf(p) - 1.0,
             inv_p: 1.0 / p,
+            table: None,
+        };
+        if (3..=MAX_TABULATED_UNIVERSE).contains(&n) {
+            sampler.table = Some(Arc::new(ZipfTable::new(&sampler, p)));
         }
+        sampler
     }
 
     #[inline]
     fn sample(&self, random: u64) -> u64 {
+        match self.table.as_ref().and_then(|table| table.rank(random)) {
+            Some(rank) => rank,
+            None => self.sample_powf(random),
+        }
+    }
+
+    /// [`zipf_sample`] with the phase-constant terms hoisted: one `powf`
+    /// instead of two. Out of line, since tabulated universes take it
+    /// for a few draws in a million.
+    #[cold]
+    #[inline(never)]
+    fn sample_powf(&self, random: u64) -> u64 {
         let u = ((random >> 11) as f64) / ((1u64 << 53) as f64); // [0, 1)
         let rank = if self.harmonic {
             (self.n.powf(u) - 1.0).max(0.0)
@@ -319,6 +347,120 @@ impl ZipfSampler {
             ((u * self.span + 1.0).powf(self.inv_p) - 1.0).max(0.0)
         };
         (rank as u64).min(self.max_rank)
+    }
+}
+
+/// Keys within this many of a rank step's key fall back to the `powf`
+/// (see [`ZipfTable::rank`]).
+const GUARD_KEYS: u32 = 2;
+
+/// The rank steps of one `(n, α)`, `3 ≤ n ≤` [`MAX_TABULATED_UNIVERSE`],
+/// which turn a [`zipf_sample`] draw into a guide lookup and a short
+/// scan. They do not depend on the seed, so a benchmark builds one table
+/// per distinct `(n, α)` and its phases share it (see [`ZipfSamplers`]).
+///
+/// `zipf_sample`'s rank is `⌊y⌋ − 1` for the `y` its `powf` returns (the
+/// subtraction is exact), so it steps exactly where `y` reaches an
+/// integer: rank `r ≥ 1` begins where `y = r + 1`, at the draw fraction
+/// `u_r = ((r+1)^(1−α) − 1)/(n^(1−α) − 1)`, or `ln(r+1)/ln n` when
+/// α ≈ 1. Draws are compared by their key, the top 32 bits of the 53-bit
+/// draw; a draw whose key lies within [`GUARD_KEYS`] of a step's key is
+/// left to the `powf`. Every other draw lies at least 2^21 draws from
+/// the step, far beyond where rounding (the crossing's own, the two
+/// flops before the reference's `powf`, and libm's `powf`) can move it,
+/// so its rank is the reference's. DESIGN.md §2.4 has the bound.
+#[derive(Debug)]
+struct ZipfTable {
+    /// `crossings[r]` for `1 ≤ r ≤ n − 2`: `⌊2^32·u_r⌋`, the key in
+    /// which rank `r` begins. `crossings[0] = 0`, and `crossings[n − 1]`
+    /// is `u32::MAX`: rank `n − 1` begins at `u = 1`, past every key, so
+    /// it also ends every scan. Non-decreasing.
+    crossings: Box<[u32]>,
+    /// `guide[j]`: the rank of key `j << shift` (the number of crossings
+    /// before it), where a draw's scan starts. About two buckets per
+    /// rank, so a scan passes half a crossing on average.
+    guide: Box<[u16]>,
+    /// `32 − log2(guide.len())`.
+    shift: u32,
+}
+
+impl ZipfTable {
+    /// The table of `sampler`'s `(n, α)`, whose exponent is `p = 1 − α`:
+    /// one `powf` (or `ln`) per rank.
+    fn new(sampler: &ZipfSampler, p: f64) -> ZipfTable {
+        let max_rank = sampler.max_rank as usize;
+        debug_assert!((2..MAX_TABULATED_UNIVERSE as usize).contains(&max_rank));
+        let crossings: Box<[u32]> = (0..=max_rank)
+            .map(|r| {
+                if r == 0 {
+                    return 0;
+                }
+                if r == max_rank {
+                    return u32::MAX;
+                }
+                let step = (r + 1) as f64;
+                let u = if sampler.harmonic {
+                    step.ln() / sampler.n.ln()
+                } else {
+                    (step.powf(p) - 1.0) / sampler.span
+                };
+                // Saturates at u32::MAX should rounding put u at 1.
+                (u * 4_294_967_296.0) as u32
+            })
+            .collect();
+        debug_assert!(crossings.is_sorted());
+        let buckets = (2 * max_rank + 2).next_power_of_two();
+        let shift = 32 - buckets.trailing_zeros();
+        let mut rank = 0;
+        let guide = (0..buckets)
+            .map(|j| {
+                let first = (j as u32) << shift;
+                while crossings[rank + 1] < first {
+                    rank += 1;
+                }
+                rank as u16
+            })
+            .collect();
+        ZipfTable {
+            crossings,
+            guide,
+            shift,
+        }
+    }
+
+    /// The rank `zipf_sample` draws from `random`, or `None` when the
+    /// draw's key lies within [`GUARD_KEYS`] of a step.
+    #[inline]
+    fn rank(&self, random: u64) -> Option<u64> {
+        let key = (random >> 32) as u32;
+        let mut rank = usize::from(self.guide[(key >> self.shift) as usize]);
+        while self.crossings[rank + 1] < key {
+            rank += 1;
+        }
+        // The scan leaves crossings[rank] < key ≤ crossings[rank + 1]
+        // (or rank 0), so neither subtraction wraps.
+        let clear = key - self.crossings[rank] >= GUARD_KEYS
+            && self.crossings[rank + 1] - key >= GUARD_KEYS;
+        clear.then_some(rank as u64)
+    }
+}
+
+/// The Zipf samplers of one benchmark build, one per distinct
+/// `(universe, α)`: every phase of every kernel with that pair shares
+/// its [`ZipfTable`].
+#[derive(Debug, Default)]
+pub(crate) struct ZipfSamplers(Vec<((u64, u32), ZipfSampler)>);
+
+impl ZipfSamplers {
+    /// The sampler of `(n, α)`, built on its first request.
+    fn get(&mut self, n: u64, alpha_x100: u32) -> ZipfSampler {
+        let key = (n, alpha_x100);
+        if let Some((_, sampler)) = self.0.iter().find(|(k, _)| *k == key) {
+            return sampler.clone();
+        }
+        let sampler = ZipfSampler::new(n, alpha_x100);
+        self.0.push((key, sampler.clone()));
+        sampler
     }
 }
 
@@ -374,7 +516,7 @@ mod tests {
             warp in 0u64..64,
             warps in 1u64..=64,
         ) {
-            let prepared = PreparedPattern::new(pattern, seed);
+            let prepared = PreparedPattern::new(pattern, seed, &mut ZipfSamplers::default());
             // A run of consecutive loads per case amortises the table
             // build over many samples.
             for i in first..first + 64 {
@@ -435,7 +577,7 @@ mod tests {
                 alpha_x100: 90,
             };
             matches!(
-                PreparedPattern::new(zipf, 1).zipf,
+                PreparedPattern::new(zipf, 1, &mut ZipfSamplers::default()).zipf,
                 Some(PreparedZipf {
                     scatter: Scatter::Table(_),
                     ..
@@ -444,8 +586,150 @@ mod tests {
         };
         assert!(tabulated(0) && tabulated(3072) && tabulated(1 << 16));
         assert!(!tabulated((1 << 16) + 1));
-        let stream = PreparedPattern::new(AccessPattern::Stream, 1);
+        let stream = PreparedPattern::new(AccessPattern::Stream, 1, &mut ZipfSamplers::default());
         assert!(stream.zipf.is_none());
+    }
+
+    /// Every distinct `(universe, α)` of the Zipf phases in the suites.
+    fn suite_zipf_pairs() -> Vec<(u64, u32)> {
+        let mut pairs = Vec::new();
+        for bench in crate::suite().into_iter().chain(crate::write_heavy_suite()) {
+            for phase in bench.kernels.iter().flat_map(|k| &k.phases) {
+                if let AccessPattern::Zipf {
+                    universe_lines,
+                    alpha_x100,
+                } = phase.pattern
+                {
+                    let pair = (u64::from(universe_lines.max(1)), alpha_x100);
+                    if !pairs.contains(&pair) {
+                        pairs.push(pair);
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Random bits whose 53-bit draw is `draw`.
+    fn bits(draw: u64) -> u64 {
+        draw << 11
+    }
+
+    /// The first 53-bit draw `zipf_sample` maps to `rank` or above
+    /// (`2^53` if none), found by bisection.
+    fn true_step(n: u64, alpha_x100: u32, rank: u64) -> u64 {
+        let (mut lo, mut hi) = (0u64, 1u64 << 53);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if zipf_sample(bits(mid), n, alpha_x100) >= rank {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn suite_zipf_pairs_are_tabulated() {
+        let pairs = suite_zipf_pairs();
+        assert!(pairs.len() >= 13, "{pairs:?}");
+        assert!(pairs.contains(&(768, 100)), "the α ≈ 1 branch");
+        for (n, alpha_x100) in pairs {
+            assert!(ZipfSampler::new(n, alpha_x100).table.is_some(), "n {n}");
+        }
+    }
+
+    #[test]
+    fn zipf_table_matches_reference_around_every_step() {
+        for (n, alpha_x100) in suite_zipf_pairs() {
+            let sampler = ZipfSampler::new(n, alpha_x100);
+            for rank in 1..n {
+                let step = true_step(n, alpha_x100, rank);
+                for draw in step.saturating_sub(256)..(step + 257).min(1 << 53) {
+                    assert_eq!(
+                        sampler.sample(bits(draw)),
+                        zipf_sample(bits(draw), n, alpha_x100),
+                        "n {n} α×100 {alpha_x100} rank {rank} draw {draw}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_table_matches_reference_at_guard_band_edges() {
+        for (n, alpha_x100) in suite_zipf_pairs() {
+            let sampler = ZipfSampler::new(n, alpha_x100);
+            let table = sampler.table.as_deref().unwrap();
+            for &crossing in &table.crossings[1..] {
+                // The band around a crossing key c is keys c − 1 ..= c + 1:
+                // its first draw and the one before it, its last draw and
+                // the one after it.
+                let key = u64::from(crossing);
+                let first = key.saturating_sub(u64::from(GUARD_KEYS) - 1) << 21;
+                let end = (key + u64::from(GUARD_KEYS)) << 21;
+                for (draw, inside) in [
+                    (first.wrapping_sub(1), false),
+                    (first, true),
+                    (end - 1, true),
+                    (end, false),
+                ] {
+                    if draw >= 1 << 53 {
+                        continue;
+                    }
+                    let random = bits(draw);
+                    if inside {
+                        assert_eq!(table.rank(random), None, "n {n} draw {draw}");
+                    }
+                    assert_eq!(
+                        sampler.sample(random),
+                        zipf_sample(random, n, alpha_x100),
+                        "n {n} α×100 {alpha_x100} draw {draw}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_table_matches_reference_on_random_draws() {
+        for (n, alpha_x100) in suite_zipf_pairs() {
+            let sampler = ZipfSampler::new(n, alpha_x100);
+            for i in 0..1_000_000u64 {
+                let random = mix64(i ^ n << 40 ^ u64::from(alpha_x100) << 20);
+                assert_eq!(
+                    sampler.sample(random),
+                    zipf_sample(random, n, alpha_x100),
+                    "n {n} α×100 {alpha_x100} random {random:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_and_huge_universes_take_the_reference_path() {
+        for n in [1, 2, MAX_TABULATED_UNIVERSE + 1] {
+            let sampler = ZipfSampler::new(n, 90);
+            assert!(sampler.table.is_none(), "n {n}");
+            for i in 0..1000u64 {
+                let random = mix64(i);
+                assert_eq!(sampler.sample(random), zipf_sample(random, n, 90));
+            }
+        }
+        assert!(ZipfSampler::new(3, 90).table.is_some());
+        assert!(ZipfSampler::new(MAX_TABULATED_UNIVERSE, 90).table.is_some());
+    }
+
+    #[test]
+    fn samplers_share_one_table_per_universe_and_alpha() {
+        let mut samplers = ZipfSamplers::default();
+        let table = |sampler: ZipfSampler| sampler.table.unwrap();
+        let a = table(samplers.get(384, 95));
+        assert!(Arc::ptr_eq(&a, &table(samplers.get(384, 95))));
+        assert!(!Arc::ptr_eq(&a, &table(samplers.get(384, 90))));
+        assert!(!Arc::ptr_eq(&a, &table(samplers.get(385, 95))));
+        assert_eq!(samplers.0.len(), 3);
     }
 
     #[test]

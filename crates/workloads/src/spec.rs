@@ -1,7 +1,7 @@
 //! Benchmark specifications and the [`SyntheticKernel`] adapter that turns
 //! them into `latte-gpusim` kernels.
 
-use crate::access::{AccessPattern, PreparedPattern};
+use crate::access::{AccessPattern, PreparedPattern, ZipfSamplers};
 use crate::values::{mix64, LineGenerator, REGION_SHIFT};
 use latte_cache::LineAddr;
 use latte_compress::CacheLine;
@@ -141,9 +141,11 @@ pub struct BenchmarkSpec {
 impl BenchmarkSpec {
     /// Instantiates the simulator kernels for this benchmark. Each
     /// kernel prepares its phases' access patterns here, once, for every
-    /// SM and warp that will run it.
+    /// SM and warp that will run it; Zipf phases with equal universe and
+    /// exponent share one sampler table across all kernels.
     #[must_use]
     pub fn build_kernels(&self) -> Vec<SyntheticKernel> {
+        let mut samplers = ZipfSamplers::default();
         self.kernels
             .iter()
             .map(|k| SyntheticKernel {
@@ -153,7 +155,11 @@ impl BenchmarkSpec {
                     .enumerate()
                     .map(|(idx, &spec)| PhasePlan {
                         spec,
-                        pattern: PreparedPattern::new(spec.pattern, phase_seed(self.seed, idx)),
+                        pattern: PreparedPattern::new(
+                            spec.pattern,
+                            phase_seed(self.seed, idx),
+                            &mut samplers,
+                        ),
                     })
                     .collect(),
                 spec: k.clone(),
