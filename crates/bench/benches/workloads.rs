@@ -56,6 +56,14 @@ fn bench_op_generation(c: &mut Criterion) {
                 alpha_x100: 95,
             },
         ),
+        // SS's hot phase: α = 1.00 takes the log-uniform branch.
+        (
+            "zipf_harmonic",
+            AccessPattern::Zipf {
+                universe_lines: 768,
+                alpha_x100: 100,
+            },
+        ),
         (
             "tiled",
             AccessPattern::Tiled {
