@@ -269,8 +269,9 @@ fn scatter(x: u64, n: u64, seed: u64) -> u64 {
 /// for α < 1, and a bounded harmonic approximation above. Exactness is
 /// irrelevant — only the skew matters.
 ///
-/// This is the reference definition; [`ZipfSampler`] evaluates the same
-/// expression with its phase-constant terms hoisted.
+/// This is the reference definition; [`ZipfSampler`] returns the same
+/// rank from a [`ZipfTable`] or from this expression with its
+/// phase-constant terms hoisted.
 fn zipf_sample(random: u64, n: u64, alpha_x100: u32) -> u64 {
     let u = ((random >> 11) as f64) / ((1u64 << 53) as f64); // [0, 1)
     let alpha = f64::from(alpha_x100) / 100.0;
